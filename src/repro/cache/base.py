@@ -179,10 +179,12 @@ class ReplacementPolicy(ABC):
 
         Policies whose request semantics reduce to pure group residency
         (see :mod:`repro.cache.batch`) return a single-use callable
-        ``kernel(metrics) -> None`` that replays the *entire* trace and
-        folds outcome totals into the metrics, bit-identically to
-        calling :meth:`request` once per access.  The default is
-        ``None``: no batch implementation, replay per access.
+        ``kernel(metrics, checkpoint=None, every=0) -> None`` (see
+        :meth:`repro.cache.batch.GroupedReplayKernel.__call__`) that
+        replays the *entire* trace and folds outcome totals into the
+        metrics, bit-identically to calling :meth:`request` once per
+        access.  The default is ``None``: no batch implementation,
+        replay per access.
 
         ``hit_out`` optionally requests the per-access outcome mask: a
         writable boolean array of length ``trace.n_accesses`` in which

@@ -133,7 +133,18 @@ class GroupedReplayKernel:
         self._hit_out = hit_out
         self._spent = False
 
-    def __call__(self, metrics: CacheMetrics) -> None:
+    def __call__(
+        self, metrics: CacheMetrics, checkpoint=None, every: int = 0
+    ) -> None:
+        """Replay the trace, folding outcome totals into ``metrics``.
+
+        ``checkpoint(done, evicted_bytes)``, when given, is called at
+        every ``done = k * every < n`` (``every > 0``) and once at
+        ``done == n``, after ``metrics`` has been brought up to the
+        totals of the first ``done`` accesses.  Windows are cut at the
+        marks; the cumulative ``evicted_bytes`` is derived as fetched −
+        bypassed − resident bytes, so the eviction loop counts nothing.
+        """
         if self._spent:
             raise RuntimeError("batch kernels are single-use; build a new one")
         self._spent = True
@@ -164,10 +175,13 @@ class GroupedReplayKernel:
         scan_g: list = []
         scan_s: list = []
 
+        # Outcome counters since the last fold into ``metrics``.
         hits = 0
         bytes_hit = 0
         fetched = 0
         bypasses = 0
+        bypassed_bytes = 0
+        inserted = 0  # bytes ever admitted, up to the last fold
         used = 0
         seq = 0
 
@@ -259,8 +273,28 @@ class GroupedReplayKernel:
                 used -= gsizes[g2]
 
         i = 0
-        while i < n:
-            j = min(i + WINDOW, n)
+        folded = 0  # accesses already folded into ``metrics``
+        # The next fold point: a progress mark, or the end of the trace.
+        mark = min(every, n) if checkpoint is not None and every > 0 else n
+        while True:
+            if i == mark:
+                metrics.record_totals(
+                    requests=i - folded,
+                    hits=hits,
+                    bytes_requested=int(csum[i] - csum[folded]),
+                    bytes_hit=bytes_hit,
+                    bytes_fetched=fetched,
+                    bypasses=bypasses,
+                )
+                inserted += fetched - bypassed_bytes
+                hits = bytes_hit = fetched = bypasses = bypassed_bytes = 0
+                folded = i
+                if checkpoint is not None:
+                    checkpoint(i, inserted - used)
+                if i == n:
+                    break
+                mark = min(i + every, n)
+            j = min(i + WINDOW, mark)
             win = af[i:j]
             end = j - i
 
@@ -491,6 +525,7 @@ class GroupedReplayKernel:
                 bytes_hit += int(csum[j] - csum[i + first]) - mb - bpb
                 fetched += mb + bpb
                 bypasses += bp
+                bypassed_bytes += bpb
             else:
                 rs = starts[first:]
                 bl = (csum[i + ends[first:]] - csum[i + rs]).tolist()
@@ -512,6 +547,7 @@ class GroupedReplayKernel:
                                 # nothing.
                                 fetched += rb
                                 bypasses += rl
+                                bypassed_bytes += rb
                             else:
                                 if used + gsize > capacity:
                                     evict_until_fits(gsize)
@@ -544,6 +580,7 @@ class GroupedReplayKernel:
                             if gsize > capacity:
                                 fetched += rb
                                 bypasses += rl
+                                bypassed_bytes += rb
                             else:
                                 if used + gsize > capacity:
                                     evict_until_fits(gsize)
@@ -577,12 +614,3 @@ class GroupedReplayKernel:
             olast.clear()
             flight = []
             i = j
-
-        metrics.record_totals(
-            requests=n,
-            hits=hits,
-            bytes_requested=int(csum[n] - csum[0]),
-            bytes_hit=bytes_hit,
-            bytes_fetched=fetched,
-            bypasses=bypasses,
-        )

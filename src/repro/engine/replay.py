@@ -8,14 +8,16 @@ bit-identical by construction.
 
 Each traced job issues its input files at its start time, in job order;
 every policy sees the identical request stream, so miss rates are
-directly comparable.  With ``instrumentation=None`` a tight fast path
-runs: the trace's columns are read as plain Python lists
+directly comparable.  A run takes one of two routes, instrumented or
+not: the policy's vectorized batch kernel whenever it offers one
+(:meth:`~repro.cache.base.ReplacementPolicy.batch_kernel`), else a
+tight per-job loop — the trace's columns read as plain Python lists
 (:attr:`~repro.traces.trace.Trace.replay_columns`, converted once per
-trace, not per run), per-job values are hoisted out of the per-access
-loop, and metrics counters accumulate in locals that are folded into
-:class:`~repro.cache.base.CacheMetrics` once at the end.  The
-instrumented path updates metrics per access (hooks observe live state)
-and is guaranteed (and tested) to produce identical miss rates.
+trace, not per run), per-job values hoisted out of the per-access loop,
+and metrics counters accumulated in locals that are folded into
+:class:`~repro.cache.base.CacheMetrics` at each progress mark and at the
+end.  Instrumentation observes both routes at the same exact progress
+marks (see :mod:`repro.obs.instrument`) without changing either.
 """
 
 from __future__ import annotations
@@ -49,16 +51,18 @@ def simulate(
     :mod:`repro.registry` with this trace and the optional ``partition``
     as resources.
 
-    ``instrumentation`` hooks observe the replay without affecting it;
-    see :mod:`repro.obs.instrument`.
+    ``instrumentation`` observes the replay without affecting it: run
+    start, progress checkpoints at exact multiples of its
+    ``progress_every`` plus one at the end, and the evicted volume; see
+    :mod:`repro.obs.instrument`.
 
     ``batch`` selects the vectorized whole-trace kernel offered by
     batch-capable policies (:meth:`~repro.cache.base.ReplacementPolicy
     .batch_kernel`; bit-identical to per-access replay, tested).  The
     default ``None`` uses a kernel whenever the policy offers one,
     ``False`` forces the per-access path, ``True`` demands a kernel and
-    raises :class:`ValueError` if the policy has none.  Kernels run only
-    on the uninstrumented path — per-access hooks would defeat batching.
+    raises :class:`ValueError` if the policy has none.  Instrumentation
+    does not change the route.
     """
     if not callable(policy_factory):
         # Spec-based selection.  The registry sits above the engine in
@@ -77,30 +81,51 @@ def simulate(
     metrics = CacheMetrics(
         name=name or policy.name, capacity_bytes=int(capacity)
     )
-    if instrumentation is None:
-        # Batch path: a policy-provided vectorized kernel replays the
-        # whole trace without materializing the per-access list columns.
-        if batch is not False:
-            kernel = policy.batch_kernel(trace)
-            if kernel is not None:
-                kernel(metrics)
-                return metrics
-            if batch:
-                raise ValueError(
-                    f"batch=True but policy {metrics.name!r} offers no "
-                    f"batch kernel for this trace/configuration"
-                )
-        access_files = trace.access_files
-        ptr_list, files, sizes, starts = trace.replay_columns
-        request = policy.request
-        begin_job = policy.begin_job
-        # Fast path: per-job outer loop (job id and timestamp hoisted out
-        # of the access loop), list columns (no numpy scalar boxing) and
-        # local counters folded into the metrics once at the end.  Job
-        # order and per-job file order are the canonical access order,
-        # so the request stream is identical to the instrumented path.
-        requests = hits = 0
-        bytes_requested = bytes_hit = bytes_fetched = bypasses = 0
+    kernel = policy.batch_kernel(trace) if batch is not False else None
+    if kernel is None and batch:
+        raise ValueError(
+            f"batch=True but policy {metrics.name!r} offers no "
+            f"batch kernel for this trace/configuration"
+        )
+    inst = instrumentation
+    total = trace.n_accesses
+    every = 0
+    if inst is not None:
+        every = inst.progress_every
+        inst.on_run_start(metrics.name, int(capacity), total)
+    if kernel is not None:
+        # The kernel replays the whole trace without materializing the
+        # per-access list columns.
+        if inst is None:
+            kernel(metrics)
+            return metrics
+        evicted = 0
+
+        def checkpoint(done: int, evicted_now: int) -> None:
+            nonlocal evicted
+            if evicted_now > evicted:
+                inst.on_evict(evicted_now - evicted)
+                evicted = evicted_now
+            inst.on_progress(done, total, metrics)
+
+        kernel(metrics, checkpoint, every)
+        return metrics
+
+    access_files = trace.access_files
+    ptr_list, files, sizes, starts = trace.replay_columns
+    request = policy.request
+    begin_job = policy.begin_job
+    # Per-job outer loop (job id and timestamp hoisted out of the access
+    # loop), list columns (no numpy scalar boxing) and local counters
+    # folded into the metrics at each progress mark and at the end.  A
+    # job straddling a mark is split there; ``mark`` is the next one,
+    # or ``total`` when none is left (reported after the loop).
+    mark = min(every, total) if every > 0 else total
+    requests = hits = 0
+    bytes_requested = bytes_hit = bytes_fetched = bypasses = 0
+    if inst is not None:
+        policy.evict_listener = inst.on_evict
+    try:
         for job in range(trace.n_jobs):
             lo = ptr_list[job]
             hi = ptr_list[job + 1]
@@ -108,66 +133,39 @@ def simulate(
                 continue
             now = starts[job]
             begin_job(access_files[lo:hi], now)
-            for f in files[lo:hi]:
-                size = sizes[f]
-                outcome = request(f, size, now)
-                requests += 1
-                bytes_requested += size
-                if outcome.hit:
-                    hits += 1
-                    bytes_hit += size
-                else:
-                    fetched = outcome.bytes_fetched
-                    if fetched:
-                        bytes_fetched += fetched
-                    if outcome.bypassed:
-                        bypasses += 1
-        metrics.requests = requests
-        metrics.hits = hits
-        metrics.bytes_requested = bytes_requested
-        metrics.bytes_hit = bytes_hit
-        metrics.bytes_fetched = bytes_fetched
-        metrics.bypasses = bypasses
-        return metrics
-
-    if batch:
-        raise ValueError(
-            "batch=True is incompatible with instrumentation; per-access "
-            "hooks require the per-access replay path"
-        )
-    access_files = trace.access_files
-    ptr_list, files, sizes, starts = trace.replay_columns
-    request = policy.request
-    begin_job = policy.begin_job
-    inst = instrumentation
-    total = len(files)
-    progress_every = inst.progress_every
-    inst.on_run_start(metrics.name, int(capacity), total)
-    policy.evict_listener = inst.on_evict
-    record = metrics.record
-    access_jobs = trace.access_jobs
-    current_job = -1
-    now = 0.0
-    try:
-        for i in range(total):
-            j = int(access_jobs[i])
-            if j != current_job:
-                now = starts[j]
-                begin_job(access_files[ptr_list[j] : ptr_list[j + 1]], now)
-                current_job = j
-            f = files[i]
-            size = sizes[f]
-            inst.on_access(f, size, now)
-            outcome = request(f, size, now)
-            record(size, outcome)
-            if outcome.hit:
-                inst.on_hit(f, size)
-            else:
-                inst.on_miss(f, size, outcome.bytes_fetched, outcome.bypassed)
-            done = i + 1
-            if progress_every and done < total and done % progress_every == 0:
-                inst.on_progress(done, total, metrics)
-        inst.on_progress(total, total, metrics)  # exactly one done == total call
+            while True:
+                cut = mark if mark < hi else hi
+                for f in files[lo:cut]:
+                    size = sizes[f]
+                    outcome = request(f, size, now)
+                    requests += 1
+                    bytes_requested += size
+                    if outcome.hit:
+                        hits += 1
+                        bytes_hit += size
+                    else:
+                        fetched = outcome.bytes_fetched
+                        if fetched:
+                            bytes_fetched += fetched
+                        if outcome.bypassed:
+                            bypasses += 1
+                if cut != mark or cut == total:
+                    break
+                metrics.record_totals(
+                    requests, hits, bytes_requested, bytes_hit,
+                    bytes_fetched, bypasses,
+                )
+                requests = hits = 0
+                bytes_requested = bytes_hit = bytes_fetched = bypasses = 0
+                inst.on_progress(mark, total, metrics)
+                mark = min(mark + every, total)
+                lo = cut
     finally:
-        policy.evict_listener = None
+        if inst is not None:
+            policy.evict_listener = None
+    metrics.record_totals(
+        requests, hits, bytes_requested, bytes_hit, bytes_fetched, bypasses
+    )
+    if inst is not None:
+        inst.on_progress(total, total, metrics)
     return metrics

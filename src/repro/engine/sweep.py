@@ -155,7 +155,7 @@ def sweep(
     and the per-cell metrics are merged into a :class:`SweepResult`
     identical to the serial one.  ``jobs`` is a ceiling — the pool is
     clamped to the cell count and the machine's CPU count (the replay is
-    CPU-bound; oversubscribing cores only slows it down).  Per-access
+    CPU-bound; oversubscribing cores only slows it down).  Custom
     hooks cannot cross process boundaries, so only ``None``,
     :class:`~repro.obs.instrument.SimStats`,
     :class:`~repro.obs.instrument.ProgressReporter` (progress checkpoints
@@ -164,7 +164,8 @@ def sweep(
 
     ``batch`` is forwarded to :func:`~repro.engine.replay.simulate` on
     the serial path; parallel workers always use the default (kernels
-    whenever the policy offers one) — results are identical either way.
+    whenever the policy offers one, instrumented or not) — results are
+    identical either way.
     """
     caps = tuple(int(c) for c in capacities)
     if not caps:

@@ -1,11 +1,13 @@
 """Observation hooks for trace-driven cache simulation.
 
 :func:`repro.cache.simulator.simulate` (and :func:`~repro.cache.simulator.sweep`)
-accept an :class:`Instrumentation`: a callback interface invoked per file
-access, hit, miss and eviction, plus a periodic progress callback.  Hooks
-are **observation-only** by contract — they receive values, never the
-policy — so an instrumented run produces bit-identical miss rates to an
-uninstrumented one (asserted by the test suite).
+accept an :class:`Instrumentation`: a window-level callback interface —
+run start, progress checkpoints at exact access counts, and evicted
+volume.  Hooks are **observation-only** by contract — they receive
+values, never the policy — and they do not change the replay route: an
+instrumented run takes the same batch kernel or per-access loop as an
+uninstrumented one and produces bit-identical metrics (asserted by the
+test suite).
 
 Two implementations ship here:
 
@@ -35,9 +37,12 @@ class Instrumentation:
     """Callback interface for :func:`repro.cache.simulator.simulate`.
 
     Subclass and override what you need; every hook defaults to a no-op.
-    ``progress_every`` is the number of accesses between
-    :meth:`on_progress` calls (0 disables periodic calls; a final call
-    with ``done == total`` always happens at the end of a run).
+    A run calls :meth:`on_run_start` once, then :meth:`on_progress` at
+    exactly ``done = k * progress_every < total`` (none when
+    ``progress_every`` is 0) and once more at ``done == total`` — also
+    for a run of zero accesses.  :meth:`on_evict` reports the evicted
+    volume before the checkpoint that covers it, one call per eviction
+    or aggregated per checkpoint (the batch kernels do the latter).
     """
 
     progress_every: int = 0
@@ -45,32 +50,23 @@ class Instrumentation:
     def on_run_start(self, name: str, capacity: int, total_accesses: int) -> None:
         """A simulation run is starting against a fresh policy."""
 
-    def on_access(self, file_id: int, size: int, now: float) -> None:
-        """A file request is about to be served."""
-
-    def on_hit(self, file_id: int, size: int) -> None:
-        """The request was served from cache."""
-
-    def on_miss(
-        self, file_id: int, size: int, bytes_fetched: int, bypassed: bool
-    ) -> None:
-        """The request missed (``bypassed``: streamed without caching)."""
-
     def on_evict(self, bytes_evicted: int) -> None:
         """The policy evicted ``bytes_evicted`` bytes to make room."""
 
     def on_progress(self, done: int, total: int, metrics) -> None:
-        """Periodic checkpoint (``metrics``: the run's live
-        :class:`~repro.cache.base.CacheMetrics`)."""
+        """Checkpoint after ``done`` accesses (``metrics``: the run's
+        :class:`~repro.cache.base.CacheMetrics`, holding the totals of
+        exactly those accesses)."""
 
 
 class SimStats(Instrumentation):
-    """Counting collector: aggregates every hook into plain integers.
+    """Counting collector: folds each run's totals into plain integers.
 
-    One instance observes one simulation run (counters accumulate and
-    never reset); its totals mirror the run's
-    :class:`~repro.cache.base.CacheMetrics` and add eviction volume,
-    which the metrics object cannot see.
+    One instance may observe several runs (counters accumulate and
+    never reset): each run's final
+    :class:`~repro.cache.base.CacheMetrics` is folded in at its
+    ``done == total`` checkpoint, and eviction volume, which the
+    metrics object cannot see, accumulates from :meth:`on_evict`.
     """
 
     def __init__(self) -> None:
@@ -83,26 +79,18 @@ class SimStats(Instrumentation):
         self.bytes_evicted = 0
         self.progress_calls = 0
 
-    def on_access(self, file_id: int, size: int, now: float) -> None:
-        self.accesses += 1
-        self.bytes_requested += size
-
-    def on_hit(self, file_id: int, size: int) -> None:
-        self.hits += 1
-
-    def on_miss(
-        self, file_id: int, size: int, bytes_fetched: int, bypassed: bool
-    ) -> None:
-        self.misses += 1
-        self.bytes_fetched += bytes_fetched
-        if bypassed:
-            self.bypasses += 1
-
     def on_evict(self, bytes_evicted: int) -> None:
         self.bytes_evicted += bytes_evicted
 
     def on_progress(self, done: int, total: int, metrics) -> None:
         self.progress_calls += 1
+        if done == total:
+            self.accesses += metrics.requests
+            self.hits += metrics.hits
+            self.misses += metrics.misses
+            self.bypasses += metrics.bypasses
+            self.bytes_requested += metrics.bytes_requested
+            self.bytes_fetched += metrics.bytes_fetched
 
     def merge(self, other: "SimStats") -> "SimStats":
         """Fold another collector's counters into this one (in place).
@@ -185,9 +173,10 @@ class ProgressReporter(Instrumentation):
         rate = done / elapsed if elapsed > 0 else 0.0
         eta = (total - done) / rate if rate > 0 and done < total else 0.0
         if self.stream is not None:
+            # A run of zero accesses is complete at its only checkpoint.
             self.stream.write(
                 f"[{self.label} {self._run}] "
-                f"{done / total:6.1%} {done}/{total} "
+                f"{done / total if total else 1.0:6.1%} {done}/{total} "
                 f"hit={metrics.hit_rate:.3f} "
                 f"evicted={format_bytes(self._evicted, 1)} "
                 f"{rate:,.0f} acc/s eta={eta:.0f}s\n"
@@ -220,18 +209,6 @@ class MultiInstrumentation(Instrumentation):
     def on_run_start(self, name, capacity, total_accesses) -> None:
         for c in self.children:
             c.on_run_start(name, capacity, total_accesses)
-
-    def on_access(self, file_id, size, now) -> None:
-        for c in self.children:
-            c.on_access(file_id, size, now)
-
-    def on_hit(self, file_id, size) -> None:
-        for c in self.children:
-            c.on_hit(file_id, size)
-
-    def on_miss(self, file_id, size, bytes_fetched, bypassed) -> None:
-        for c in self.children:
-            c.on_miss(file_id, size, bytes_fetched, bypassed)
 
     def on_evict(self, bytes_evicted) -> None:
         for c in self.children:

@@ -263,7 +263,7 @@ class _ProgressPrinter:
         eta = (total - done) / rate if rate > 0 and done < total else 0.0
         self.stream.write(
             f"[{self.label} {name}@{format_bytes(capacity, 1)}] "
-            f"{done / total:6.1%} {done}/{total} "
+            f"{done / total if total else 1.0:6.1%} {done}/{total} "
             f"hit={hit_rate:.3f} "
             f"evicted={format_bytes(evicted, 1)} "
             f"{rate:,.0f} acc/s eta={eta:.0f}s\n"
@@ -297,8 +297,8 @@ class ParallelSweepRunner:
     collect_stats:
         Run every cell under a :class:`~repro.obs.instrument.SimStats`
         collector and merge the workers' collectors into :attr:`stats`.
-        This uses the (slower) instrumented simulation path, exactly as
-        it would serially.
+        Cells replay on the same route (kernel or per-access) as
+        uninstrumented ones, exactly as they would serially.
     oversubscribe:
         Allow more workers than CPUs (up to ``jobs``).  A diagnostic /
         benchmarking knob — the default clamp is the right call for real
@@ -508,13 +508,13 @@ def parallel_sweep(
     """``sweep(jobs=N)`` backend: map the instrumentation contract onto a
     :class:`ParallelSweepRunner`.
 
-    Per-access hooks cannot cross process boundaries, so only the two
+    Custom hooks cannot cross process boundaries, so only the two
     shipped observation types (and combinations of them) are supported:
     a :class:`~repro.obs.instrument.ProgressReporter` has its checkpoint
     stream forwarded from the workers over a queue, and a
     :class:`~repro.obs.instrument.SimStats` receives the merged worker
     collectors after the run.  Anything else raises ``ValueError`` —
-    run serially for custom per-access instrumentation.
+    run serially for custom instrumentation.
 
     ``jobs`` is a ceiling, never a demand to go slower: with
     ``auto_serial`` (the default), grids whose
@@ -544,8 +544,7 @@ def parallel_sweep(
             raise ValueError(
                 "parallel sweeps forward progress checkpoints and SimStats "
                 "only; got unsupported instrumentation "
-                f"{type(hook).__name__} — use jobs=1 for custom per-access "
-                "hooks"
+                f"{type(hook).__name__} — use jobs=1 for custom hooks"
             )
     caps = tuple(int(c) for c in capacities)
     if not caps:

@@ -14,9 +14,12 @@ the offline one regardless of interleaving — which is exactly what the
 equivalence tests and ``BENCH_service.json`` assert.
 
 Open-loop pacing: each job has an absolute scheduled send time
-(``start + k / target_rate``).  A slow server makes latencies grow
-instead of silently lowering the offered load — the honest way to
-measure a service (coordinated-omission-free).
+(``start + k / target_rate``).  A paced job's first request is timed
+from that due time, not from when the generator got round to sending
+it, and :attr:`LoadReport.max_send_lag_ms` says how late it ran — so a
+slow server makes latencies grow instead of silently lowering the
+offered load, the honest way to measure a service
+(coordinated-omission-free).
 
 Two throughput levers beyond connection count:
 
@@ -95,6 +98,8 @@ class LoadReport:
     #: generator processes merge bucket-exactly like the totals.
     timeline: list[dict] = field(default_factory=list)
     timeline_interval: float | None = None
+    #: Worst lateness of a paced send behind its schedule (0 unpaced).
+    max_send_lag_ms: float = 0.0
 
     @property
     def requests_per_second(self) -> float:
@@ -168,6 +173,7 @@ class LoadReport:
             "errors": self.errors,
             "duration_seconds": self.duration_seconds,
             "requests_per_second": self.requests_per_second,
+            "max_send_lag_ms": self.max_send_lag_ms,
             "latencies_ms": self.latencies_ms,
         }
         if self.timeline:
@@ -277,6 +283,7 @@ def merge_reports(reports: list["LoadReport"]) -> "LoadReport":
         histograms={op: hist.state_dict() for op, hist in hists.items()},
         timeline=[bins[i] for i in sorted(bins)],
         timeline_interval=timeline_interval,
+        max_send_lag_ms=max(r.max_send_lag_ms for r in reports),
     )
 
 
@@ -360,6 +367,7 @@ async def run_load(
     samples: dict[str, list[float]] = {"ingest": [], "advise": []}
     errors = 0
     jobs_done = 0
+    max_lag = 0.0
     timeline_bins: dict[int, dict] = {}
     start = time.perf_counter()
 
@@ -381,12 +389,21 @@ async def run_load(
         if latency_s is not None:
             bin_["hist"].record(latency_s)
 
-    def scheduled_send(k: int) -> float | None:
+    async def send_due(k: int) -> float | None:
+        """Wait for job ``k``'s scheduled send; return when it was due
+        (``None`` when unpaced), noting how late the generator is."""
+        nonlocal max_lag
         if offsets is not None:
-            return start + offsets[k]
-        if target_rate is not None:
-            return start + k / target_rate
-        return None
+            due = start + offsets[k]
+        elif target_rate is not None:
+            due = start + k / target_rate
+        else:
+            return None
+        delay = due - time.perf_counter()
+        if delay > 0:
+            await asyncio.sleep(delay)
+        max_lag = max(max_lag, time.perf_counter() - due)
+        return due
 
     def note_progress(batch: int) -> None:
         nonlocal jobs_done
@@ -407,15 +424,14 @@ async def run_load(
         nonlocal errors
         sent = 0
         for k in range(worker_id, len(jobs), connections):
-            scheduled = scheduled_send(k)
-            if scheduled is not None:
-                delay = scheduled - time.perf_counter()
-                if delay > 0:
-                    await asyncio.sleep(delay)
+            # The job's first request is timed from its due time; one
+            # that follows it is due when the previous reply arrives.
+            due = await send_due(k)
             job = jobs[k]
             rid = f"{rid_prefix}-{k}" if rid_prefix else None
             if advise_every and k % advise_every == 0:
-                t0 = time.perf_counter()
+                t0 = time.perf_counter() if due is None else due
+                due = None
                 try:
                     await client.advise(
                         job["files"], site=job.get("site", 0), rid=rid
@@ -427,7 +443,7 @@ async def run_load(
                     errors += 1
                     note_timeline(None, False)
                 sent += 1
-            t0 = time.perf_counter()
+            t0 = time.perf_counter() if due is None else due
             try:
                 await client.ingest(
                     job["files"],
@@ -463,11 +479,7 @@ async def run_load(
         indices = range(worker_id, len(jobs), connections)
         for batch_start in range(0, len(indices), depth):
             batch = indices[batch_start : batch_start + depth]
-            scheduled = scheduled_send(batch[0])
-            if scheduled is not None:
-                delay = scheduled - time.perf_counter()
-                if delay > 0:
-                    await asyncio.sleep(delay)
+            due = await send_due(batch[0])
             in_flight: list[tuple[str, int]] = []
             if group_ingests:
                 # Advises first, then the ingests back-to-back: the
@@ -519,7 +531,7 @@ async def run_load(
                             ),
                         )
                     )
-            t0 = time.perf_counter()
+            t0 = time.perf_counter() if due is None else due
             await client.flush()
             for op, request_id in in_flight:
                 try:
@@ -581,6 +593,7 @@ async def run_load(
             for index, bin_ in sorted(timeline_bins.items())
         ],
         timeline_interval=timeline_interval,
+        max_send_lag_ms=max_lag * 1e3,
     )
 
 
@@ -602,6 +615,7 @@ def _replay_slice(host: str, port: int, jobs: list[dict], kwargs: dict) -> dict:
         "histograms": report.histograms,
         "timeline": report.timeline,
         "timeline_interval": report.timeline_interval,
+        "max_send_lag_ms": report.max_send_lag_ms,
     }
 
 
@@ -678,6 +692,7 @@ def run_load_procs(
                 histograms=r["histograms"],
                 timeline=r.get("timeline", []),
                 timeline_interval=r.get("timeline_interval"),
+                max_send_lag_ms=r["max_send_lag_ms"],
             )
             for r in results
         ]

@@ -7,6 +7,7 @@ uninstrumented one, across policies and capacities.
 
 import io
 
+import numpy as np
 import pytest
 
 from repro.cache.arc import AdaptiveReplacementCache
@@ -76,10 +77,15 @@ class TestObservationOnly:
         assert observed.miss_rates("lru") == plain.miss_rates("lru")
 
     def test_evict_listener_reset_after_run(self, trace):
-        held = []
-        factory = lambda c: held.append(FileLRU(c)) or held[-1]  # noqa: E731
-        simulate(trace, factory, 25, instrumentation=SimStats())
-        assert held[0].evict_listener is None
+        # FileLRU takes the kernel route, GDS the per-access loop, which
+        # attaches the listener for the run.
+        for policy_class in (FileLRU, GreedyDualSize):
+            held = []
+            factory = lambda c: held.append(policy_class(c)) or held[-1]  # noqa: E731
+            stats = SimStats()
+            simulate(trace, factory, 25, instrumentation=stats)
+            assert held[0].evict_listener is None
+            assert stats.bytes_evicted > 0
 
 
 class TestSimStats:
@@ -147,6 +153,22 @@ class TestProgressReporter:
     def test_progress_every_validated(self):
         with pytest.raises(ValueError):
             ProgressReporter(progress_every=0)
+
+    @pytest.mark.parametrize("batch", [None, False])
+    def test_zero_access_run_reports_complete(self, trace, batch):
+        """A run with no accesses (an outer hierarchy tier absorbed them
+        all) is reported complete instead of dividing by zero, on the
+        kernel route (``None``) and the per-access route alike."""
+        empty = trace.subset_accesses(np.zeros(trace.n_accesses, bool))
+        out = io.StringIO()
+        reporter = ProgressReporter("t", progress_every=1, stream=out)
+        metrics = simulate(
+            empty, "file-lru", 100, instrumentation=reporter, batch=batch
+        )
+        assert metrics.requests == 0
+        lines = out.getvalue().splitlines()
+        assert len(lines) == 1
+        assert "100.0% 0/0" in lines[0]
 
 
 class TestMultiInstrumentation:

@@ -301,6 +301,17 @@ class TestObservability:
         assert "[ptest file-lru@" in out
         assert f"{tiny_trace.n_accesses}/{tiny_trace.n_accesses}" in out
 
+    def test_forwarded_empty_run_reports_complete(self):
+        """The parent's printer, like ProgressReporter, reports a cell
+        with no accesses as complete instead of dividing by zero."""
+        from repro.parallel.runner import _ProgressPrinter
+
+        stream = io.StringIO()
+        printer = _ProgressPrinter("ptest", stream)
+        printer.handle(("run", "file-lru", 100, 0))
+        printer.handle(("tick", "file-lru", 100, 0, 0, 1.0, 0))
+        assert "100.0% 0/0" in stream.getvalue()
+
     def test_simstats_merged_across_workers(self, tiny_trace):
         caps = [tiny_trace.total_bytes() // 100, tiny_trace.total_bytes() // 10]
         factories = {"file-lru": lambda c: FileLRU(c)}

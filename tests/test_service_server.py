@@ -216,6 +216,59 @@ class TestLoadGeneratorEndToEnd:
 
         run(_with_server(ServiceState(), scenario))
 
+    @pytest.mark.parametrize("pipeline_depth", [1, 4])
+    def test_paced_latency_counts_a_server_stall(self, pipeline_depth):
+        """A stall that holds up paced sends shows in their latencies,
+        timed from when each send was due, and in max_send_lag_ms."""
+        jobs = [{"files": [k], "sizes": [1]} for k in range(30)]
+
+        class StallingState(ServiceState):
+            stalled = False
+
+            def stall_once(self):
+                if not self.stalled:
+                    self.stalled = True
+                    time.sleep(0.3)  # blocks the loop the generator shares
+
+            def ingest(self, *args, **kwargs):
+                self.stall_once()
+                return super().ingest(*args, **kwargs)
+
+            def ingest_batch(self, *args, **kwargs):
+                self.stall_once()
+                return super().ingest_batch(*args, **kwargs)
+
+        async def scenario(server):
+            return await run_load(
+                "127.0.0.1",
+                server.port,
+                jobs,
+                connections=1,
+                target_rate=200.0,
+                pipeline_depth=pipeline_depth,
+                fetch_final_stats=False,
+            )
+
+        report = run(_with_server(StallingState(), scenario))
+        assert report.errors == 0
+        # Every job was due within 0.15 s; none could go out before the
+        # stall ended at ~0.3 s.
+        assert report.max_send_lag_ms >= 200
+        assert report.latencies_ms["ingest"]["p50"] >= 100
+        assert report.as_dict()["max_send_lag_ms"] == report.max_send_lag_ms
+
+    def test_unpaced_run_reports_no_send_lag(self, tiny_trace):
+        async def scenario(server):
+            return await run_load(
+                "127.0.0.1",
+                server.port,
+                jobs_from_trace(tiny_trace)[:20],
+                connections=2,
+                fetch_final_stats=False,
+            )
+
+        assert run(_with_server(ServiceState(), scenario)).max_send_lag_ms == 0.0
+
     def test_loadgen_rejects_empty_stream(self):
         with pytest.raises(ValueError, match="no jobs"):
             run(run_load("127.0.0.1", 1, []))

@@ -15,7 +15,12 @@ characterizes — without paying for the full benchmark matrix.  It:
    total/10, the mixed-pressure regime) through the batch kernel,
    gating its throughput against the floor below (bit-identity to the
    per-access path is the benchmark suite's job, not the smoke check's);
-4. writes ``benchmarks/output/paper_smoke.json`` with host info and
+4. replays the same cell again with a ``ProgressReporter`` attached
+   (its lines discarded) — what ``REPRO_PROGRESS=1`` gives — gating it
+   on the same floor and on metrics equal to the first replay, so
+   turning progress on cannot quietly drop the cell to per-access
+   replay;
+5. writes ``benchmarks/output/paper_smoke.json`` with host info and
    per-phase timings.
 
 Exit status is non-zero on any failed gate.  Run locally with::
@@ -26,6 +31,7 @@ Exit status is non-zero on any failed gate.  Run locally with::
 from __future__ import annotations
 
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -35,6 +41,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.core import find_filecules  # noqa: E402
 from repro.engine import simulate  # noqa: E402
+from repro.obs.instrument import ProgressReporter  # noqa: E402
 from repro.util.host import host_info  # noqa: E402
 from repro.util.units import format_bytes  # noqa: E402
 from repro.workload import cached_trace, paper_config  # noqa: E402
@@ -92,11 +99,36 @@ def main() -> int:
         f"{rate:,.0f} accesses/s, miss rate {metrics.miss_rate:.4f}"
     )
 
-    ok = rate >= MIN_BATCH_ACCESSES_PER_S
-    if not ok:
+    with open(os.devnull, "w") as discard:
+        t0 = time.perf_counter()
+        observed = simulate(
+            trace,
+            "file-lru",
+            capacity,
+            instrumentation=ProgressReporter("smoke", stream=discard),
+        )
+        cell_s = time.perf_counter() - t0
+    timings["instrumented_cell_s"] = round(cell_s, 2)
+    instrumented_rate = n / cell_s
+    print(
+        f"file-lru@{format_bytes(capacity, 1)} (progress): {cell_s:.2f}s, "
+        f"{instrumented_rate:,.0f} accesses/s"
+    )
+
+    ok = True
+    for label, value in (("batch", rate), ("instrumented", instrumented_rate)):
+        if value < MIN_BATCH_ACCESSES_PER_S:
+            ok = False
+            print(
+                f"FAIL: {label} replay {value:,.0f} accesses/s < floor "
+                f"{MIN_BATCH_ACCESSES_PER_S:,} — throughput regression",
+                file=sys.stderr,
+            )
+    if observed != metrics:
+        ok = False
         print(
-            f"FAIL: batch replay {rate:,.0f} accesses/s < floor "
-            f"{MIN_BATCH_ACCESSES_PER_S:,} — throughput regression",
+            f"FAIL: instrumented replay {observed} differs from the "
+            f"uninstrumented {metrics}",
             file=sys.stderr,
         )
 
@@ -114,6 +146,7 @@ def main() -> int:
                 "capacity": capacity,
                 "miss_rate": round(metrics.miss_rate, 6),
                 "batch_accesses_per_s": round(rate, 1),
+                "instrumented_accesses_per_s": round(instrumented_rate, 1),
                 "floor_accesses_per_s": MIN_BATCH_ACCESSES_PER_S,
                 "timings": timings,
                 "ok": ok,
