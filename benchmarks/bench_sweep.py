@@ -23,15 +23,14 @@ benchmark *fails* on any divergence; so do the paper-tier performance
 gates (batch >= 2x the per-access path per policy on the gated
 capacities; ``jobs=4`` >= 2x serial when the host actually has >= 4
 CPUs).  The batch gate applies to capacities at or above 10% of the
-accessed data, where hits dominate and the kernel's numpy paths carry
-the traffic.  Below that the workload is *eviction-bound* (at
-total/100 the miss rate is ~87% and nearly every access mutates
-eviction state): by design the kernel resolves state-mutating accesses
-on its per-access walk, so such cells compare two per-access loops and
-their ratio measures loop overhead, not vectorization.  They are still
+accessed data, where hits dominate.  Below that the workload is
+*eviction-bound* (at total/100 the miss rate is ~87%).  The floor was
+drawn when only hit-dominated cells ran on a numpy bulk path; today's
+kernel is one dict loop at every capacity, so eviction-bound cells are
 measured, asserted bit-identical, and reported — flagged
-``eviction_bound`` — they just carry no 2x floor.  Results go to
-``BENCH_sweep.json`` (repo root) and ``benchmarks/output/sweep.txt``.
+``eviction_bound`` — like the rest; they just carry no 2x floor.
+Results go to ``BENCH_sweep.json`` (repo root) and
+``benchmarks/output/sweep.txt``.
 
 Run with::
 
@@ -87,10 +86,9 @@ TIER_SPECS = {
 }
 
 #: Capacities below total_bytes // GATE_MIN_CAP_DIVISOR are
-#: eviction-bound (the total/100 cell runs at ~87% miss rate, so the
-#: batch kernel is on its per-access walk almost the whole time — by
-#: design; see the module docstring).  Such cells are measured and
-#: reported but excluded from the batch-speedup floor.  An integer
+#: eviction-bound (the total/100 cell runs at ~87% miss rate; see the
+#: module docstring).  Such cells are measured and reported but
+#: excluded from the batch-speedup floor.  An integer
 #: divisor, matching ``tier_capacities``'s own floor division, so the
 #: total/10 cell compares equal rather than a float-rounding hair
 #: below the threshold.

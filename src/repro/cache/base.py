@@ -175,11 +175,13 @@ class ReplacementPolicy(ABC):
             self.evict_listener(size)
 
     def batch_kernel(self, trace, hit_out=None):
-        """Optional vectorized replay kernel for this policy over ``trace``.
+        """Optional whole-trace replay kernel for this policy over ``trace``.
 
         Policies whose request semantics reduce to pure group residency
-        (see :mod:`repro.cache.batch`) return a single-use callable
-        ``kernel(metrics, checkpoint=None, every=0) -> None`` (see
+        (see :mod:`repro.cache.batch`: one ``OrderedDict`` loop over
+        runs of same-group accesses, folded with numpy) return a
+        single-use callable ``kernel(metrics, checkpoint=None, every=0)
+        -> None`` (see
         :meth:`repro.cache.batch.GroupedReplayKernel.__call__`) that
         replays the *entire* trace and folds outcome totals into the
         metrics, bit-identically to calling :meth:`request` once per

@@ -1,83 +1,59 @@
-"""Vectorized whole-trace replay for batch-capable policies.
+"""Whole-trace replay for the group-residency policies, in one run loop.
 
 :class:`GroupedReplayKernel` replays an entire trace against the three
-policies whose request semantics reduce to *group residency* — file-LRU
-(group = file), file-FIFO (group = file, no recency touch) and
-filecule-LRU (group = filecule label).  For these policies a request's
-outcome depends only on whether its group is resident, so the stream
-can be resolved window-at-a-time with numpy doing the heavy indexing
-and a tight all-Python loop (no numpy scalar boxing) handling whatever
-actually mutates state.
+policies whose request outcome depends only on whether the request's
+*group* is resident: file-LRU (group = file), file-FIFO (group = file,
+no recency touch on a hit) and filecule-LRU (group = filecule label).
 
-Per window of ``WINDOW`` accesses:
+Per window of at most ``WINDOW`` accesses, cut at the progress marks:
 
-1. **Probe** (numpy): gather each access's group and its residency.
-   In filecule mode, adjacent accesses to the same filecule are first
-   collapsed into *runs* (a job's files within one filecule have
-   contiguous ids, so the mean run covers ~7 accesses at paper scale);
-   the walk then costs per run, not per access.
-2. **Bulk** (numpy): a fully-hit window, or the leading hit-run up to
-   the first probed miss, is accounted with prefix-sum arithmetic
-   (:attr:`~repro.traces.trace.Trace.access_size_cumsum`) and one fancy
-   recency assignment — numpy's last-write-wins on duplicate indices
-   matches "latest touch wins".
-3. **Walk** (Python): the remainder runs on plain lists and dict
-   *overlays*: ``ores`` (residency changes since the probe) and
-   ``olast`` (recency touches this window).  Truth for an access is
-   ``ores.get(group, probed_hint)`` — every post-probe insert and
-   eviction is in ``ores``, so the probed hint is exact for untouched
-   groups.  In LRU modes every walked item consumes one sequence
-   number (even bypasses, which are never resident, so stamping them
-   is harmless): the window's recency flush is then just one fancy
-   assignment from the probe's own group array, with no per-access
-   list building.  Counters fall out by subtraction — the loop books
-   only the minority side (hits in the LRU walk, where eviction-bound
-   windows are mostly misses; misses in the FIFO walk) plus bypasses.
+1. **Runs** (numpy): map the window's accesses to groups and collapse
+   adjacent same-group accesses into runs.  A job's files within one
+   filecule have contiguous ids, so a filecule run covers ~7 accesses
+   at paper scale; in file mode a run is a repeated file id.  Every
+   access after a run's head meets the state the head left (the group
+   resident, or too large to cache), so the head decides the run.
+2. **Loop** (Python): walk the run heads through an ``OrderedDict`` of
+   group → size with exactly the reference policies' operations
+   (:class:`~repro.cache.lru.FileLRU`, :class:`~repro.cache.fifo.FileFIFO`,
+   :class:`~repro.cache.filecule_lru.FileculeLRU`): a resident group
+   hits and, under LRU, moves to the recent end; a group larger than
+   the cache bypasses; any other group evicts from the old end until
+   it fits and is inserted.  Each run records one code: hit, bypassed,
+   or the admitted group's size.
+3. **Fold** (numpy): the codes, run lengths and
+   :attr:`~repro.traces.trace.Trace.access_size_cumsum` give the six
+   :class:`~repro.cache.base.CacheMetrics` counters and the optional
+   hit mask.  A hit run hits throughout; an admitted run's head misses
+   and fetches the whole group while the rest of the run hits; a
+   bypassed run streams every access's own file and caches nothing.
 
-Eviction is lazy-deletion LRU over a log of (group array, base
-sequence) chunks.  When a chunk reaches the eviction cursor, one numpy
-pass filters it down to the entries that were still the group's latest
-touch; the surviving few are consumed one by one.  The kernel keeps the
-invariant that the numpy state arrays (``last``/``resident``) only
-change together with a re-scan of that pending buffer, so consuming an
-entry needs *only* overlay dict lookups — a pending entry can be stale
-only if this window's ``olast``/``ores`` says so.  When the log runs
-dry mid-window (caches smaller than a window's working set), the
-evictor walks the current window's in-flight items directly.
-
-The kernel is bit-identical to per-access replay (the test suite gates
-all policies), accounts bypasses exactly like the per-access policies
-(group larger than the cache: stream the requested file, cache
-nothing), and never materializes :attr:`Trace.replay_columns`, so a
-batch run keeps paper-scale memory at the numpy columns alone.
+There is one path, with no switch on capacity or hit rate.  The kernel
+is bit-identical to per-access replay (the test suite gates all
+policies) and never materializes :attr:`Trace.replay_columns`, so a
+batch run keeps paper-scale memory at the numpy columns plus one dict
+entry per resident group.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import OrderedDict
 
 import numpy as np
 
 from repro.cache.base import CacheMetrics
 
-#: Accesses probed per numpy window.  Large enough to amortize the
-#: probe gathers to ~10 ns/access, small enough that a window's walk
-#: overlays stay cache-friendly.
+#: Accesses per numpy window: bounds the per-window run arrays and code
+#: list, while the per-window numpy calls stay a few ns per access.
 WINDOW = 16384
 
-#: Minimum leading hit-run (in walk items) worth resolving with numpy
-#: bulk ops — below this the fixed cost of arange/fancy-assign exceeds
-#: the Python walk.
-MIN_BULK_RUN = 48
-
-#: Minimum probed-hit run (in walk items) worth consuming with one
-#: C-level ``dict.update`` instead of the per-item loop — below this
-#: the slice/isdisjoint fixed costs exceed the loop.
-MIN_DICT_RUN = 8
+#: Run codes; an admitted run records its group's size (>= 0) instead.
+_HIT = -1
+_BYPASS = -2
 
 
 class GroupedReplayKernel:
-    """One-shot vectorized replay of ``trace`` against a grouped policy.
+    """One-shot whole-trace replay of ``trace`` against a grouped policy.
 
     Parameters
     ----------
@@ -102,9 +78,8 @@ class GroupedReplayKernel:
         access ``k`` that hits (misses and bypasses are left untouched)
         — the per-access outcome mask the hierarchical replay
         (:mod:`repro.engine.hierarchy`) uses to derive the next tier's
-        demand stream.  Recording rides the existing accounting sites,
-        so the mask is exactly the outcome per-access replay would
-        produce; counters are unchanged either way.
+        demand stream.  It is folded from the same run codes as the
+        counters, which it does not change.
     """
 
     def __init__(
@@ -142,8 +117,8 @@ class GroupedReplayKernel:
         every ``done = k * every < n`` (``every > 0``) and once at
         ``done == n``, after ``metrics`` has been brought up to the
         totals of the first ``done`` accesses.  Windows are cut at the
-        marks; the cumulative ``evicted_bytes`` is derived as fetched −
-        bypassed − resident bytes, so the eviction loop counts nothing.
+        marks; the cumulative ``evicted_bytes`` is derived as admitted −
+        resident bytes, so the eviction loop counts nothing.
         """
         if self._spent:
             raise RuntimeError("batch kernels are single-use; build a new one")
@@ -153,464 +128,93 @@ class GroupedReplayKernel:
         af = trace.access_files
         n = len(af)
         csum = trace.access_size_cumsum
-        sizes_np = trace.file_sizes
+        sizes = trace.file_sizes
         labels = self._labels
         gsizes = self._group_sizes
         capacity = self._capacity
         touch = self._touch_on_hit
         ho = self._hit_out
-        n_groups = len(gsizes)
 
-        resident = np.zeros(n_groups, dtype=bool)
-        last = np.full(n_groups, -1, dtype=np.int64)
+        entries: OrderedDict[int, int] = OrderedDict()  # group -> size
+        move_to_end = entries.move_to_end
+        popitem = entries.popitem
+        used = 0  # resident bytes
+        admitted = 0  # bytes ever admitted
 
-        # Touch log: ``[group_array, base_seq]`` chunks in global
-        # sequence order (the k-th entry has sequence ``base_seq + k``).
-        # The eviction path scans a chunk once with numpy, keeping only
-        # still-latest entries as the parallel lists ``(scan_g, scan_s)``.
-        # Both are stored *reversed* so consuming the next candidate is
-        # a pair of C-level ``list.pop()`` calls — no cursor arithmetic
-        # on the hottest branch of the eviction loop.
-        log: deque = deque()
-        scan_g: list = []
-        scan_s: list = []
+        marks = [n]
+        if checkpoint is not None and every > 0:
+            marks = [*range(every, n, every), n]
+        lo = 0
+        for hi in marks:
+            hits = bytes_hit = fetched = bypasses = 0
+            for i in range(lo, hi, WINDOW):
+                j = min(i + WINDOW, hi)
+                win = af[i:j]
+                if labels is None:
+                    groups = win
+                else:
+                    groups = labels[win]
+                    if groups.min() < 0:
+                        p = int(np.argmax(groups < 0))
+                        raise KeyError(
+                            f"file {int(win[p])} has no filecule; partition "
+                            f"does not match the replayed trace"
+                        )
+                heads = np.flatnonzero(groups[1:] != groups[:-1]) + 1
+                heads = np.concatenate(([0], heads))
 
-        # Outcome counters since the last fold into ``metrics``.
-        hits = 0
-        bytes_hit = 0
-        fetched = 0
-        bypasses = 0
-        bypassed_bytes = 0
-        inserted = 0  # bytes ever admitted, up to the last fold
-        used = 0
-        seq = 0
-
-        # Per-window walk overlays (cleared, not rebound, so the
-        # closures below can bind the lookup methods once).
-        ores: dict = {}
-        olast: dict = {}
-        ores_get = ores.get
-        olast_get = olast.get
-        # A probed-hit run may be bulk-consumed only if none of its
-        # groups were touched by this window's residency overlay —
-        # evicted groups sit in ``ores`` as ``False``, so a keys-view
-        # disjointness test is a conservative (and allocation-free)
-        # poisoning check.
-        ores_keys_disjoint = ores.keys().isdisjoint
-        flight: list = []  # current window's walk items, for the evictor
-        wbase = 0
-        wcur = 0
-
-        arange = np.arange
-        asarray = np.asarray
-        flatnonzero = np.flatnonzero
-
-        def rescan() -> None:
-            # Re-validate the pending scanned buffer.  Called after
-            # every write to ``last``/``resident``, restoring the
-            # invariant that a pending entry can only be invalidated by
-            # this window's overlays — which is what lets the consume
-            # paths below get away with dict lookups alone.
-            nonlocal scan_g, scan_s
-            if scan_g:
-                # The buffer is stored reversed; flip to sequence order
-                # for validation, then back for pop() consumption.
-                sg = asarray(scan_g, dtype=np.int64)[::-1]
-                ss = asarray(scan_s, dtype=np.int64)[::-1]
-                vpos = flatnonzero((last[sg] == ss) & resident[sg])
-                scan_g = sg[vpos][::-1].tolist()
-                scan_s = ss[vpos][::-1].tolist()
-
-        # The eviction loop below exists twice: as this closure (used by
-        # the FIFO and filecule walks) and inlined in the file-LRU walk,
-        # its hottest caller — keep the two in sync.  Candidate validity
-        # needs *no* numpy reads: a scanned entry is latest-and-resident
-        # as of the last rescan, so only this window's overlays can
-        # invalidate it; an in-flight item with no ``olast`` entry is a
-        # bypass (never resident); and any other candidate with an
-        # untouched residency overlay was resident when touched (hits
-        # imply residency, inserts record ``ores``) and still is.
-        def evict_until_fits(gsize: int) -> None:
-            nonlocal used, scan_g, scan_s, wcur
-            while used + gsize > capacity:
-                # Next candidate in global sequence order: the scanned
-                # buffer, then the next log chunk (scan it), then this
-                # window's in-flight items.
-                while True:
-                    if scan_g:
-                        g2 = scan_g.pop()
-                        s2 = scan_s.pop()
-                        infl = False
-                        break
-                    if log:
-                        cg, cbase = log.popleft()
-                        seqs = cbase + arange(len(cg))
-                        vpos = flatnonzero((last[cg] == seqs) & resident[cg])
-                        if not len(vpos):
-                            continue
-                        scan_g = cg[vpos][::-1].tolist()
-                        scan_s = (cbase + vpos)[::-1].tolist()
+                codes: list[int] = []
+                record = codes.append
+                for g in groups[heads].tolist():
+                    if g in entries:
+                        if touch:
+                            move_to_end(g)
+                        record(_HIT)
                         continue
-                    # Every resident group's latest touch is in the log
-                    # or in flight, so the cursor cannot run off the end
-                    # while anything remains to evict.
-                    g2 = flight[wcur]
-                    s2 = wbase + wcur
-                    wcur += 1
-                    infl = True
-                    break
-                # Re-validate against the overlays: a later touch
-                # supersedes, an earlier eviction deduplicates.
-                l2 = olast_get(g2)
-                if l2 is None:
-                    if infl:
+                    size = gsizes[g]
+                    if size > capacity:
+                        # Larger than the whole cache: stream, cache nothing.
+                        record(_BYPASS)
                         continue
-                elif l2 != s2:
-                    continue
-                if ores_get(g2) is False:
-                    continue
-                ores[g2] = False
-                used -= gsizes[g2]
+                    used += size
+                    while used > capacity:
+                        used -= popitem(False)[1]
+                    entries[g] = size
+                    record(size)
 
-        i = 0
-        folded = 0  # accesses already folded into ``metrics``
-        # The next fold point: a progress mark, or the end of the trace.
-        mark = min(every, n) if checkpoint is not None and every > 0 else n
-        while True:
-            if i == mark:
-                metrics.record_totals(
-                    requests=i - folded,
-                    hits=hits,
-                    bytes_requested=int(csum[i] - csum[folded]),
-                    bytes_hit=bytes_hit,
-                    bytes_fetched=fetched,
-                    bypasses=bypasses,
+                code = np.array(codes, dtype=np.int64)
+                bounds = np.append(heads, j - i)
+                run_len = np.diff(bounds)
+                run_bytes = np.diff(csum[i + bounds])
+                bypass = code == _BYPASS
+                bypass_count = int(run_len[bypass].sum())
+                bypass_bytes = int(run_bytes[bypass].sum())
+                admit = code >= 0
+                admit_heads = heads[admit]
+                admit_bytes = int(code[admit].sum())
+                admitted += admit_bytes
+                # Every access hits except those of bypassed runs and
+                # the heads of admitted runs.
+                hits += j - i - bypass_count - len(admit_heads)
+                bytes_hit += (
+                    int(csum[j] - csum[i])
+                    - bypass_bytes
+                    - int(sizes[win[admit_heads]].sum())
                 )
-                inserted += fetched - bypassed_bytes
-                hits = bytes_hit = fetched = bypasses = bypassed_bytes = 0
-                folded = i
-                if checkpoint is not None:
-                    checkpoint(i, inserted - used)
-                if i == n:
-                    break
-                mark = min(i + every, n)
-            j = min(i + WINDOW, mark)
-            win = af[i:j]
-            end = j - i
-
-            # ---------------- probe (numpy) --------------------------
-            if labels is None:
-                # File granularity: every access is its own walk item.
-                items = win
-                starts = ends = None
-                mask = resident[items]
-            else:
-                gwin = labels[win]
-                if gwin.min() < 0:
-                    p = int(np.argmax(gwin < 0))
-                    raise KeyError(
-                        f"file {int(win[p])} has no filecule; partition "
-                        f"does not match the replayed trace"
-                    )
-                # Collapse adjacent same-filecule accesses into runs:
-                # one walk item per run.
-                change = flatnonzero(gwin[1:] != gwin[:-1]) + 1
-                starts = np.concatenate(([0], change))
-                ends = np.concatenate((change, [end]))
-                items = gwin[starts]
-                mask = resident[items]
-            n_items = len(items)
-
-            first = int(mask.argmin())  # first probed-miss item
-            if mask[first]:
-                # No probed miss: the whole window hits in bulk.
-                hits += end
-                bytes_hit += int(csum[j] - csum[i])
+                fetched += admit_bytes + bypass_bytes
+                bypasses += bypass_count
                 if ho is not None:
-                    ho[i:j] = True
-                if touch:
-                    last[items] = arange(seq, seq + n_items)
-                    log.append([items, seq])
-                    seq += n_items
-                    rescan()
-                i = j
-                continue
-            if first >= MIN_BULK_RUN:
-                # Bulk the leading hit-run; sound because no state has
-                # changed since the probe.
-                facc = first if starts is None else int(starts[first])
-                hits += facc
-                bytes_hit += int(csum[i + facc] - csum[i])
-                if ho is not None:
-                    ho[i : i + facc] = True
-                if touch:
-                    seg = items[:first]
-                    last[seg] = arange(seq, seq + first)
-                    log.append([seg, seq])
-                    seq += first
-                    rescan()
-            else:
-                first = 0
-
-            # ---------------- walk (Python) --------------------------
-            gl = items[first:].tolist()
-            ml = mask[first:].tolist()
-            wbase = seq
-            wcur = 0
-            wn = 0  # touch-log length this window
-            garr = None
-            if labels is None:
-                szl = sizes_np[win[first:]].tolist()
-                mc = mb = bp = bpb = 0
-                if touch:
-                    # LRU: every item consumes a sequence number, so
-                    # the flush reuses the probe's own array and the
-                    # loop books only hits (misses fall out of the
-                    # subtraction below — in eviction-bound windows
-                    # misses are the majority, so they carry no counter
-                    # ops at all).  Access streams are bursty — hit
-                    # runs average ~100 accesses at paper scale — so
-                    # probed-hit runs untouched by this window's
-                    # evictions are consumed with one C-level
-                    # ``dict.update`` each, and only misses (plus the
-                    # rare poisoned run) pay the per-item loop.  The
-                    # eviction loop is the inlined twin of
-                    # ``evict_until_fits`` — this is the kernel's
-                    # hottest path by far.
-                    flight = gl
-                    wn = end - first
-                    hc = hb = 0
-                    cb0 = i + first
-                    hoff = cb0 - wbase  # access index of seq = hoff + seq
-                    wm = mask[first:]
-                    # Hit runs long enough to bulk; everything between
-                    # two bulked runs — miss runs and short hit runs
-                    # alike — is one contiguous per-item block, so a
-                    # low-hit-rate window degenerates to the plain loop
-                    # instead of thousands of tiny slices.
-                    pad = np.zeros(wn + 2, dtype=np.int8)
-                    pad[1:-1] = wm
-                    d = pad[1:] - pad[:-1]
-                    rs = flatnonzero(d == 1)
-                    re_ = flatnonzero(d == -1)
-                    long = flatnonzero(re_ - rs >= MIN_DICT_RUN)
-                    blocks = []
-                    pos = 0
-                    for p in long.tolist():
-                        a, b = int(rs[p]), int(re_[p])
-                        if pos < a:
-                            blocks.append((pos, a, False))
-                        blocks.append((a, b, True))
-                        pos = b
-                    if pos < wn:
-                        blocks.append((pos, wn, False))
-                    for a, b, bulk in blocks:
-                        if bulk and ores_keys_disjoint(seg := gl[a:b]):
-                            olast.update(
-                                zip(seg, range(wbase + a, wbase + b))
-                            )
-                            hc += b - a
-                            hb += int(csum[cb0 + b] - csum[cb0 + a])
-                            if ho is not None:
-                                ho[cb0 + a : cb0 + b] = True
-                            continue
-                        seq = wbase + a
-                        for g, r0, s in zip(gl[a:b], ml[a:b], szl[a:b]):
-                            if ores_get(g, r0):
-                                olast[g] = seq
-                                hc += 1
-                                hb += s
-                                if ho is not None:
-                                    ho[hoff + seq] = True
-                            elif s > capacity:
-                                # Larger than the whole cache: stream
-                                # the file without caching (bypass).
-                                bp += 1
-                                bpb += s
-                            else:
-                                while used + s > capacity:
-                                    while True:
-                                        if scan_g:
-                                            g2 = scan_g.pop()
-                                            s2 = scan_s.pop()
-                                            infl = False
-                                            break
-                                        if log:
-                                            cg, cbase = log.popleft()
-                                            seqs = cbase + arange(len(cg))
-                                            vpos = flatnonzero(
-                                                (last[cg] == seqs)
-                                                & resident[cg]
-                                            )
-                                            if not len(vpos):
-                                                continue
-                                            scan_g = cg[vpos][
-                                                ::-1
-                                            ].tolist()
-                                            scan_s = (cbase + vpos)[
-                                                ::-1
-                                            ].tolist()
-                                            continue
-                                        g2 = flight[wcur]
-                                        s2 = wbase + wcur
-                                        wcur += 1
-                                        infl = True
-                                        break
-                                    l2 = olast_get(g2)
-                                    if l2 is None:
-                                        if infl:
-                                            continue
-                                    elif l2 != s2:
-                                        continue
-                                    if ores_get(g2) is False:
-                                        continue
-                                    ores[g2] = False
-                                    used -= gsizes[g2]
-                                ores[g] = True
-                                olast[g] = seq
-                                used += s
-                            seq += 1
-                    seq = wbase + wn
-                    mc = wn - hc - bp
-                    mb = int(csum[j] - csum[cb0]) - hb - bpb
-                    garr = items[first:]
-                else:
-                    # FIFO: hits do not touch; only inserts enter the
-                    # log, collected in a side list.  The mask-recording
-                    # twin below differs only in the enumerate index and
-                    # the hit write — keep the two in sync.
-                    wg: list = []
-                    wappend = wg.append
-                    flight = wg
-                    if ho is None:
-                        for g, r0, s in zip(gl, ml, szl):
-                            if ores_get(g, r0):
-                                pass
-                            elif s > capacity:
-                                bp += 1
-                                bpb += s
-                            else:
-                                if used + s > capacity:
-                                    evict_until_fits(s)
-                                ores[g] = True
-                                olast[g] = seq
-                                wappend(g)
-                                seq += 1
-                                used += s
-                                mc += 1
-                                mb += s
-                    else:
-                        cb0 = i + first
-                        for k, (g, r0, s) in enumerate(zip(gl, ml, szl)):
-                            if ores_get(g, r0):
-                                ho[cb0 + k] = True
-                            elif s > capacity:
-                                bp += 1
-                                bpb += s
-                            else:
-                                if used + s > capacity:
-                                    evict_until_fits(s)
-                                ores[g] = True
-                                olast[g] = seq
-                                wappend(g)
-                                seq += 1
-                                used += s
-                                mc += 1
-                                mb += s
-                    wn = len(wg)
-                    if wn:
-                        garr = asarray(wg, dtype=np.int64)
-                walk_acc = end - first
-                hits += walk_acc - mc - bp
-                bytes_hit += int(csum[j] - csum[i + first]) - mb - bpb
-                fetched += mb + bpb
-                bypasses += bp
-                bypassed_bytes += bpb
-            else:
-                rs = starts[first:]
-                bl = (csum[i + ends[first:]] - csum[i + rs]).tolist()
-                ll = (ends[first:] - rs).tolist()
-                fs = sizes_np[win[rs]].tolist()
-                flight = gl
-                if ho is None:
-                    for g, r0, rb, rl, rf in zip(gl, ml, bl, ll, fs):
-                        if ores_get(g, r0):
-                            # Whole run hits (the filecule is resident).
-                            hits += rl
-                            bytes_hit += rb
-                            olast[g] = seq
-                        else:
-                            gsize = gsizes[g]
-                            if gsize > capacity:
-                                # Every access of the run bypasses:
-                                # stream each requested file, cache
-                                # nothing.
-                                fetched += rb
-                                bypasses += rl
-                                bypassed_bytes += rb
-                            else:
-                                if used + gsize > capacity:
-                                    evict_until_fits(gsize)
-                                ores[g] = True
-                                olast[g] = seq
-                                used += gsize
-                                # The run's first access misses and
-                                # fetches the whole filecule; the rest
-                                # of the run hits.
-                                fetched += gsize
-                                hits += rl - 1
-                                bytes_hit += rb - rf
-                        seq += 1
-                else:
-                    # Mask-recording twin: each run carries its absolute
-                    # access bounds so hit spans land as slice writes.
-                    # Keep the accounting in sync with the loop above.
-                    ral = (i + rs).tolist()
-                    rzl = (i + ends[first:]).tolist()
-                    for g, r0, rb, rl, rf, ra, rz in zip(
-                        gl, ml, bl, ll, fs, ral, rzl
-                    ):
-                        if ores_get(g, r0):
-                            hits += rl
-                            bytes_hit += rb
-                            olast[g] = seq
-                            ho[ra:rz] = True
-                        else:
-                            gsize = gsizes[g]
-                            if gsize > capacity:
-                                fetched += rb
-                                bypasses += rl
-                                bypassed_bytes += rb
-                            else:
-                                if used + gsize > capacity:
-                                    evict_until_fits(gsize)
-                                ores[g] = True
-                                olast[g] = seq
-                                used += gsize
-                                fetched += gsize
-                                hits += rl - 1
-                                bytes_hit += rb - rf
-                                # First access of the run misses; the
-                                # rest hit from the fresh load.
-                                ho[ra + 1 : rz] = True
-                        seq += 1
-                wn = n_items - first
-                garr = items[first:]
-
-            # ------------- flush overlays into numpy state -----------
-            if wn:
-                # Duplicate indices: numpy keeps the last write — the
-                # group's latest touch, exactly what ``last`` means.
-                last[garr] = arange(wbase, wbase + wn)
-                log.append([garr, wbase])
-            if ores:
-                no = len(ores)
-                okeys = np.fromiter(ores.keys(), dtype=np.int64, count=no)
-                ovals = np.fromiter(ores.values(), dtype=bool, count=no)
-                resident[okeys] = ovals
-            if wn or ores:
-                rescan()
-            ores.clear()
-            olast.clear()
-            flight = []
-            i = j
+                    miss = np.repeat(bypass, run_len)
+                    miss[admit_heads] = True
+                    ho[i:j] |= ~miss
+            metrics.record_totals(
+                requests=hi - lo,
+                hits=hits,
+                bytes_requested=int(csum[hi] - csum[lo]),
+                bytes_hit=bytes_hit,
+                bytes_fetched=fetched,
+                bypasses=bypasses,
+            )
+            if checkpoint is not None:
+                checkpoint(hi, admitted - used)
+            lo = hi

@@ -25,7 +25,7 @@ class FileFIFO(ReplacementPolicy):
         return file_id in self._entries
 
     def batch_kernel(self, trace, hit_out=None):
-        """Vectorized replay: group = file, insertion order (no touch)."""
+        """Whole-trace replay: group = file, insertion order (no touch)."""
         if self._entries or self.used_bytes or self.evict_listener is not None:
             return None
         return GroupedReplayKernel(

@@ -16,6 +16,7 @@ few percent at 1 TB in Figure 10.
 from __future__ import annotations
 
 from collections import OrderedDict
+from functools import cached_property
 
 from repro.cache.base import HIT, ReplacementPolicy, RequestOutcome
 from repro.cache.batch import GroupedReplayKernel
@@ -68,13 +69,22 @@ class FileculeLRU(ReplacementPolicy):
         self._sizes = partition.sizes_bytes
         # request() runs once per access; plain-list copies avoid boxing
         # a numpy scalar per lookup (int(labels[f]) / int(sizes[label])).
-        self._label_list: list[int] = partition.labels.tolist()
+        # The label list is built on first use (see _label_list).
         self._size_list: list[int] = partition.sizes_bytes.tolist()
         self._entries: OrderedDict[int, int] = OrderedDict()  # label -> size
         self._intra_job_hits = intra_job_hits
         self._load_key: dict[int, float] = {}  # label -> loading job's time
         self._miss_outcomes: dict[int, RequestOutcome] = {}  # label -> miss
         self._bypass_outcomes: dict[int, RequestOutcome] = {}  # file -> bypass
+
+    @cached_property
+    def _label_list(self) -> list[int]:
+        """Plain-list labels, one per catalog file, for :meth:`request`.
+
+        Built on the first request, so a run the batch kernel serves
+        never pays for the conversion.
+        """
+        return self._labels.tolist()
 
     def __contains__(self, file_id: int) -> bool:
         label = int(self._labels[file_id])
@@ -85,7 +95,7 @@ class FileculeLRU(ReplacementPolicy):
         return list(self._entries)
 
     def batch_kernel(self, trace, hit_out=None):
-        """Vectorized replay: group = filecule label, LRU recency.
+        """Whole-trace replay: group = filecule label, LRU recency.
 
         Only for the paper's default ``intra_job_hits=True`` accounting
         — with ``False``, outcomes depend on the requesting job's

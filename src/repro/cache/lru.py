@@ -33,7 +33,7 @@ class FileLRU(ReplacementPolicy):
         return file_id in self._entries
 
     def batch_kernel(self, trace, hit_out=None):
-        """Vectorized replay: group = file, LRU recency (see batch.py)."""
+        """Whole-trace replay: group = file, LRU recency (see batch.py)."""
         if self._entries or self.used_bytes or self.evict_listener is not None:
             return None
         return GroupedReplayKernel(

@@ -21,9 +21,7 @@ dict-backed policies, including the subtle bits:
 * eviction order is least-recently-*touched* (LRU) or insertion order
   (FIFO), implemented as a lazy-deletion touch log: stale log entries
   (re-touched or already-evicted files) are skipped by validating each
-  candidate's logged sequence number against the live recency array —
-  the same idiom :class:`~repro.cache.batch.GroupedReplayKernel` uses
-  for offline replay, made incremental.
+  candidate's logged sequence number against the live recency array.
 """
 
 from __future__ import annotations

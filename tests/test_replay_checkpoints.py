@@ -8,15 +8,20 @@ that covers it.  The batch kernel (``batch=None`` for the three
 batch-capable policies) and the per-access loop (``batch=False``) must
 record the same sequence, checkpoint for checkpoint, on small
 adversarial traces: 1-byte caches, zero-size files, empty jobs, repeated
-ids and files larger than the cache.
+ids and files larger than the cache.  The kernel's per-access hit mask,
+with its runs split at those marks, must equal the per-access loop's.
 """
 
 from __future__ import annotations
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from repro import registry
+from repro.cache.base import CacheMetrics
 from repro.core.identify import find_filecules
 from repro.engine import simulate
+from repro.engine.hierarchy import _replay_recorded
 from repro.obs.instrument import Instrumentation
 from tests.conftest import make_trace
 
@@ -34,6 +39,7 @@ job_lists = st.lists(
     max_size=10,
 )
 capacities = st.one_of(st.just(1), st.integers(min_value=1, max_value=30))
+kernel_specs = st.sampled_from(["file-lru", "file-fifo", "filecule-lru"])
 
 
 class Recorder(Instrumentation):
@@ -83,7 +89,7 @@ def _replay(trace, spec, capacity, every, batch):
     jobs=job_lists,
     sizes=file_sizes,
     capacity=capacities,
-    spec=st.sampled_from(["file-lru", "file-fifo", "filecule-lru"]),
+    spec=kernel_specs,
     data=st.data(),
 )
 @settings(max_examples=300, deadline=None)
@@ -102,6 +108,41 @@ def test_kernel_and_per_access_checkpoints_agree(
         trace, spec, capacity, partition=find_filecules(trace)
     )
     assert kernel == serial == plain
+
+
+@given(
+    jobs=job_lists,
+    sizes=file_sizes,
+    capacity=capacities,
+    spec=kernel_specs,
+    data=st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_kernel_hit_mask_matches_per_access(jobs, sizes, capacity, spec, data):
+    """The kernel, run under a checkpoint so runs split at the marks,
+    marks exactly the accesses the per-access loop records as hits."""
+    trace = make_trace(jobs, n_files=N_FILES, file_sizes=sizes)
+    n = trace.n_accesses
+    every = data.draw(st.integers(min_value=1, max_value=n + 1), label="every")
+    partition = find_filecules(trace)
+    bound = registry.parse(spec)
+
+    def policy():
+        return registry.build(bound, capacity, trace=trace, partition=partition)
+
+    kernel_mask = np.zeros(n, dtype=bool)
+    kernel_metrics = CacheMetrics()
+    marks: list[int] = []
+    policy().batch_kernel(trace, kernel_mask)(
+        kernel_metrics, lambda done, evicted: marks.append(done), every
+    )
+    assert marks == expected_marks(n, every)
+
+    serial_mask = np.zeros(n, dtype=bool)
+    serial_metrics = CacheMetrics()
+    _replay_recorded(trace, policy(), serial_metrics, serial_mask, batch=False)
+    assert kernel_mask.tolist() == serial_mask.tolist()
+    assert kernel_metrics == serial_metrics
 
 
 @given(jobs=job_lists, sizes=file_sizes, capacity=capacities, data=st.data())

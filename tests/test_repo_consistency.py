@@ -1,11 +1,13 @@
 """Repository-level consistency: registry <-> benchmarks <-> documentation."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro.experiments.base import all_experiment_ids
 
 REPO = Path(__file__).parent.parent
@@ -133,10 +135,17 @@ class TestImportLayering:
         assert "repro.service" in proc.stdout
 
 
+class TestVersion:
+    def test_package_version_matches_pyproject(self):
+        # A regex, not tomllib: the supported Python 3.10 has no tomllib.
+        text = (REPO / "pyproject.toml").read_text()
+        match = re.search(r'^version\s*=\s*"([^"]+)"', text, re.MULTILINE)
+        assert match, "pyproject.toml declares no [project] version"
+        assert repro.__version__ == match.group(1)
+
+
 class TestTraceability:
     def test_traceability_doc_references_valid_experiments(self):
-        import re
-
         text = (REPO / "docs" / "TRACEABILITY.md").read_text()
         ids = set(all_experiment_ids())
         referenced = set(re.findall(r"`([a-z0-9_]+)`", text)) & {
