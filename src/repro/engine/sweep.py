@@ -6,8 +6,10 @@ and collects the per-cell :class:`~repro.cache.base.CacheMetrics` into a
 :class:`SweepResult`.  Policies are selected *declaratively*: the
 ``policies`` argument accepts registry spec strings (the preferred,
 picklable form used by every experiment driver) as well as legacy
-``name -> factory`` mappings.  With ``jobs=N`` the grid fans out over a
-process pool (:mod:`repro.parallel`) with the trace shipped zero-copy
+``name -> factory`` mappings, normalized by :func:`resolve_policies`
+into one table that every cell hands to :func:`simulate`.  With
+``jobs=N`` the grid's cells fan out through
+:func:`repro.parallel.map_trace_cells` with the trace shipped zero-copy
 through shared memory, and the result is guaranteed identical to the
 serial path.
 """
@@ -61,10 +63,9 @@ class SweepResult:
         return out
 
 
-def resolve_policies(
-    policies, trace=None, partition=None
-) -> tuple[dict[str, PolicyFactory], dict[str, object] | None]:
-    """Normalize a ``policies`` argument into named factories (+ specs).
+def resolve_policies(policies) -> dict[str, PolicyFactory | BoundSpec]:
+    """Normalize a ``policies`` argument into one ``{display name: policy}``
+    table.
 
     Accepted forms:
 
@@ -73,11 +74,11 @@ def resolve_policies(
     * a sequence of spec strings / BoundSpecs (display name = canonical
       spec string).
 
-    Returns ``(factories, specs)`` where ``specs`` maps display names to
-    canonical :class:`~repro.registry.BoundSpec` objects if and only if
-    *every* policy was given as a spec — the condition under which the
-    parallel runner can dispatch by name (plain picklable data) instead
-    of relying on fork-inherited closures.
+    Each value is either the factory callable as given or the entry's
+    canonical :class:`~repro.registry.BoundSpec`; :func:`simulate`
+    accepts both.  Spec entries are plain picklable data, so a parallel
+    sweep can ship them under any start method, while factories reach
+    workers only by ``fork`` inheritance.
     """
     if isinstance(policies, str):
         raise TypeError(
@@ -95,17 +96,14 @@ def resolve_policies(
     if not items:
         raise ValueError("need at least one policy")
 
-    factories: dict[str, PolicyFactory] = {}
-    specs: dict[str, object] = {}
-    all_specs = True
+    table: dict[str, PolicyFactory | BoundSpec] = {}
     for display, entry in items:
         if callable(entry):
             if display is None:
                 raise TypeError(
                     "factory callables need a display name; pass a mapping"
                 )
-            all_specs = False
-            factories[display] = entry
+            table[display] = entry
             continue
         # Spec-based selection resolves through the registry — a lazy
         # upcall, since the registry sits above the engine (it must see
@@ -114,17 +112,10 @@ def resolve_policies(
 
         bound = registry.parse(entry)
         name = display if display is not None else str(bound)
-        if name in factories:
+        if name in table:
             raise ValueError(f"duplicate policy name {name!r}")
-        specs[name] = bound
-        factories[name] = (
-            lambda cap, _b=bound: registry.build(
-                _b, cap, trace=trace, partition=partition
-            )
-        )
-    if len(factories) != len(items):
-        raise ValueError("duplicate policy names in the grid")
-    return factories, (specs if all_specs else None)
+        table[name] = bound
+    return table
 
 
 def sweep(
@@ -148,24 +139,22 @@ def sweep(
     each (policy, capacity) cell, so a progress reporter labels its
     output per run while a stats collector aggregates the whole grid.
 
-    ``jobs > 1`` dispatches the grid to
-    :class:`repro.parallel.ParallelSweepRunner`: each cell replays the
+    ``jobs > 1`` runs the grid through
+    :func:`repro.parallel.parallel_sweep`: each (policy, capacity) cell
+    is one cell of :func:`repro.parallel.map_trace_cells`, replaying the
     identical immutable trace in a worker process (columns shared via
-    :mod:`multiprocessing.shared_memory`, reconstructed once per worker)
+    :mod:`multiprocessing.shared_memory`, reconstructed once per worker),
     and the per-cell metrics are merged into a :class:`SweepResult`
-    identical to the serial one.  ``jobs`` is a ceiling — the pool is
-    clamped to the cell count and the machine's CPU count (the replay is
-    CPU-bound; oversubscribing cores only slows it down).  Custom
-    hooks cannot cross process boundaries, so only ``None``,
-    :class:`~repro.obs.instrument.SimStats`,
-    :class:`~repro.obs.instrument.ProgressReporter` (progress checkpoints
-    forwarded over a queue) and combinations of those are supported in
-    parallel mode.
+    identical to the serial one.  ``jobs`` is a ceiling — grids too
+    small to amortize a pool, or hosts with one usable CPU, run the same
+    cells serially.  Custom hooks cannot cross process boundaries, so
+    only ``None``, :class:`~repro.obs.instrument.SimStats` (merged from
+    the cells), :class:`~repro.obs.instrument.ProgressReporter` (each
+    cell's checkpoints replayed into a copy of it) and combinations of
+    those are supported in parallel mode.
 
-    ``batch`` is forwarded to :func:`~repro.engine.replay.simulate` on
-    the serial path; parallel workers always use the default (kernels
-    whenever the policy offers one, instrumented or not) — results are
-    identical either way.
+    ``batch`` is forwarded to :func:`~repro.engine.replay.simulate` for
+    every cell, serial or parallel.
     """
     caps = tuple(int(c) for c in capacities)
     if not caps:
@@ -184,17 +173,18 @@ def sweep(
             jobs=jobs,
             instrumentation=instrumentation,
             partition=partition,
+            batch=batch,
         )
-    factories, _ = resolve_policies(policies, trace, partition)
     metrics: dict[str, tuple[CacheMetrics, ...]] = {}
-    for name, factory in factories.items():
+    for name, policy in resolve_policies(policies).items():
         metrics[name] = tuple(
             simulate(
                 trace,
-                factory,
+                policy,
                 cap,
                 name=name,
                 instrumentation=instrumentation,
+                partition=partition,
                 batch=batch,
             )
             for cap in caps

@@ -1,21 +1,27 @@
-"""Process-parallel sweep engine with shared-memory trace transport.
+"""Process-parallel grids over one trace, with shared-memory transport.
 
 ``repro.parallel`` makes the repository's dominant compute pattern — a
-grid of independent (policy, capacity) cache replays over one immutable
-trace (Figure 10, the null model, robustness, the ablations) — N-core
-fast:
+grid of independent cells over one immutable trace (Figure 10's
+(policy, capacity) cache replays, the null model, robustness, the
+ablations, hierarchy sweeps) — N-core fast through one fan-out:
 
-* :class:`ParallelSweepRunner` — fans a sweep grid over a ``fork``
-  process pool and merges per-cell metrics into a
-  :class:`~repro.cache.simulator.SweepResult` identical to the serial
+* :func:`map_trace_cells` — maps a module-level cell function over
+  picklable payloads against one shared trace, chunked and planned by
+  :func:`plan_sweep` (serial below the measured crossover), results in
+  payload order;
+* :func:`parallel_sweep` — ``sweep(jobs=N)``: a (policy, capacity)
+  grid as cells of :func:`map_trace_cells`, merged into a
+  :class:`~repro.engine.sweep.SweepResult` identical to the serial
   path;
 * :class:`SharedTraceBuffers` / :func:`attach_trace` — pack a trace's
   numpy columns into one shared-memory segment and rebuild zero-copy
   views per worker (:mod:`repro.parallel.shm`);
-* :class:`SweepCellError` — failure wrapper naming the failing cell.
+* :class:`CellError` / :class:`SweepCellError` — failure wrappers
+  naming the failing cell.
 
 Most callers never touch this module directly: pass ``jobs=N`` to
-:func:`repro.cache.simulator.sweep` (or ``--jobs N`` to
+:func:`repro.cache.simulator.sweep` or
+:func:`repro.hierarchy.hierarchy_sweep` (or ``--jobs N`` to
 ``repro-experiments`` and the sweep-backed benchmark drivers).
 
 See ``docs/PERFORMANCE.md`` for the design, the equivalence guarantees
@@ -30,12 +36,7 @@ from repro.parallel.plan import (
     min_parallel_accesses,
     plan_sweep,
 )
-from repro.parallel.runner import (
-    DEFAULT_PROGRESS_EVERY,
-    ParallelSweepRunner,
-    SweepCellError,
-    parallel_sweep,
-)
+from repro.parallel.runner import SweepCellError, parallel_sweep
 from repro.parallel.shm import (
     SEGMENT_PREFIX,
     SharedTraceBuffers,
@@ -48,9 +49,7 @@ __all__ = [
     "CellError",
     "map_trace_cells",
     "DEFAULT_MIN_ACCESSES",
-    "DEFAULT_PROGRESS_EVERY",
     "MIN_CHUNK_ACCESSES",
-    "ParallelSweepRunner",
     "SweepCellError",
     "SweepPlan",
     "min_parallel_accesses",

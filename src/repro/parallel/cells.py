@@ -1,18 +1,19 @@
-"""Generic shared-trace fan-out: map picklable payloads over one trace.
+"""Shared-trace fan-out: map picklable payloads over one trace.
 
-:class:`ParallelSweepRunner` is specialized for (policy, capacity)
-grids; hierarchy sweeps and other trace-bound workloads need the same
-machinery — one immutable trace shipped zero-copy through shared
-memory, cells chunked by :func:`~repro.parallel.plan.plan_sweep`, an
-auto-serial fallback below the crossover — without the sweep-specific
-result shape.  :func:`map_trace_cells` is that machinery with the cell
-body abstracted out:
+Every trace-bound grid in the repository — the (policy, capacity) sweep
+behind ``sweep(jobs=N)`` (:mod:`repro.parallel.runner`), hierarchy
+sweeps — is a list of independent cells over one immutable trace.
+:func:`map_trace_cells` is the one fan-out they share: the trace
+shipped zero-copy through shared memory, cells chunked by
+:func:`~repro.parallel.plan.plan_sweep`, and the serial loop below the
+crossover, with the cell body abstracted out:
 
 * ``runner(trace, resources, payload) -> result`` is a **module-level
   function** (dispatched by reference, so it pickles by qualified name
   under ``spawn`` and is inherited under ``fork`` — never a closure);
-* ``payloads`` and ``resources`` must pickle (they ride the pool
-  initializer / task queue), and each ``result`` must pickle back;
+* ``payloads`` must pickle (they ride the task queue), ``resources``
+  must pickle under ``spawn`` (under ``fork`` the pool initializer
+  inherits them), and each ``result`` must pickle back;
 * results come back **in payload order**, exactly as the serial loop
   would produce them — the equivalence tests assert list equality;
 * a failing cell raises :class:`CellError` naming its payload, and the
@@ -28,7 +29,7 @@ from repro.parallel.plan import plan_sweep
 from repro.parallel.shm import SharedTraceBuffers, attach_trace
 from repro.traces.trace import Trace
 
-__all__ = ["CellError", "map_trace_cells"]
+__all__ = ["CellError", "map_trace_cells", "pool_context"]
 
 #: Runner contract: ``(trace, resources, payload) -> result``.
 CellRunner = Callable[[Trace, Any, Any], Any]
@@ -63,10 +64,9 @@ def _init_cell_worker(spec, runner: CellRunner, resources) -> None:
 def _run_cell_chunk(chunk: tuple) -> list:
     """Run a batch of (index, payload) cells in this worker.
 
-    Mirrors the sweep runner's chunk protocol: a failing cell becomes an
-    ``("err", index, exc)`` entry, the chunk's remaining cells still
-    run, and the parent raises :class:`CellError` for the first error in
-    payload order.
+    A failing cell becomes an ``("err", index, exc)`` entry, the
+    chunk's remaining cells still run, and the parent raises
+    :class:`CellError` for the first error in payload order.
     """
     trace = _WORKER["trace"]
     runner = _WORKER["runner"]
@@ -85,6 +85,23 @@ def _run_cell_chunk(chunk: tuple) -> list:
 # ----------------------------------------------------------------------
 
 
+def pool_context(start_method: str | None = None):
+    """The multiprocessing context a pool of ``start_method`` runs in.
+
+    ``None`` picks ``fork`` where available, else ``spawn``; an
+    unavailable method raises ``RuntimeError``.
+    """
+    available = multiprocessing.get_all_start_methods()
+    if start_method is None:
+        start_method = "fork" if "fork" in available else "spawn"
+    elif start_method not in available:
+        raise RuntimeError(
+            f"start method {start_method!r} is not available on this "
+            f"platform (have: {available})"
+        )
+    return multiprocessing.get_context(start_method)
+
+
 def map_trace_cells(
     trace: Trace,
     runner: CellRunner,
@@ -92,38 +109,27 @@ def map_trace_cells(
     *,
     jobs: int = 1,
     resources=None,
-    accesses_per_cell: int | None = None,
     start_method: str | None = None,
-    auto_serial: bool = True,
-    oversubscribe: bool = False,
 ) -> list:
     """Map ``runner`` over ``payloads`` against one shared trace.
 
     ``jobs`` is a worker ceiling with :func:`repro.parallel.plan.
-    plan_sweep` semantics: grids too small to amortize the pool's fixed
-    costs run on the plain serial loop instead (identical results),
-    unless ``auto_serial=False`` or ``REPRO_PARALLEL_FORCE=1``.
-    ``accesses_per_cell`` feeds the crossover estimate and defaults to
-    the full trace length — the right figure when every cell replays
-    the whole trace, as hierarchy sweeps do.
+    plan_sweep` semantics, each cell counted as one full trace replay:
+    grids too small to amortize the pool's fixed costs run on the plain
+    serial loop instead (identical results), unless
+    ``REPRO_PARALLEL_FORCE=1``.  ``start_method`` is resolved by
+    :func:`pool_context`.
 
-    ``runner`` must be a module-level function and ``resources`` /
-    ``payloads`` / results must pickle; see the module docstring.
+    ``runner`` must be a module-level function and ``payloads`` /
+    ``resources`` / results must pickle; see the module docstring.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     items = list(payloads)
     if not items:
         return []
-    if accesses_per_cell is None:
-        accesses_per_cell = trace.n_accesses
-    plan = plan_sweep(
-        len(items),
-        accesses_per_cell,
-        jobs,
-        oversubscribe=oversubscribe,
-    )
-    if jobs == 1 or (auto_serial and not plan.use_parallel):
+    plan = plan_sweep(len(items), trace.n_accesses, jobs)
+    if not plan.use_parallel:
         results = []
         for index, payload in enumerate(items):
             try:
@@ -132,17 +138,7 @@ def map_trace_cells(
                 raise CellError(index, payload, exc) from exc
         return results
 
-    available = multiprocessing.get_all_start_methods()
-    method = start_method
-    if method is None:
-        method = "fork" if "fork" in available else "spawn"
-    elif method not in available:
-        raise RuntimeError(
-            f"start method {method!r} is not available on this "
-            f"platform (have: {available})"
-        )
-    ctx = multiprocessing.get_context(method)
-
+    ctx = pool_context(start_method)
     cells = list(enumerate(items))
     chunks = [
         tuple(cells[k : k + plan.cells_per_chunk])

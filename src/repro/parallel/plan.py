@@ -12,9 +12,10 @@ the per-cell access count it returns a :class:`SweepPlan` saying whether
 to parallelize at all (``use_parallel``), how many workers the pool
 would use, and how cells are batched into worker tasks
 (``cells_per_chunk``) so that tiny cells don't pay one pickle round trip
-each.  ``repro.parallel.runner.parallel_sweep`` consults the plan to
-fall back to the serial loop (the ``--jobs`` flag is a ceiling, never a
-demand to go slower), and the ``sweep --dry-run`` CLI prints it.
+each.  :func:`repro.parallel.cells.map_trace_cells` — the fan-out behind
+``sweep(jobs=N)`` and hierarchy sweeps — consults the plan to fall back
+to the serial loop (the ``--jobs`` flag is a ceiling, never a demand to
+go slower), and the ``sweep --dry-run`` CLI prints it.
 
 Environment knobs (read at call time, so tests and operators can
 override without re-importing):
@@ -94,13 +95,11 @@ def plan_sweep(
     jobs: int,
     *,
     cpus: int | None = None,
-    oversubscribe: bool = False,
 ) -> SweepPlan:
     """Plan the dispatch of an ``n_cells`` grid under a ``jobs`` ceiling.
 
     ``cpus`` defaults to :func:`os.cpu_count`; pass it explicitly for
-    deterministic tests.  ``oversubscribe`` skips the CPU clamp, exactly
-    like the runner's knob of the same name.
+    deterministic tests.
     """
     if n_cells < 1:
         raise ValueError(f"need at least one cell, got {n_cells}")
@@ -109,10 +108,7 @@ def plan_sweep(
     accesses_per_cell = max(0, int(accesses_per_cell))
     if cpus is None:
         cpus = os.cpu_count() or 1
-    workers = min(jobs, n_cells)
-    if not oversubscribe:
-        workers = min(workers, max(1, cpus))
-    workers = max(1, workers)
+    workers = max(1, min(jobs, n_cells, cpus))
     total = n_cells * accesses_per_cell
 
     # Batch cells into chunks: enough work per task to amortize dispatch,

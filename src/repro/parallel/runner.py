@@ -1,52 +1,43 @@
-"""Process-parallel (policy, capacity) sweep engine.
+"""``sweep(jobs=N)``: a (policy, capacity) grid as cells of one fan-out.
 
 The Figure 10 grid — and every experiment built on
 :func:`repro.engine.sweep` — is embarrassingly parallel: each cell
 replays the identical immutable trace against a fresh policy instance.
-:class:`ParallelSweepRunner` fans the grid out over a
-:class:`multiprocessing.Pool`:
+:func:`parallel_sweep` runs that grid through the generic
+:func:`~repro.parallel.cells.map_trace_cells` fan-out, so the trace
+transport, chunking, auto-serial fallback and error wrapping are the
+ones every shared-trace grid uses:
 
-* the trace's columns travel **zero-copy** through one shared-memory
-  segment (:mod:`repro.parallel.shm`), reconstructed once per worker in
-  the pool initializer — never per cell;
-* policies given as :mod:`repro.registry` spec strings are dispatched
-  **by name**: workers receive the plain ``{display name: spec string}``
-  table (plus the pickled filecule partition, if any) and build each
-  policy locally against the shared-memory trace.  Spec dispatch is
-  start-method agnostic — it works under ``spawn`` as well as ``fork``;
-* legacy factory callables (arbitrary closures over partitions/traces)
-  are still supported, but only under the ``fork`` start method, where
-  the workers inherit them — closures are deliberately never pickled;
-* each cell returns its :class:`~repro.cache.base.CacheMetrics` plus a
-  per-cell :class:`~repro.obs.metrics.MetricsRegistry`, which the parent
-  folds together with the existing
-  :meth:`~repro.obs.metrics.MetricsRegistry.merge`;
-* with progress enabled (``REPRO_PROGRESS=1`` through the drivers, or a
-  :class:`~repro.obs.instrument.ProgressReporter` passed to ``sweep``),
-  workers forward periodic checkpoints over a queue and the parent
-  prints throttled live hit-rate/ETA lines exactly like the serial path;
+* the payload is ``(display name, capacity)``; the resources shared by
+  every cell are the policy table, the partition, ``batch`` and an
+  optional progress queue;
+* each cell calls :func:`~repro.engine.simulate`, which accepts a
+  factory or a spec.  Spec entries ship as strings, which pickle under
+  any start method; factory callables reach workers only by ``fork``
+  inheritance through the pool initializer, and requesting another
+  start method for them raises ``ValueError``;
+* each cell observes its run with a private
+  :class:`~repro.obs.instrument.SimStats`, which the parent merges into
+  the caller's ``SimStats`` sinks;
+* a caller's :class:`~repro.obs.instrument.ProgressReporter` sees the
+  checkpoints of every cell: cells forward them over a queue, and the
+  parent replays each cell's stream into its own copy of the reporter,
+  so lines, logger and throttle match the serial path;
 * a failing cell raises :class:`SweepCellError` naming the (policy,
-  capacity) cell — including the case of an unknown spec name reaching
-  a worker, which surfaces the registry's "unknown policy" message —
-  and the shared-memory segment is unlinked in a ``finally`` — no leaks
-  even on failure.
+  capacity) cell, and the shared-memory segment is unlinked even then.
 
 Results are **identical** to the serial path by construction: the same
 :func:`~repro.engine.simulate` code runs over byte-identical columns,
-and the property tests assert equality cell by cell.
+and the tests assert equality cell by cell.
 """
 
 from __future__ import annotations
 
-import multiprocessing
+import copy
 import os
-import sys
 import threading
-import time
-from typing import IO
 
-from repro.cache.base import CacheMetrics
-from repro.engine.replay import PolicyFactory, simulate
+from repro.engine.replay import simulate
 from repro.engine.sweep import SweepResult, resolve_policies
 from repro.obs.instrument import (
     Instrumentation,
@@ -54,15 +45,9 @@ from repro.obs.instrument import (
     ProgressReporter,
     SimStats,
 )
-from repro.obs.metrics import MetricsRegistry
-from repro.parallel.plan import plan_sweep
-from repro.parallel.shm import SharedTraceBuffers, SharedTraceSpec, attach_trace
+from repro.parallel.cells import CellError, map_trace_cells, pool_context
 from repro.traces.trace import Trace
 from repro.util.units import format_bytes
-
-#: Default accesses between forwarded progress checkpoints (matches
-#: :class:`~repro.obs.instrument.ProgressReporter`).
-DEFAULT_PROGRESS_EVERY = 65536
 
 
 class SweepCellError(RuntimeError):
@@ -77,421 +62,72 @@ class SweepCellError(RuntimeError):
         )
 
 
-# ----------------------------------------------------------------------
-# worker side
-# ----------------------------------------------------------------------
+class _ForwardProgress(Instrumentation):
+    """Cell-side hook sending one process's run events to the parent.
 
-#: Per-worker state installed by the pool initializer.  Spec-mode grids
-#: ship a plain ``{name: spec string}`` table (picklable, so it survives
-#: any start method); legacy factory grids rely on fork inheritance.
-_WORKER: dict = {}
-
-
-def _init_worker(
-    spec: SharedTraceSpec,
-    policy_defs: tuple,
-    progress: tuple | None,
-    collect_stats: bool,
-) -> None:
-    trace, shm = attach_trace(spec)
-    _WORKER["trace"] = trace
-    _WORKER["shm"] = shm  # keep the mapping alive for the process lifetime
-    mode = policy_defs[0]
-    _WORKER["mode"] = mode
-    if mode == "specs":
-        _WORKER["specs"] = policy_defs[1]
-        _WORKER["partition"] = policy_defs[2]
-    else:
-        _WORKER["factories"] = policy_defs[1]
-    _WORKER["progress"] = progress
-    _WORKER["collect_stats"] = collect_stats
-
-
-def _policy_factory(name: str) -> PolicyFactory:
-    """Resolve one cell's policy factory inside a worker.
-
-    Spec mode builds through :func:`repro.registry.build` against the
-    worker's shared-memory trace; an unknown display name (or a spec
-    string naming a policy this registry doesn't know) raises the
-    registry's clear ``unknown policy`` error, which the parent wraps in
-    :class:`SweepCellError` naming the cell.
+    Messages are ``(pid, hook name, args)``; a process runs one cell at
+    a time, so the pid keys the cell.  Evicted bytes are summed here and
+    sent before the checkpoint that covers them, so the per-access route
+    does not pay one queue write per eviction.
     """
-    if _WORKER.get("mode") == "specs":
-        specs: dict[str, str] = _WORKER["specs"]
-        try:
-            spec_str = specs[name]
-        except KeyError:
-            from repro.registry import UnknownPolicyError
-
-            raise UnknownPolicyError(
-                f"unknown policy {name!r} reached a sweep worker; specs "
-                f"shipped to this worker: {sorted(specs)}"
-            ) from None
-        from repro import registry
-
-        trace = _WORKER["trace"]
-        partition = _WORKER["partition"]
-        return lambda cap: registry.build(
-            spec_str, cap, trace=trace, partition=partition
-        )
-    return _WORKER["factories"][name]
-
-
-class _QueueProgress(Instrumentation):
-    """Worker-side hook forwarding progress checkpoints to the parent."""
 
     def __init__(self, queue, progress_every: int) -> None:
         self.queue = queue
         self.progress_every = progress_every
-        self._name = ""
-        self._capacity = 0
+        self._pid = os.getpid()
         self._evicted = 0
 
     def on_run_start(self, name: str, capacity: int, total_accesses: int) -> None:
-        self._name = name
-        self._capacity = capacity
-        self._evicted = 0
-        self.queue.put(("run", name, capacity, total_accesses))
+        self.queue.put(
+            (self._pid, "on_run_start", (name, capacity, total_accesses))
+        )
 
     def on_evict(self, bytes_evicted: int) -> None:
         self._evicted += bytes_evicted
 
     def on_progress(self, done: int, total: int, metrics) -> None:
-        self.queue.put(
-            (
-                "tick",
-                self._name,
-                self._capacity,
-                done,
-                total,
-                metrics.hit_rate,
-                self._evicted,
-            )
-        )
+        if self._evicted:
+            self.queue.put((self._pid, "on_evict", (self._evicted,)))
+            self._evicted = 0
+        self.queue.put((self._pid, "on_progress", (done, total, metrics)))
 
 
-def _run_cells(chunk: tuple) -> list:
-    """Run a batch of (name, index, capacity) cells in this worker.
-
-    Cells are chunked by :func:`repro.parallel.plan.plan_sweep` so small
-    cells share one pickle round trip instead of paying one each.  A
-    failing cell is captured as an ``("err", name, index, exc)`` entry —
-    the chunk's remaining cells still run, and the parent raises
-    :class:`SweepCellError` for the first error in cell order.
-    """
-    out = []
-    for name, index, capacity in chunk:
-        try:
-            out.append(("ok", *_run_cell(name, index, capacity)))
-        except Exception as exc:
-            out.append(("err", name, index, exc))
-    return out
-
-
-def _run_cell(name: str, index: int, capacity: int):
-    trace: Trace = _WORKER["trace"]
-    factory = _policy_factory(name)
-    hooks: list[Instrumentation] = []
-    stats = SimStats() if _WORKER["collect_stats"] else None
-    if stats is not None:
-        hooks.append(stats)
-    progress = _WORKER["progress"]
+def _sweep_cell(trace: Trace, resources, payload):
+    """One (policy, capacity) cell: ``simulate()`` under a private SimStats."""
+    name, capacity = payload
+    policies, partition, batch, progress = resources
+    stats = SimStats()
+    hook = stats
     if progress is not None:
-        hooks.append(_QueueProgress(*progress))
-    instrumentation: Instrumentation | None
-    if not hooks:
-        instrumentation = None
-    elif len(hooks) == 1:
-        instrumentation = hooks[0]
-    else:
-        instrumentation = MultiInstrumentation(*hooks)
-    t0 = time.perf_counter()
+        hook = MultiInstrumentation(stats, _ForwardProgress(*progress))
     metrics = simulate(
-        trace, factory, capacity, name=name, instrumentation=instrumentation
+        trace,
+        policies[name],
+        capacity,
+        name=name,
+        instrumentation=hook,
+        partition=partition,
+        batch=batch,
     )
-    wall = time.perf_counter() - t0
-    registry = MetricsRegistry()
-    registry.inc("sweep_cells", policy=name)
-    registry.inc("sweep_accesses", metrics.requests, policy=name)
-    registry.inc("sweep_hits", metrics.hits, policy=name)
-    registry.inc("sweep_misses", metrics.misses, policy=name)
-    registry.inc("sweep_bytes_fetched", metrics.bytes_fetched, policy=name)
-    registry.observe("sweep_cell", wall, policy=name)
-    return name, index, metrics, stats, registry
+    return metrics, stats
 
 
-# ----------------------------------------------------------------------
-# parent side
-# ----------------------------------------------------------------------
+def _replay_progress(queue, reporter: ProgressReporter) -> None:
+    """Replay forwarded run events into a per-cell copy of ``reporter``.
 
-
-class _ProgressPrinter:
-    """Parent-side consumer of forwarded checkpoints.
-
-    Cells from several workers interleave, so lines are labeled per cell
-    (``policy@capacity``) and rate/ETA are computed from the parent's
-    clock per cell; output is throttled globally like the serial
-    :class:`~repro.obs.instrument.ProgressReporter`.
+    Reads until the ``None`` sentinel.  If the reporter raises, the rest
+    of the stream is still drained so no cell blocks on a full pipe.
     """
-
-    def __init__(
-        self,
-        label: str,
-        stream: IO[str] | None,
-        min_interval_s: float = 1.0,
-    ) -> None:
-        self.label = label
-        self.stream = stream if stream is not None else sys.stderr
-        self.min_interval_s = min_interval_s
-        self._started: dict[tuple[str, int], float] = {}
-        self._t_last = float("-inf")
-
-    def handle(self, message: tuple) -> None:
-        kind = message[0]
-        if kind == "run":
-            _, name, capacity, _total = message
-            self._started[(name, capacity)] = time.perf_counter()
-            return
-        _, name, capacity, done, total, hit_rate, evicted = message
-        now = time.perf_counter()
-        if done < total and now - self._t_last < self.min_interval_s:
-            return
-        self._t_last = now
-        t0 = self._started.get((name, capacity), now)
-        elapsed = now - t0
-        rate = done / elapsed if elapsed > 0 else 0.0
-        eta = (total - done) / rate if rate > 0 and done < total else 0.0
-        self.stream.write(
-            f"[{self.label} {name}@{format_bytes(capacity, 1)}] "
-            f"{done / total if total else 1.0:6.1%} {done}/{total} "
-            f"hit={hit_rate:.3f} "
-            f"evicted={format_bytes(evicted, 1)} "
-            f"{rate:,.0f} acc/s eta={eta:.0f}s\n"
-        )
-        self.stream.flush()
-
-
-class ParallelSweepRunner:
-    """Fan a (policy, capacity) grid out over a process pool.
-
-    Parameters
-    ----------
-    jobs:
-        Worker process *ceiling*.  The pool never exceeds the cell count
-        and — unless ``oversubscribe`` — never exceeds the machine's CPU
-        count either: the replay is CPU-bound, so extra workers on the
-        same core only add context-switch and cache-thrash cost (measured
-        ~2.4× slower at 4 workers on 1 core; see ``BENCH_sweep.json``).
-        The worker count actually used is exposed as
-        :attr:`effective_jobs` after :meth:`run`.
-    start_method:
-        Multiprocessing start method.  ``None`` (default) picks ``fork``
-        where available, falling back to ``spawn`` for spec-based grids.
-        Grids containing factory *callables* require ``fork`` (closures
-        cross the process boundary by inheritance, never by pickling);
-        spec-string grids work under any method because workers rebuild
-        policies by name through :mod:`repro.registry`.
-    progress, progress_stream, progress_every, label:
-        Enable live progress forwarding from workers (off by default;
-        ``sweep`` turns it on when handed a ``ProgressReporter``).
-    collect_stats:
-        Run every cell under a :class:`~repro.obs.instrument.SimStats`
-        collector and merge the workers' collectors into :attr:`stats`.
-        Cells replay on the same route (kernel or per-access) as
-        uninstrumented ones, exactly as they would serially.
-    oversubscribe:
-        Allow more workers than CPUs (up to ``jobs``).  A diagnostic /
-        benchmarking knob — the default clamp is the right call for real
-        runs.
-
-    After :meth:`run`, :attr:`registry` holds the merged per-cell worker
-    registries (cell counters plus a ``sweep_cell`` wall-time histogram,
-    combined with :meth:`~repro.obs.metrics.MetricsRegistry.merge`) and
-    :attr:`stats` the merged :class:`~repro.obs.instrument.SimStats`
-    (``None`` unless ``collect_stats``).
-    """
-
-    def __init__(
-        self,
-        jobs: int,
-        *,
-        start_method: str | None = None,
-        progress: bool = False,
-        progress_stream: IO[str] | None = None,
-        progress_every: int = DEFAULT_PROGRESS_EVERY,
-        label: str = "psweep",
-        collect_stats: bool = False,
-        oversubscribe: bool = False,
-    ) -> None:
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
-        self.jobs = jobs
-        self.start_method = start_method
-        self.progress = progress
-        self.progress_stream = progress_stream
-        self.progress_every = progress_every
-        self.label = label
-        self.collect_stats = collect_stats
-        self.oversubscribe = oversubscribe
-        self.registry = MetricsRegistry()
-        self.stats: SimStats | None = None
-        #: Worker count the last :meth:`run` actually used.
-        self.effective_jobs = 0
-
-    def _pick_context(self, spec_mode: bool):
-        available = multiprocessing.get_all_start_methods()
-        method = self.start_method
-        if method is None:
-            if "fork" in available:
-                method = "fork"
-            elif spec_mode:  # pragma: no cover - non-POSIX platforms
-                method = "spawn"
-            else:  # pragma: no cover - non-POSIX platforms
-                raise RuntimeError(
-                    "parallel sweeps over factory callables need the 'fork' "
-                    "start method; pass registry spec strings (spawn-safe) "
-                    "or run sweep(jobs=1) on this platform"
-                )
-        elif method not in available:
-            raise RuntimeError(
-                f"start method {method!r} is not available on this "
-                f"platform (have: {available})"
-            )
-        if method != "fork" and not spec_mode:
-            raise ValueError(
-                "policy factory callables cannot cross a "
-                f"{method!r}-context process boundary; pass registry spec "
-                "strings (see repro.registry) for spawn-safe dispatch"
-            )
-        return multiprocessing.get_context(method)
-
-    def run(
-        self,
-        trace: Trace,
-        policies,
-        capacities,
-        *,
-        partition=None,
-        buffers: SharedTraceBuffers | None = None,
-    ) -> SweepResult:
-        """Run the grid; identical results to serial ``sweep``.
-
-        ``policies`` takes the same forms as serial
-        :func:`~repro.engine.sweep` — registry spec strings (preferred:
-        dispatched to workers as plain picklable names) or ``name ->
-        factory`` mappings (fork-only).  Spec grids that include
-        filecule-granularity policies need ``partition=...``; it is
-        pickled once into each worker.
-
-        ``buffers`` optionally reuses an existing
-        :class:`~repro.parallel.shm.SharedTraceBuffers` built from this
-        same trace — repeated runs (benchmark repeats, back-to-back
-        grids) then skip the copy-into-shared-memory setup cost.  A
-        caller-provided segment is left open: its owner closes and
-        unlinks it.
-        """
-        factories, specs = resolve_policies(policies, trace, partition)
-        caps = tuple(int(c) for c in capacities)
-        if not caps:
-            raise ValueError("need at least one capacity")
-        ctx = self._pick_context(spec_mode=specs is not None)
-        cells = [
-            (name, index, cap)
-            for name in factories
-            for index, cap in enumerate(caps)
-        ]
-        plan = plan_sweep(
-            len(cells),
-            trace.n_accesses,
-            self.jobs,
-            oversubscribe=self.oversubscribe,
-        )
-        chunks = [
-            tuple(cells[k : k + plan.cells_per_chunk])
-            for k in range(0, len(cells), plan.cells_per_chunk)
-        ]
-        processes = max(1, min(plan.workers, len(chunks)))
-        self.effective_jobs = processes
-        queue = ctx.Queue() if self.progress else None
-        printer_thread = None
-        if queue is not None:
-            printer = _ProgressPrinter(self.label, self.progress_stream)
-
-            def drain() -> None:
-                while True:
-                    message = queue.get()
-                    if message is None:
-                        return
-                    printer.handle(message)
-
-            printer_thread = threading.Thread(
-                target=drain, name="psweep-progress", daemon=True
-            )
-            printer_thread.start()
-
-        if specs is not None:
-            policy_defs = (
-                "specs",
-                {name: str(bound) for name, bound in specs.items()},
-                partition,
-            )
-        else:
-            policy_defs = ("factories", dict(factories))
-        grid: dict[str, list[CacheMetrics | None]] = {
-            name: [None] * len(caps) for name in factories
-        }
-        merged_stats = SimStats() if self.collect_stats else None
-        owns_buffers = buffers is None
-        if owns_buffers:
-            buffers = SharedTraceBuffers(trace)
-        try:
-            progress_cfg = (
-                (queue, self.progress_every) if queue is not None else None
-            )
-            with ctx.Pool(
-                processes,
-                initializer=_init_worker,
-                initargs=(
-                    buffers.spec,
-                    policy_defs,
-                    progress_cfg,
-                    self.collect_stats,
-                ),
-            ) as pool:
-                pending = [
-                    (chunk, pool.apply_async(_run_cells, (chunk,)))
-                    for chunk in chunks
-                ]
-                for chunk, handle in pending:
-                    try:
-                        results = handle.get()
-                    except Exception as exc:
-                        # The whole chunk failed to round-trip (e.g. an
-                        # unpicklable result); blame its first cell.
-                        name, index, _cap = chunk[0]
-                        raise SweepCellError(name, caps[index], exc) from exc
-                    for entry in results:
-                        if entry[0] == "err":
-                            _, name, index, exc = entry
-                            raise SweepCellError(name, caps[index], exc) from exc
-                        _, name, index, metrics, stats, registry = entry
-                        grid[name][index] = metrics
-                        self.registry.merge(registry)
-                        if merged_stats is not None and stats is not None:
-                            merged_stats.merge(stats)
-        finally:
-            if queue is not None:
-                queue.put(None)
-                printer_thread.join(timeout=5.0)
-                queue.close()
-            if owns_buffers:
-                buffers.close()
-                buffers.unlink()
-        self.stats = merged_stats
-        return SweepResult(
-            capacities=caps,
-            metrics={name: tuple(grid[name]) for name in factories},
-        )
+    runs: dict[int, ProgressReporter] = {}
+    messages = iter(queue.get, None)
+    try:
+        for pid, hook, args in messages:
+            if hook == "on_run_start":
+                runs[pid] = copy.copy(reporter)
+            getattr(runs[pid], hook)(*args)
+    finally:
+        for _ in messages:
+            pass
 
 
 def parallel_sweep(
@@ -502,29 +138,25 @@ def parallel_sweep(
     jobs: int,
     instrumentation: Instrumentation | None = None,
     partition=None,
+    batch: bool | None = None,
     start_method: str | None = None,
-    auto_serial: bool = True,
 ) -> SweepResult:
-    """``sweep(jobs=N)`` backend: map the instrumentation contract onto a
-    :class:`ParallelSweepRunner`.
+    """``sweep(jobs=N)`` backend: the grid as cells of
+    :func:`~repro.parallel.cells.map_trace_cells`.
+
+    ``jobs`` is a ceiling with :func:`~repro.parallel.plan.plan_sweep`
+    semantics: grids too small to amortize a pool (or with one usable
+    CPU) run the same cells on the serial loop, with identical results
+    and observation; ``REPRO_PARALLEL_FORCE=1`` forces the pool.
+    ``start_method`` defaults to ``fork`` where available.
 
     Custom hooks cannot cross process boundaries, so only the two
     shipped observation types (and combinations of them) are supported:
-    a :class:`~repro.obs.instrument.ProgressReporter` has its checkpoint
-    stream forwarded from the workers over a queue, and a
-    :class:`~repro.obs.instrument.SimStats` receives the merged worker
+    a :class:`~repro.obs.instrument.ProgressReporter` receives every
+    cell's checkpoints through a per-cell copy of itself, and a
+    :class:`~repro.obs.instrument.SimStats` receives the merged cell
     collectors after the run.  Anything else raises ``ValueError`` —
     run serially for custom instrumentation.
-
-    ``jobs`` is a ceiling, never a demand to go slower: with
-    ``auto_serial`` (the default), grids whose
-    :func:`~repro.parallel.plan.plan_sweep` says a pool cannot win —
-    too few total accesses to amortize the fork/shared-memory setup, or
-    only one usable worker — run on the ordinary serial loop instead,
-    with identical results, the same instrumentation objects observing,
-    and per-cell failures still wrapped in :class:`SweepCellError`.
-    Set ``REPRO_PARALLEL_FORCE=1`` (or ``auto_serial=False``) to force
-    the pool for crossover measurements.
     """
     hooks: tuple[Instrumentation, ...]
     if instrumentation is None:
@@ -549,43 +181,54 @@ def parallel_sweep(
     caps = tuple(int(c) for c in capacities)
     if not caps:
         raise ValueError("need at least one capacity")
-    if auto_serial:
-        factories, _ = resolve_policies(policies, trace, partition)
-        plan = plan_sweep(len(factories) * len(caps), trace.n_accesses, jobs)
-        if not plan.use_parallel:
-            metrics: dict[str, tuple[CacheMetrics, ...]] = {}
-            for name, factory in factories.items():
-                row = []
-                for cap in caps:
-                    try:
-                        row.append(
-                            simulate(
-                                trace,
-                                factory,
-                                cap,
-                                name=name,
-                                instrumentation=instrumentation,
-                            )
-                        )
-                    except Exception as exc:
-                        raise SweepCellError(name, cap, exc) from exc
-                metrics[name] = tuple(row)
-            return SweepResult(capacities=caps, metrics=metrics)
-    runner = ParallelSweepRunner(
-        jobs=jobs,
-        start_method=start_method,
-        progress=reporter is not None,
-        progress_stream=reporter.stream if reporter is not None else None,
-        progress_every=(
-            reporter.progress_every
-            if reporter is not None
-            else DEFAULT_PROGRESS_EVERY
-        ),
-        label=reporter.label if reporter is not None else "psweep",
-        collect_stats=bool(sinks),
-    )
-    result = runner.run(trace, policies, capacities, partition=partition)
-    if sinks and runner.stats is not None:
+    table = resolve_policies(policies)
+    ctx = pool_context(start_method)
+    method = ctx.get_start_method()
+    if method != "fork" and any(callable(p) for p in table.values()):
+        raise ValueError(
+            "policy factory callables cannot cross a "
+            f"{method!r}-context process boundary; pass registry spec "
+            "strings (see repro.registry) for spawn-safe dispatch"
+        )
+    shipped = {name: p if callable(p) else str(p) for name, p in table.items()}
+    progress = queue = drain = None
+    if reporter is not None:
+        # The queue's lock must come from the pool's own context: a
+        # fork-context lock cannot be shared with spawn workers.  Its
+        # puts are synchronous, so a cell's checkpoints are in the pipe
+        # before the cell's result is.
+        queue = ctx.SimpleQueue()
+        progress = (queue, reporter.progress_every)
+        drain = threading.Thread(
+            target=_replay_progress,
+            args=(queue, reporter),
+            name="sweep-progress",
+            daemon=True,
+        )
+        drain.start()
+    try:
+        cells = map_trace_cells(
+            trace,
+            _sweep_cell,
+            [(name, cap) for name in table for cap in caps],
+            jobs=jobs,
+            resources=(shipped, partition, batch, progress),
+            start_method=method,
+        )
+    except CellError as err:
+        name, capacity = err.payload
+        raise SweepCellError(name, capacity, err.__cause__) from err.__cause__
+    # Success only: a pool torn down on failure may have killed a worker
+    # holding the queue's write lock, so the drain is left to the process.
+    if queue is not None:
+        queue.put(None)
+        drain.join()
+        queue.close()
+    for _, stats in cells:
         for sink in sinks:
-            sink.merge(runner.stats)
-    return result
+            sink.merge(stats)
+    rows = iter(metrics for metrics, _ in cells)
+    return SweepResult(
+        capacities=caps,
+        metrics={name: tuple(next(rows) for _ in caps) for name in table},
+    )

@@ -1,9 +1,11 @@
 """Zero-copy trace transport over POSIX shared memory.
 
-A sweep fans (policy, capacity) cells out to worker processes that all
-replay the *same immutable* :class:`~repro.traces.trace.Trace`.  Pickling
-a multi-million-access trace per worker would dominate the fan-out cost,
-so the parent instead packs every numpy column into **one**
+:func:`~repro.parallel.cells.map_trace_cells` fans cells — the
+(policy, capacity) cells of ``sweep(jobs=N)``, hierarchy replays — out
+to worker processes that all replay the *same immutable*
+:class:`~repro.traces.trace.Trace`.  Pickling a multi-million-access
+trace per worker would dominate the fan-out cost, so the parent instead
+packs every numpy column into **one**
 :class:`multiprocessing.shared_memory.SharedMemory` segment
 (:class:`SharedTraceBuffers`) and ships only a tiny picklable
 :class:`SharedTraceSpec` — segment name plus per-column dtype/length/
@@ -13,9 +15,10 @@ rebuilds numpy views directly over the shared buffer and constructs a
 no sort, no copy, no per-worker duplication of the column data.
 
 Lifecycle: the parent owns the segment and must :meth:`~SharedTraceBuffers.close`
-and :meth:`~SharedTraceBuffers.unlink` it (the runner does so in a
-``finally``, so segments never leak even when a worker cell fails).
-Workers only map the segment; their mappings die with the process.
+and :meth:`~SharedTraceBuffers.unlink` it (``map_trace_cells`` does so
+in a ``finally``, so segments never leak even when a worker cell
+fails).  Workers only map the segment; their mappings die with the
+process.
 """
 
 from __future__ import annotations

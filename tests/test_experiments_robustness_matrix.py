@@ -44,11 +44,13 @@ class TestMatrix:
                 assert math.isfinite(value)
                 assert 0.0 <= value <= 1.0
 
-    def test_serial_equals_parallel(self):
-        serial = build_matrix(get_context("tiny", seed=11, jobs=1))
+    def test_serial_equals_parallel(self, matrix, monkeypatch):
+        # A tiny grid sits far below the pool's crossover; force the pool
+        # so the jobs=2 side really forks.
+        monkeypatch.setenv("REPRO_PARALLEL_FORCE", "1")
         parallel = build_matrix(get_context("tiny", seed=11, jobs=2))
-        assert serial.scores == parallel.scores
-        assert serial.capacity_bytes == parallel.capacity_bytes
+        assert matrix.scores == parallel.scores
+        assert matrix.capacity_bytes == parallel.capacity_bytes
 
 
 class TestArtifact:

@@ -61,12 +61,6 @@ def test_one_cpu_means_serial():
     assert "one worker" in plan.reason
 
 
-def test_oversubscribe_skips_cpu_clamp():
-    plan = plan_sweep(14, 10**9, 8, cpus=1, oversubscribe=True)
-    assert plan.use_parallel
-    assert plan.workers == 8
-
-
 def test_workers_clamped_to_cells():
     plan = plan_sweep(3, 10**9, 16, cpus=32)
     assert plan.workers == 3
@@ -87,7 +81,7 @@ def test_invalid_shapes_rejected():
 def test_tiny_cells_are_batched_into_chunks():
     # 1k-access cells: ~263 cells would fit MIN_CHUNK_ACCESSES, but the
     # per-worker ceiling keeps every worker busy.
-    plan = plan_sweep(1000, 1_000, 4, cpus=8, oversubscribe=True)
+    plan = plan_sweep(1000, 1_000, 4, cpus=8)
     want = -(-MIN_CHUNK_ACCESSES // 1_000)
     per_worker = -(-1000 // plan.workers)
     assert plan.cells_per_chunk == min(want, per_worker)
@@ -142,7 +136,7 @@ def test_force_env_overrides_everything(monkeypatch):
 # ----------------------------------------------------------------------
 
 
-def test_auto_serial_matches_serial(tiny_trace, monkeypatch):
+def test_serial_fallback_matches_serial(tiny_trace, monkeypatch):
     monkeypatch.delenv("REPRO_PARALLEL_FORCE", raising=False)
     caps = [tiny_trace.total_bytes() // 50, tiny_trace.total_bytes() // 5]
     factories = {"file-lru": lambda c: FileLRU(c)}
@@ -153,7 +147,7 @@ def test_auto_serial_matches_serial(tiny_trace, monkeypatch):
     assert auto.metrics == serial.metrics
 
 
-def test_auto_serial_wraps_cell_failures(tiny_trace, monkeypatch):
+def test_serial_fallback_wraps_cell_failures(tiny_trace, monkeypatch):
     monkeypatch.delenv("REPRO_PARALLEL_FORCE", raising=False)
 
     class Boom(FileLRU):
@@ -170,10 +164,10 @@ def test_auto_serial_wraps_cell_failures(tiny_trace, monkeypatch):
     assert err.value.capacity == caps[0]
 
 
-def test_auto_serial_keeps_instrumentation(tiny_trace, monkeypatch):
-    """The fallback runs the same instrumented serial loop: SimStats sees
-    every access and ProgressReporter writes the same labelled lines the
-    pool's forwarded printer would."""
+def test_serial_fallback_keeps_instrumentation(tiny_trace, monkeypatch):
+    """The fallback runs the same cells in-process: SimStats sees every
+    access and the caller's ProgressReporter writes its labelled lines,
+    exactly as it would for a pool."""
     monkeypatch.delenv("REPRO_PARALLEL_FORCE", raising=False)
     stats = SimStats()
     stream = io.StringIO()
@@ -193,7 +187,7 @@ def test_auto_serial_keeps_instrumentation(tiny_trace, monkeypatch):
     assert "[ptest file-lru@" in out
 
 
-def test_auto_serial_rejects_unsupported_instrumentation(tiny_trace):
+def test_serial_fallback_rejects_unsupported_instrumentation(tiny_trace):
     """Hook validation happens before the fallback decision: a custom
     per-access hook fails at jobs=2 whether or not a pool would run."""
     from repro.obs.instrument import Instrumentation

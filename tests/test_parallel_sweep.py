@@ -10,7 +10,6 @@ over byte-identical shared-memory columns.
 from __future__ import annotations
 
 import io
-import os
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +32,6 @@ from repro.experiments.fig10 import capacities_for
 from repro.obs.instrument import Instrumentation, ProgressReporter, SimStats
 from repro.parallel import (
     SEGMENT_PREFIX,
-    ParallelSweepRunner,
     SharedTraceBuffers,
     SweepCellError,
     attach_trace,
@@ -85,6 +83,24 @@ def all_policy_factories(trace, partition) -> dict:
             c, trace, partition
         ),
     }
+
+
+class KernelRefusingLRU(FileLRU):
+    """File-LRU that fails the cell if asked for its batch kernel."""
+
+    def batch_kernel(self, trace):
+        raise AssertionError("batch=False must not ask for a kernel")
+
+
+def progress_by_cell(stream: io.StringIO) -> dict[str, list[str]]:
+    """A reporter's lines grouped by ``[label run]``, each cut before the
+    wall-clock rate and ETA."""
+    cells: dict[str, list[str]] = {}
+    for line in stream.getvalue().splitlines():
+        label_run, rest = line.split("] ", 1)
+        fields = rest.split(" acc/s")[0].rsplit(" ", 1)[0]
+        cells.setdefault(label_run, []).append(fields)
+    return cells
 
 
 def assert_results_identical(serial, parallel) -> None:
@@ -150,49 +166,33 @@ class TestSpecDispatch:
     def test_spec_grid_ships_names_not_closures(
         self, tiny_trace, tiny_partition, monkeypatch
     ):
-        """Spec-mode initargs are plain picklable data: the worker table
-        is ``{display name: spec string}``, never factory callables."""
-        import multiprocessing
+        """A spec grid's cell resources are plain picklable data: the
+        policy table is ``{display name: spec string}``, never factory
+        callables, so it survives any start method."""
         import pickle
 
         from repro.parallel import runner as runner_mod
 
         captured = {}
+        real_map = runner_mod.map_trace_cells
 
-        class SpyingContext:
-            """Parent-side wrapper recording the Pool initargs."""
+        def spying_map(trace, runner, payloads, **kwargs):
+            captured.update(kwargs)
+            return real_map(trace, runner, payloads, **kwargs)
 
-            def __init__(self, real):
-                self._real = real
-
-            def Pool(self, processes, initializer=None, initargs=()):
-                captured["initargs"] = initargs
-                return self._real.Pool(
-                    processes, initializer=initializer, initargs=initargs
-                )
-
-            def __getattr__(self, name):
-                return getattr(self._real, name)
-
-        runner = runner_mod.ParallelSweepRunner(1)
-        monkeypatch.setattr(
-            runner,
-            "_pick_context",
-            lambda spec_mode: SpyingContext(
-                multiprocessing.get_context("fork")
-            ),
-        )
-        runner.run(
+        monkeypatch.setattr(runner_mod, "map_trace_cells", spying_map)
+        sweep(
             tiny_trace,
             ("file-lru", "filecule-lru?intra_job_hits=false"),
             [tiny_trace.total_bytes() // 100],
             partition=tiny_partition,
+            jobs=2,
         )
-        _spec, policy_defs, _progress, _stats = captured["initargs"]
-        pickle.dumps(policy_defs)  # plain data: survives any start method
-        mode, table, _partition = policy_defs
-        assert mode == "specs"
-        assert table == {
+        resources = captured["resources"]
+        table, partition, batch, progress = pickle.loads(
+            pickle.dumps(resources)
+        )
+        assert table == resources[0] == {
             "file-lru": "file-lru",
             "filecule-lru?intra_job_hits=false": (
                 "filecule-lru?intra_job_hits=false"
@@ -200,6 +200,9 @@ class TestSpecDispatch:
         }
         for value in table.values():
             assert isinstance(value, str)
+        np.testing.assert_array_equal(partition.labels, tiny_partition.labels)
+        assert batch is None
+        assert progress is None
 
     def test_unknown_spec_rejected_in_parent_before_any_worker(
         self, tiny_trace
@@ -241,6 +244,27 @@ class TestFailureAndLeaks:
                 tiny_trace,
                 {"boom": exploding},
                 [tiny_trace.total_bytes() // 100],
+                jobs=2,
+            )
+        assert _leaked_segments() == before
+
+    def test_failure_with_progress_forwarding(self, tiny_trace):
+        """A failing cell still raises promptly while the other cells
+        forward progress, and the segment is still unlinked."""
+        before = _leaked_segments()
+
+        def exploding(capacity):
+            raise RuntimeError("boom")
+
+        reporter = ProgressReporter(
+            "ptest", progress_every=64, min_interval_s=0, stream=io.StringIO()
+        )
+        with pytest.raises(SweepCellError, match="policy 'boom'"):
+            sweep(
+                tiny_trace,
+                {"file-lru": lambda c: FileLRU(c), "boom": exploding},
+                [tiny_trace.total_bytes() // 100],
+                instrumentation=reporter,
                 jobs=2,
             )
         assert _leaked_segments() == before
@@ -301,16 +325,96 @@ class TestObservability:
         assert "[ptest file-lru@" in out
         assert f"{tiny_trace.n_accesses}/{tiny_trace.n_accesses}" in out
 
-    def test_forwarded_empty_run_reports_complete(self):
-        """The parent's printer, like ProgressReporter, reports a cell
-        with no accesses as complete instead of dividing by zero."""
-        from repro.parallel.runner import _ProgressPrinter
+    def test_pool_progress_matches_serial(self, tiny_trace):
+        """Every cell's checkpoints reach the caller's own reporter: the
+        pool yields the serial path's per-cell lines on a stream, and the
+        same number of ``sim-progress`` records through the logger."""
+        from repro.obs import log
 
-        stream = io.StringIO()
-        printer = _ProgressPrinter("ptest", stream)
-        printer.handle(("run", "file-lru", 100, 0))
-        printer.handle(("tick", "file-lru", 100, 0, 0, 1.0, 0))
-        assert "100.0% 0/0" in stream.getvalue()
+        # A kernel policy and a per-access one (evictions forwarded one
+        # by one); 64-access marks push more checkpoints through the
+        # queue than a pipe buffer holds, so cells wait on the parent.
+        factories = {
+            "file-lru": lambda c: FileLRU(c),
+            "greedy-dual-size": lambda c: GreedyDualSize(c),
+        }
+        caps = [tiny_trace.total_bytes() // 50, tiny_trace.total_bytes() // 5]
+
+        def per_cell_lines(jobs):
+            stream = io.StringIO()
+            reporter = ProgressReporter(
+                "ptest", progress_every=64, min_interval_s=0, stream=stream
+            )
+            sweep(
+                tiny_trace, factories, caps, instrumentation=reporter, jobs=jobs
+            )
+            return progress_by_cell(stream)
+
+        serial = per_cell_lines(1)
+        assert len(serial) == len(factories) * len(caps)
+        assert per_cell_lines(2) == serial
+
+        def log_records(jobs):
+            sink = io.StringIO()
+            log.configure(stream=sink)
+            try:
+                reporter = ProgressReporter(
+                    "ptest", progress_every=1000, min_interval_s=0
+                )
+                sweep(
+                    tiny_trace,
+                    factories,
+                    caps,
+                    instrumentation=reporter,
+                    jobs=jobs,
+                )
+            finally:
+                log.configure()
+            return sink.getvalue().count('"sim-progress"')
+
+        expected = len(factories) * len(caps) * (
+            -(-tiny_trace.n_accesses // 1000)
+        )
+        assert log_records(1) == expected
+        assert log_records(2) == expected
+
+    def test_progress_forwarded_under_spawn(self, tiny_trace, tiny_partition):
+        """The progress queue comes from the pool's own context, so spawn
+        workers can write to it."""
+        from repro.parallel import parallel_sweep
+
+        specs = ("file-lru", "filecule-lru")
+        caps = [tiny_trace.total_bytes() // 50]
+        serial_stream, spawn_stream = io.StringIO(), io.StringIO()
+        sweep(
+            tiny_trace,
+            specs,
+            caps,
+            instrumentation=ProgressReporter(
+                "ptest",
+                progress_every=1000,
+                min_interval_s=0,
+                stream=serial_stream,
+            ),
+            partition=tiny_partition,
+        )
+        parallel_sweep(
+            tiny_trace,
+            specs,
+            caps,
+            jobs=2,
+            instrumentation=ProgressReporter(
+                "ptest",
+                progress_every=1000,
+                min_interval_s=0,
+                stream=spawn_stream,
+            ),
+            partition=tiny_partition,
+            start_method="spawn",
+        )
+        serial = progress_by_cell(serial_stream)
+        assert len(serial) == len(specs)
+        assert progress_by_cell(spawn_stream) == serial
 
     def test_simstats_merged_across_workers(self, tiny_trace):
         caps = [tiny_trace.total_bytes() // 100, tiny_trace.total_bytes() // 10]
@@ -331,21 +435,6 @@ class TestObservability:
         assert parallel_stats.bytes_fetched == serial_stats.bytes_fetched
         assert parallel_stats.bytes_evicted == serial_stats.bytes_evicted
 
-    def test_worker_registries_merged(self, tiny_trace):
-        runner = ParallelSweepRunner(2)
-        caps = [tiny_trace.total_bytes() // 100, tiny_trace.total_bytes() // 10]
-        runner.run(
-            tiny_trace, {"file-lru": lambda c: FileLRU(c)}, caps
-        )
-        assert runner.registry.get("sweep_cells", policy="file-lru") == len(caps)
-        assert (
-            runner.registry.get("sweep_accesses", policy="file-lru")
-            == tiny_trace.n_accesses * len(caps)
-        )
-        exposition = runner.registry.expose()
-        assert "repro_sweep_cells_total" in exposition
-        assert "repro_sweep_cell_seconds" in exposition
-
 
 class TestValidationAndClamping:
     def test_jobs_must_be_positive(self, tiny_trace):
@@ -353,8 +442,6 @@ class TestValidationAndClamping:
             sweep(
                 tiny_trace, {"file-lru": lambda c: FileLRU(c)}, [100], jobs=0
             )
-        with pytest.raises(ValueError, match="jobs"):
-            ParallelSweepRunner(0)
 
     def test_unsupported_instrumentation_rejected(self, tiny_trace):
         class PerAccessHook(Instrumentation):
@@ -369,12 +456,35 @@ class TestValidationAndClamping:
                 jobs=2,
             )
 
-    def test_pool_clamped_to_cpus_unless_oversubscribed(self, tiny_trace):
-        factories = {"file-lru": lambda c: FileLRU(c)}
+    @pytest.mark.parametrize("force", ["1", "0"], ids=["pool", "serial"])
+    def test_batch_true_without_kernel_fails_the_cell(
+        self, tiny_trace, monkeypatch, force
+    ):
+        """``batch`` reaches every cell: demanding a kernel from a policy
+        without one fails that cell, as ``simulate`` does serially."""
+        monkeypatch.setenv("REPRO_PARALLEL_FORCE", force)
+        capacity = tiny_trace.total_bytes() // 100
+        with pytest.raises(SweepCellError, match="no batch kernel") as excinfo:
+            sweep(
+                tiny_trace,
+                ["greedy-dual-size"],
+                [capacity],
+                jobs=2,
+                batch=True,
+            )
+        assert excinfo.value.policy == "greedy-dual-size"
+        assert excinfo.value.capacity == capacity
+
+    @pytest.mark.parametrize("force", ["1", "0"], ids=["pool", "serial"])
+    def test_batch_false_skips_the_kernel(self, tiny_trace, monkeypatch, force):
+        monkeypatch.setenv("REPRO_PARALLEL_FORCE", force)
         caps = [tiny_trace.total_bytes() // 100, tiny_trace.total_bytes() // 10]
-        clamped = ParallelSweepRunner(64)
-        clamped.run(tiny_trace, factories, caps)
-        assert clamped.effective_jobs == min(len(caps), os.cpu_count() or 64)
-        forced = ParallelSweepRunner(64, oversubscribe=True)
-        forced.run(tiny_trace, factories, caps)
-        assert forced.effective_jobs == len(caps)  # cell count still caps
+        serial = sweep(tiny_trace, {"file-lru": lambda c: FileLRU(c)}, caps)
+        per_access = sweep(
+            tiny_trace,
+            {"file-lru": lambda c: KernelRefusingLRU(c)},
+            caps,
+            jobs=2,
+            batch=False,
+        )
+        assert_results_identical(serial, per_access)

@@ -8,7 +8,7 @@ constructor.  *Canonical strings*: ``parse`` is a canonicalizer —
 aliases resolve, values coerce to the defaults' types, parameters sort —
 so ``parse(str(spec)) == spec`` for every representable spec (property
 tested below), which is what lets spec strings cross process boundaries
-as the parallel runner's wire format.
+as a parallel sweep's wire format.
 """
 
 from __future__ import annotations
@@ -259,7 +259,7 @@ class TestBuild:
 
 class TestSweepBySpec:
     def test_spec_sweep_matches_factory_sweep_serial_and_parallel(
-        self, tiny_trace, tiny_partition
+        self, tiny_trace, tiny_partition, monkeypatch
     ):
         caps = two_capacities(tiny_trace)
         legacy = legacy_factories(tiny_trace, tiny_partition)
@@ -269,6 +269,7 @@ class TestSweepBySpec:
         )
         assert by_spec_serial.capacities == by_factory.capacities
         assert by_spec_serial.metrics == by_factory.metrics
+        monkeypatch.setenv("REPRO_PARALLEL_FORCE", "1")
         by_spec_parallel = sweep(
             tiny_trace, tuple(legacy), caps, partition=tiny_partition, jobs=2
         )
@@ -313,8 +314,10 @@ class TestSweepBySpec:
         "spawn" not in multiprocessing.get_all_start_methods(),
         reason="spawn start method unavailable",
     )
-    def test_spawn_start_method_with_specs(self, tiny_trace, tiny_partition):
-        from repro.parallel.runner import ParallelSweepRunner
+    def test_spawn_start_method_with_specs(
+        self, tiny_trace, tiny_partition, monkeypatch
+    ):
+        from repro.parallel import parallel_sweep
 
         caps = [two_capacities(tiny_trace)[0]]
         serial = sweep(
@@ -323,22 +326,27 @@ class TestSweepBySpec:
             caps,
             partition=tiny_partition,
         )
-        runner = ParallelSweepRunner(2, start_method="spawn")
-        spawned = runner.run(
+        monkeypatch.setenv("REPRO_PARALLEL_FORCE", "1")
+        spawned = parallel_sweep(
             tiny_trace,
             ("file-lru", "filecule-lru"),
             caps,
+            jobs=2,
             partition=tiny_partition,
+            start_method="spawn",
         )
         assert spawned.metrics == serial.metrics
 
     def test_factory_callables_require_fork(self, tiny_trace):
-        from repro.parallel.runner import ParallelSweepRunner
+        from repro.parallel import parallel_sweep
 
-        runner = ParallelSweepRunner(2, start_method="spawn")
         with pytest.raises(ValueError, match="spec strings"):
-            runner.run(
-                tiny_trace, {"file-lru": lambda c: FileLRU(c)}, [1000]
+            parallel_sweep(
+                tiny_trace,
+                {"file-lru": lambda c: FileLRU(c)},
+                [1000],
+                jobs=2,
+                start_method="spawn",
             )
 
 
@@ -346,43 +354,23 @@ class TestWorkerDispatchErrors:
     def test_unknown_spec_name_in_worker_is_a_clear_sweep_cell_error(
         self, tiny_trace, monkeypatch
     ):
-        """A spec name the worker's registry can't resolve surfaces as
+        """An unregistered spec that reaches a worker surfaces as
         SweepCellError naming the cell with the registry's message."""
         from repro.parallel import runner as runner_mod
 
-        real_resolve = runner_mod.resolve_policies
-
-        def poisoned_resolve(policies, trace=None, partition=None):
-            factories, _specs = real_resolve(policies, trace, partition)
-            # Ship an unregistered name to the workers, bypassing the
+        def poisoned_resolve(policies):
+            # Ship an unregistered spec to the workers, bypassing the
             # parent-side parse that normally makes this impossible.
-            return factories, {"file-lru": BoundSpec("not-a-registered-policy")}
+            return {"file-lru": BoundSpec("not-a-registered-policy")}
 
         monkeypatch.setattr(runner_mod, "resolve_policies", poisoned_resolve)
-        runner = runner_mod.ParallelSweepRunner(2)
+        monkeypatch.setenv("REPRO_PARALLEL_FORCE", "1")
         with pytest.raises(
             runner_mod.SweepCellError, match="unknown policy"
         ) as excinfo:
-            runner.run(tiny_trace, ("file-lru",), [1000])
+            runner_mod.parallel_sweep(tiny_trace, ("file-lru",), [1000], jobs=2)
         assert excinfo.value.policy == "file-lru"
-
-    def test_worker_side_missing_name_message(self, tiny_trace):
-        from repro.parallel import runner as runner_mod
-        from repro.parallel.shm import SharedTraceBuffers
-
-        buffers = SharedTraceBuffers(tiny_trace)
-        try:
-            runner_mod._init_worker(
-                buffers.spec, ("specs", {"file-lru": "file-lru"}, None), None, False
-            )
-            with pytest.raises(
-                UnknownPolicyError, match="unknown policy 'mystery'"
-            ):
-                runner_mod._policy_factory("mystery")
-        finally:
-            runner_mod._WORKER.clear()
-            buffers.close()
-            buffers.unlink()
+        assert excinfo.value.capacity == 1000
 
 
 class TestPicklability:
