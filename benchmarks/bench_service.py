@@ -49,13 +49,14 @@ connection, pipelined.  Three rows replay the same prefix slice —
   (``request - class_of.keys()`` walks the whole observed catalog per
   job) plus the per-access advisor walk, transcribed and measured
   fresh in the same run (the ``bench_sweep`` legacy methodology);
-* ``per-job (current)`` — today's code with the kernel and writer
-  coalescing disabled (``ingest_kernel=False``,
+* ``per-job (current)`` — today's code with the windowed advisor and
+  writer coalescing disabled (``ingest_kernel=False``,
   ``coalesce_ingest=False``): per-request ``observe_job`` and the
-  per-access advisor walk, but with the quadratic fixed;
+  registry's per-access advisors, but with the quadratic fixed;
 * ``batched`` — the default stack: the actor coalesces each wakeup's
-  run of queued ingests into one ``observe_jobs_batch`` +
-  ``request_window`` kernel call.
+  run of queued ingests into one ``observe_jobs_batch`` call plus one
+  ``request_window`` per site, which replays each job on the
+  residency loop the offline batch kernel shares.
 
 ``REPRO_BENCH_INGEST=paper`` runs the tier on the calibrated
 paper-scale workload from the trace store (~235k jobs, ~11.3M

@@ -178,22 +178,22 @@ class ReplacementPolicy(ABC):
         """Optional whole-trace replay kernel for this policy over ``trace``.
 
         Policies whose request semantics reduce to pure group residency
-        (see :mod:`repro.cache.batch`: one ``OrderedDict`` loop over
-        runs of same-group accesses, folded with numpy) return a
-        single-use callable ``kernel(metrics, checkpoint=None, every=0)
-        -> None`` (see
-        :meth:`repro.cache.batch.GroupedReplayKernel.__call__`) that
-        replays the *entire* trace and folds outcome totals into the
-        metrics, bit-identically to calling :meth:`request` once per
-        access.  The default is ``None``: no batch implementation,
+        (see :mod:`repro.cache.batch`: one
+        :class:`~repro.cache.batch.Residency` replay over runs of
+        same-group accesses, folded with numpy) return a single-use
+        callable ``kernel(metrics, checkpoint=None, every=0) -> None``
+        (see :meth:`repro.cache.batch.GroupedReplayKernel.__call__`)
+        that replays the *entire* trace and folds outcome totals into
+        the metrics, bit-identically to calling :meth:`request` once
+        per access.  The default is ``None``: no batch implementation,
         replay per access.
 
-        ``hit_out`` optionally requests the per-access outcome mask: a
-        writable boolean array of length ``trace.n_accesses`` in which
-        the kernel marks every hit ``True`` (misses and bypasses stay
-        ``False``).  The hierarchical replay uses this to derive the
-        next tier's demand stream; policies that cannot record it for a
-        given configuration must decline (return ``None``).
+        ``hit_out`` is :func:`~repro.engine.replay.simulate`'s
+        per-access outcome mask, already checked there: a writable
+        boolean array of length ``trace.n_accesses`` in which the
+        kernel marks every hit ``True`` (misses and bypasses stay
+        ``False``).  Policies that cannot record it for a given
+        configuration must decline (return ``None``).
 
         Implementations must decline (return ``None``) whenever batch
         replay could diverge from per-access replay for this *instance*

@@ -1,11 +1,22 @@
-"""Whole-trace replay for the group-residency policies, in one run loop.
+"""One residency loop for the group-residency policies, offline and online.
 
-:class:`GroupedReplayKernel` replays an entire trace against the three
-policies whose request outcome depends only on whether the request's
+Three policies decide a request's outcome only by whether the request's
 *group* is resident: file-LRU (group = file), file-FIFO (group = file,
 no recency touch on a hit) and filecule-LRU (group = filecule label).
+:class:`Residency` is their shared state, an ``OrderedDict`` of group
+→ size plus the resident bytes, and :meth:`Residency.replay` its one
+step.  It performs exactly the reference policies' operations
+(:class:`~repro.cache.lru.FileLRU`, :class:`~repro.cache.fifo.FileFIFO`,
+:class:`~repro.cache.filecule_lru.FileculeLRU`): a resident group hits
+and, under LRU, moves to the recent end; a group larger than the cache
+bypasses; any other group evicts from the old end until it fits and is
+inserted.  Each request records one code: :data:`HIT_CODE`,
+:data:`BYPASS_CODE`, or the admitted group's size.
 
-Per window of at most ``WINDOW`` accesses, cut at the progress marks:
+Two callers share it.  The service's file advisor
+(:class:`~repro.cache.online.BatchedFileCache`) replays one job's files
+at a time.  :class:`GroupedReplayKernel` replays a whole trace, per
+window of at most ``WINDOW`` accesses cut at the progress marks:
 
 1. **Runs** (numpy): map the window's accesses to groups and collapse
    adjacent same-group accesses into runs.  A job's files within one
@@ -13,14 +24,7 @@ Per window of at most ``WINDOW`` accesses, cut at the progress marks:
    at paper scale; in file mode a run is a repeated file id.  Every
    access after a run's head meets the state the head left (the group
    resident, or too large to cache), so the head decides the run.
-2. **Loop** (Python): walk the run heads through an ``OrderedDict`` of
-   group → size with exactly the reference policies' operations
-   (:class:`~repro.cache.lru.FileLRU`, :class:`~repro.cache.fifo.FileFIFO`,
-   :class:`~repro.cache.filecule_lru.FileculeLRU`): a resident group
-   hits and, under LRU, moves to the recent end; a group larger than
-   the cache bypasses; any other group evicts from the old end until
-   it fits and is inserted.  Each run records one code: hit, bypassed,
-   or the admitted group's size.
+2. **Loop** (Python): one :meth:`Residency.replay` over the run heads.
 3. **Fold** (numpy): the codes, run lengths and
    :attr:`~repro.traces.trace.Trace.access_size_cumsum` give the six
    :class:`~repro.cache.base.CacheMetrics` counters and the optional
@@ -47,9 +51,60 @@ from repro.cache.base import CacheMetrics
 #: list, while the per-window numpy calls stay a few ns per access.
 WINDOW = 16384
 
-#: Run codes; an admitted run records its group's size (>= 0) instead.
-_HIT = -1
-_BYPASS = -2
+#: Replay codes; an admitted request records its group's size (>= 0).
+HIT_CODE = -1
+BYPASS_CODE = -2
+
+
+class Residency:
+    """Persistent group → size residency under LRU or FIFO eviction.
+
+    ``touch_on_hit`` is ``True`` for LRU recency, ``False`` for FIFO
+    (insertion order only).  ``entries`` runs from least to most
+    recently admitted (or, under LRU, touched); ``used`` is the resident
+    bytes.
+    """
+
+    __slots__ = ("capacity", "touch_on_hit", "entries", "used")
+
+    def __init__(self, capacity: int, touch_on_hit: bool = True) -> None:
+        self.capacity = int(capacity)
+        self.touch_on_hit = touch_on_hit
+        self.entries: OrderedDict[int, int] = OrderedDict()
+        self.used = 0
+
+    def replay(self, groups, size_of) -> list[int]:
+        """Request ``groups`` in order; one code per request.
+
+        ``size_of[g]`` is read only when ``g`` misses, as the size the
+        group is admitted (or bypassed) with.
+        """
+        entries = self.entries
+        move_to_end = entries.move_to_end
+        popitem = entries.popitem
+        touch = self.touch_on_hit
+        capacity = self.capacity
+        used = self.used
+        codes: list[int] = []
+        record = codes.append
+        for g in groups:
+            if g in entries:
+                if touch:
+                    move_to_end(g)
+                record(HIT_CODE)
+                continue
+            size = size_of[g]
+            if size > capacity:
+                # Larger than the whole cache: stream, cache nothing.
+                record(BYPASS_CODE)
+                continue
+            used += size
+            while used > capacity:
+                used -= popitem(False)[1]
+            entries[g] = size
+            record(size)
+        self.used = used
+        return codes
 
 
 class GroupedReplayKernel:
@@ -73,13 +128,11 @@ class GroupedReplayKernel:
         ``True`` for LRU recency semantics, ``False`` for FIFO
         (insertion order only).
     hit_out:
-        Optional writable boolean array of length ``trace.n_accesses``.
-        When given, the kernel marks ``hit_out[k] = True`` for every
-        access ``k`` that hits (misses and bypasses are left untouched)
-        — the per-access outcome mask the hierarchical replay
-        (:mod:`repro.engine.hierarchy`) uses to derive the next tier's
-        demand stream.  It is folded from the same run codes as the
-        counters, which it does not change.
+        Optional writable boolean array of length ``trace.n_accesses``
+        (:func:`~repro.engine.replay.simulate` checks both).  The kernel
+        marks ``hit_out[k] = True`` for every access ``k`` that hits
+        (misses and bypasses are left untouched), folded from the same
+        run codes as the counters, which it does not change.
     """
 
     def __init__(
@@ -92,19 +145,10 @@ class GroupedReplayKernel:
         touch_on_hit: bool = True,
         hit_out=None,
     ) -> None:
-        if hit_out is not None:
-            if len(hit_out) != trace.n_accesses:
-                raise ValueError(
-                    f"hit_out length {len(hit_out)} != trace accesses "
-                    f"{trace.n_accesses}"
-                )
-            if hit_out.dtype != np.bool_:
-                raise ValueError(f"hit_out must be bool, got {hit_out.dtype}")
         self._trace = trace
-        self._capacity = int(capacity)
+        self._state = Residency(capacity, touch_on_hit)
         self._group_sizes = group_sizes
         self._labels = labels
-        self._touch_on_hit = touch_on_hit
         self._hit_out = hit_out
         self._spent = False
 
@@ -131,14 +175,9 @@ class GroupedReplayKernel:
         sizes = trace.file_sizes
         labels = self._labels
         gsizes = self._group_sizes
-        capacity = self._capacity
-        touch = self._touch_on_hit
+        state = self._state
+        replay = state.replay
         ho = self._hit_out
-
-        entries: OrderedDict[int, int] = OrderedDict()  # group -> size
-        move_to_end = entries.move_to_end
-        popitem = entries.popitem
-        used = 0  # resident bytes
         admitted = 0  # bytes ever admitted
 
         marks = [n]
@@ -162,31 +201,13 @@ class GroupedReplayKernel:
                         )
                 heads = np.flatnonzero(groups[1:] != groups[:-1]) + 1
                 heads = np.concatenate(([0], heads))
-
-                codes: list[int] = []
-                record = codes.append
-                for g in groups[heads].tolist():
-                    if g in entries:
-                        if touch:
-                            move_to_end(g)
-                        record(_HIT)
-                        continue
-                    size = gsizes[g]
-                    if size > capacity:
-                        # Larger than the whole cache: stream, cache nothing.
-                        record(_BYPASS)
-                        continue
-                    used += size
-                    while used > capacity:
-                        used -= popitem(False)[1]
-                    entries[g] = size
-                    record(size)
-
-                code = np.array(codes, dtype=np.int64)
+                code = np.array(
+                    replay(groups[heads].tolist(), gsizes), dtype=np.int64
+                )
                 bounds = np.append(heads, j - i)
                 run_len = np.diff(bounds)
                 run_bytes = np.diff(csum[i + bounds])
-                bypass = code == _BYPASS
+                bypass = code == BYPASS_CODE
                 bypass_count = int(run_len[bypass].sum())
                 bypass_bytes = int(run_bytes[bypass].sum())
                 admit = code >= 0
@@ -216,5 +237,5 @@ class GroupedReplayKernel:
                 bypasses=bypasses,
             )
             if checkpoint is not None:
-                checkpoint(hi, admitted - used)
+                checkpoint(hi, admitted - state.used)
             lo = hi

@@ -10,13 +10,13 @@ still be streamed from below — become tier 1's demand stream
 and timestamps intact); whatever the innermost caching tier misses is
 served by the origin, which holds everything.
 
+Every tier replays through :func:`simulate`; an outer tier passes a
+``hit_out`` mask, and its misses become the next tier's demand stream.
 Two properties anchor the model:
 
-* **Flat collapse.**  The innermost caching tier has no deeper cache
-  consuming its miss stream, so it replays through :func:`simulate`
-  itself — a single-tier hierarchy *is* the flat replay, bit-identical
-  for every registry policy (gated by the test suite).  Origin totals
-  are pure arithmetic on that tier's metrics.
+* **Flat collapse.**  A single-tier hierarchy *is* the flat replay,
+  bit-identical for every registry policy (gated by the test suite).
+  Origin totals are pure arithmetic on the innermost tier's metrics.
 * **Demand-miss propagation.**  A deeper tier sees one request per
   missed *access*, not per fetched byte: group-granularity prefetch
   (a filecule load) and bypass streams inflate the tier's
@@ -24,11 +24,6 @@ Two properties anchor the model:
   install state into, or count as demand at, the tier below.  Per-tier
   request streams therefore obey the conservation law
   ``tier[k+1].requests == tier[k].misses``.
-
-Outer tiers replay through the policy's batch kernel where it offers
-one (:meth:`~repro.cache.base.ReplacementPolicy.batch_kernel` with a
-``hit_out`` mask), falling back to a mask-recording twin of
-:func:`simulate`'s per-access fast path otherwise.
 
 Layering: the tier topology model (:mod:`repro.hierarchy`) builds on
 the registry and therefore ranks above the engine; it is resolved
@@ -135,68 +130,6 @@ class HierarchyResult:
         )
 
 
-def _replay_recorded(
-    trace: Trace,
-    policy,
-    metrics: CacheMetrics,
-    hit_out: np.ndarray,
-    batch: bool | None,
-) -> None:
-    """Replay ``trace`` against ``policy``, marking hits in ``hit_out``.
-
-    Counter-for-counter identical to :func:`simulate`'s uninstrumented
-    path: the batch kernel runs whenever the policy offers one (it
-    records the mask itself), and the fallback loop below is the same
-    per-job fast path with one mask write added on the hit branch.
-    """
-    if batch is not False:
-        kernel = policy.batch_kernel(trace, hit_out)
-        if kernel is not None:
-            kernel(metrics)
-            return
-        if batch:
-            raise ValueError(
-                f"batch=True but policy {metrics.name!r} offers no "
-                f"batch kernel for this trace/configuration"
-            )
-    access_files = trace.access_files
-    ptr_list, files, sizes, starts = trace.replay_columns
-    request = policy.request
-    begin_job = policy.begin_job
-    requests = hits = 0
-    bytes_requested = bytes_hit = bytes_fetched = bypasses = 0
-    for job in range(trace.n_jobs):
-        lo = ptr_list[job]
-        hi = ptr_list[job + 1]
-        if lo == hi:
-            continue
-        now = starts[job]
-        begin_job(access_files[lo:hi], now)
-        k = lo
-        for f in files[lo:hi]:
-            size = sizes[f]
-            outcome = request(f, size, now)
-            requests += 1
-            bytes_requested += size
-            if outcome.hit:
-                hits += 1
-                bytes_hit += size
-                hit_out[k] = True
-            else:
-                fetched = outcome.bytes_fetched
-                if fetched:
-                    bytes_fetched += fetched
-                if outcome.bypassed:
-                    bypasses += 1
-            k += 1
-    metrics.requests = requests
-    metrics.hits = hits
-    metrics.bytes_requested = bytes_requested
-    metrics.bytes_hit = bytes_hit
-    metrics.bytes_fetched = bytes_fetched
-    metrics.bypasses = bypasses
-
-
 def simulate_hierarchy(
     trace: Trace,
     hierarchy,
@@ -230,28 +163,18 @@ def simulate_hierarchy(
     tiers: list[TierReplay] = []
     for idx, tier in enumerate(caching):
         capacity = tier.capacity_bytes(total_bytes)
-        if idx == innermost:
-            # No deeper cache consumes this tier's miss stream: replay
-            # through simulate() itself, so a single-tier hierarchy is
-            # the flat replay, bit for bit.
-            metrics = simulate(
-                cur,
-                tier.policy,
-                capacity,
-                partition=partition,
-                batch=batch,
-            )
-        else:
-            from repro import registry
-
-            policy = registry.build(
-                tier.policy, capacity, trace=cur, partition=partition
-            )
-            metrics = CacheMetrics(
-                name=str(tier.policy), capacity_bytes=int(capacity)
-            )
-            mask = np.zeros(cur.n_accesses, dtype=bool)
-            _replay_recorded(cur, policy, metrics, mask, batch)
+        # No deeper cache consumes the innermost tier's miss stream, so
+        # it needs no mask.
+        mask = None if idx == innermost else np.zeros(cur.n_accesses, bool)
+        metrics = simulate(
+            cur,
+            tier.policy,
+            capacity,
+            partition=partition,
+            batch=batch,
+            hit_out=mask,
+        )
+        if mask is not None:
             cur = cur.subset_accesses(~mask)
         tiers.append(
             TierReplay(

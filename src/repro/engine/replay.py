@@ -2,9 +2,10 @@
 
 :func:`simulate` is the single replay loop every consumer shares — the
 serial simulator façade (:mod:`repro.cache.simulator`), the parallel
-sweep workers (:mod:`repro.parallel.runner`) and the benchmark drivers
-all execute this exact code, which is what makes their results
-bit-identical by construction.
+sweep cells (:mod:`repro.parallel`), every tier of a cache hierarchy
+(:mod:`repro.engine.hierarchy`) and the benchmarks all execute this
+exact code, which is what makes their results bit-identical by
+construction.
 
 Each traced job issues its input files at its start time, in job order;
 every policy sees the identical request stream, so miss rates are
@@ -17,12 +18,16 @@ trace, not per run), per-job values hoisted out of the per-access loop,
 and metrics counters accumulated in locals that are folded into
 :class:`~repro.cache.base.CacheMetrics` at each progress mark and at the
 end.  Instrumentation observes both routes at the same exact progress
-marks (see :mod:`repro.obs.instrument`) without changing either.
+marks (see :mod:`repro.obs.instrument`) without changing either, and
+both routes can record the per-access hit mask (``hit_out``) from
+which a hierarchy cuts the next tier's demand stream.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
+
+import numpy as np
 
 from repro.cache.base import CacheMetrics, ReplacementPolicy
 from repro.obs.instrument import Instrumentation
@@ -41,6 +46,7 @@ def simulate(
     *,
     partition=None,
     batch: bool | None = None,
+    hit_out: np.ndarray | None = None,
 ) -> CacheMetrics:
     """Replay ``trace`` against a fresh policy of the given capacity.
 
@@ -63,7 +69,20 @@ def simulate(
     ``False`` forces the per-access path, ``True`` demands a kernel and
     raises :class:`ValueError` if the policy has none.  Instrumentation
     does not change the route.
+
+    ``hit_out``, when given, must be a boolean array of length
+    ``trace.n_accesses`` (else :class:`ValueError`); on either route
+    the replay sets ``hit_out[k] = True`` for every access ``k`` that
+    hits and leaves misses and bypasses untouched.
     """
+    if hit_out is not None:
+        if len(hit_out) != trace.n_accesses:
+            raise ValueError(
+                f"hit_out length {len(hit_out)} != trace accesses "
+                f"{trace.n_accesses}"
+            )
+        if getattr(hit_out, "dtype", None) != np.bool_:
+            raise ValueError("hit_out must be a numpy bool array")
     if not callable(policy_factory):
         # Spec-based selection.  The registry sits above the engine in
         # the layer map (it must see every policy class), so this upcall
@@ -81,7 +100,7 @@ def simulate(
     metrics = CacheMetrics(
         name=name or policy.name, capacity_bytes=int(capacity)
     )
-    kernel = policy.batch_kernel(trace) if batch is not False else None
+    kernel = None if batch is False else policy.batch_kernel(trace, hit_out)
     if kernel is None and batch:
         raise ValueError(
             f"batch=True but policy {metrics.name!r} offers no "
@@ -119,8 +138,11 @@ def simulate(
     # loop), list columns (no numpy scalar boxing) and local counters
     # folded into the metrics at each progress mark and at the end.  A
     # job straddling a mark is split there; ``mark`` is the next one,
-    # or ``total`` when none is left (reported after the loop).
+    # or ``total`` when none is left (reported after the loop).  The
+    # access being served is ``start + requests - 1``, where ``start``
+    # is the first access of the current fold window.
     mark = min(every, total) if every > 0 else total
+    start = 0
     requests = hits = 0
     bytes_requested = bytes_hit = bytes_fetched = bypasses = 0
     if inst is not None:
@@ -143,6 +165,8 @@ def simulate(
                     if outcome.hit:
                         hits += 1
                         bytes_hit += size
+                        if hit_out is not None:
+                            hit_out[start + requests - 1] = True
                     else:
                         fetched = outcome.bytes_fetched
                         if fetched:
@@ -158,6 +182,7 @@ def simulate(
                 requests = hits = 0
                 bytes_requested = bytes_hit = bytes_fetched = bypasses = 0
                 inst.on_progress(mark, total, metrics)
+                start = mark
                 mark = min(mark + every, total)
                 lo = cut
     finally:

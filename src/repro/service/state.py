@@ -133,10 +133,11 @@ class ServiceState:
         stops binding files long after the crowd is gone.  The default
         (``inf``) preserves the exact append-only refinement semantics.
     ingest_kernel:
-        When True (default) and the advisor policy has an array-backed
-        twin (plain ``file-lru``/``file-fifo``), site advisors are built
-        as :class:`~repro.cache.online.BatchedFileCache` so coalesced
-        :meth:`ingest_batch` windows take the vectorized path.  Disable
+        When True (default) and the advisor policy is a plain
+        ``file-lru``/``file-fifo``, site advisors are built as
+        :class:`~repro.cache.online.BatchedFileCache`, which runs the
+        offline batch kernel's residency loop, so coalesced
+        :meth:`ingest_batch` windows take its windowed path.  Disable
         to force the registry-built policies and the per-access advisor
         walk — the "per-job path" benchmarks compare against.
     """

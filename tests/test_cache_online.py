@@ -1,20 +1,22 @@
-"""BatchedFileCache: the array-backed advisor twin, deterministically.
+"""BatchedFileCache: the service's windowed advisor, deterministically.
 
 The hypothesis battery (``test_property_based_4``) sweeps random
-streams; these tests pin the constructed edge cases — bulk-prefix hit
-attribution across job boundaries, mid-window eviction flipping a later
-access, LRU/FIFO touch divergence, bypass accounting, log compaction,
-eviction exhaustion, and the factory's eligibility rules.
+streams; these tests pin the constructed edge cases — hit attribution
+across job boundaries, mid-window eviction flipping a later access,
+LRU/FIFO touch divergence, bypass accounting, long hit streaks,
+negative file ids, and the factory's eligibility rules.
 """
 
 from types import SimpleNamespace
 
 import numpy as np
-import pytest
 
 from repro import registry
+from repro.cache.fifo import FileFIFO
 from repro.cache.lru import FileLRU
-from repro.cache.online import _CHUNK, BatchedFileCache, batched_policy_for
+from repro.cache.online import BatchedFileCache, batched_policy_for
+from repro.engine import simulate
+from repro.obs.instrument import SimStats
 
 
 def window(cache, jobs, sizes_by_file):
@@ -32,7 +34,7 @@ class TestRequestWindow:
             cache.request(f, 10, float(f))
         sizes = dict.fromkeys(range(10), 10)
         # Jobs [1,2] and [3] are all hits; the first miss (9) lands
-        # mid-job, so job 1 gets bulk credit for its leading hit only.
+        # mid-job, so job 1 gets credit for its leading hit only.
         job_hits, totals = window(cache, [[1, 2], [3, 9], [4, 5]], sizes)
         assert job_hits == [2, 1, 2]
         assert totals == (6, 5, 60, 50, 10, 0)
@@ -75,12 +77,29 @@ class TestRequestWindow:
         assert job_hits == [0, 0]
         assert totals == (0, 0, 0, 0, 0, 0)
 
+    def test_negative_id_is_its_own_file(self):
+        # A negative id is a file like any other: it must not alias a
+        # file counted from the end of an id-indexed table.
+        ref = FileLRU(100)
+        cache = BatchedFileCache(100)
+        for f in (-1, 1023):
+            a = ref.request(f, 10, 1.0)
+            b = cache.request(f, 10, 1.0)
+            assert (a.hit, a.bytes_fetched) == (b.hit, b.bytes_fetched)
+        assert cache.used_bytes == ref.used_bytes == 20
+        for f in (-1, 1023, 0):
+            assert (f in cache) == (f in ref)
+        windowed = BatchedFileCache(100)
+        job_hits, totals = window(windowed, [[-1], [1023]], {-1: 10, 1023: 10})
+        assert job_hits == [0, 0]
+        assert totals == (2, 0, 20, 0, 20, 0)
+        assert windowed.used_bytes == 20
+
 
 class TestLogMaintenance:
     def test_compaction_preserves_reference_behavior(self):
-        # Hammer hits until the lazy-deletion log compacts (> 4x
-        # resident + chunk), then check eviction order against the
-        # dict-backed reference.
+        # Hammer hits on three of four resident files, then check
+        # eviction order against the dict-backed reference.
         cap = 40
         cache = BatchedFileCache(cap)
         ref = FileLRU(cap)
@@ -89,7 +108,7 @@ class TestLogMaintenance:
             clock += 1
             cache.request(f, 10, clock)
             ref.request(f, 10, clock)
-        for i in range(_CHUNK + 4 * 4 + 50):
+        for i in range(32768 + 4 * 4 + 50):
             clock += 1
             f = i % 3  # touch 0,1,2 — 3 stays least-recent
             cache.request(f, 10, clock)
@@ -102,10 +121,26 @@ class TestLogMaintenance:
         for f in range(10):
             assert (f in cache) == (f in ref)
 
-    def test_eviction_exhaustion_raises(self):
-        cache = BatchedFileCache(100)
-        with pytest.raises(RuntimeError, match="nothing left to evict"):
-            cache._evict_until(101)
+
+class TestAsReplayPolicy:
+    def test_instrumented_replay_matches_reference(self, tiny_trace):
+        # simulate() drives the advisor per access with an eviction
+        # listener attached; metrics and evicted bytes must equal the
+        # reference policy's.
+        cap = max(1, tiny_trace.total_bytes() // 50)
+        for touch_on_hit, ref in ((True, FileLRU), (False, FileFIFO)):
+            runs = []
+            for factory in (
+                ref,
+                lambda c: BatchedFileCache(c, touch_on_hit=touch_on_hit),
+            ):
+                stats = SimStats()
+                metrics = simulate(
+                    tiny_trace, factory, cap, name="x", instrumentation=stats
+                )
+                runs.append((metrics, stats.snapshot()))
+            assert runs[0] == runs[1]
+            assert runs[0][1]["bytes_evicted"] > 0
 
 
 class TestFactory:

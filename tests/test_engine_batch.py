@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import io
 
+import numpy as np
 import pytest
 
 from repro import registry
@@ -91,6 +92,22 @@ def test_supports_batch_flag_matches_kernel_offer(tiny_trace, tiny_partition):
 def test_batch_true_demands_a_kernel(tiny_trace):
     with pytest.raises(ValueError, match="no.*batch kernel"):
         simulate(tiny_trace, "file-lfu", 10**9, batch=True)
+
+
+@pytest.mark.parametrize("batch", [None, False], ids=["kernel", "per-access"])
+def test_hit_out_checked_before_either_route(tiny_trace, batch):
+    """A hit mask of the wrong length or dtype is a ValueError on both
+    routes, raised before any access is replayed."""
+    n = tiny_trace.n_accesses
+    cap = max(1, tiny_trace.total_bytes() // 20)
+    for mask in (
+        np.zeros(n - 1, dtype=bool),
+        np.zeros(n + 1, dtype=bool),
+        np.zeros(n, dtype=np.int8),
+    ):
+        with pytest.raises(ValueError, match="hit_out"):
+            simulate(tiny_trace, "file-lru", cap, batch=batch, hit_out=mask)
+        assert not mask.any()
 
 
 def test_filecule_lru_without_intra_job_hits_declines(

@@ -151,7 +151,7 @@ def test_serial_fallback_wraps_cell_failures(tiny_trace, monkeypatch):
     monkeypatch.delenv("REPRO_PARALLEL_FORCE", raising=False)
 
     class Boom(FileLRU):
-        def batch_kernel(self, trace):
+        def batch_kernel(self, trace, hit_out=None):
             return None  # force the per-access path so request() runs
 
         def request(self, file_id, size, now):

@@ -88,7 +88,7 @@ def all_policy_factories(trace, partition) -> dict:
 class KernelRefusingLRU(FileLRU):
     """File-LRU that fails the cell if asked for its batch kernel."""
 
-    def batch_kernel(self, trace):
+    def batch_kernel(self, trace, hit_out=None):
         raise AssertionError("batch=False must not ask for a kernel")
 
 

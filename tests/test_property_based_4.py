@@ -104,7 +104,7 @@ class TestBatchedIdentifier:
 # ----------------------------------------------------------------------
 # BatchedFileCache vs the dict-backed reference policies
 # ----------------------------------------------------------------------
-#: Per-file byte sizes (fixed per id, as the service's size catalog is).
+#: Per-file byte sizes, one per id.
 catalogs = st.lists(
     st.integers(min_value=1, max_value=20),
     min_size=N_FILES,
@@ -119,6 +119,24 @@ dedup_windows = st.lists(
         min_size=0,
         max_size=6,
         unique=True,
+    ),
+    min_size=1,
+    max_size=25,
+)
+
+
+#: The same windows with a request size per (job, file): the service's
+#: size catalog refines sizes, so one file can carry two sizes in one
+#: window.
+sized_windows = st.lists(
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=N_FILES - 1),
+            st.integers(min_value=1, max_value=20),
+        ),
+        min_size=0,
+        max_size=6,
+        unique_by=lambda pair: pair[0],
     ),
     min_size=1,
     max_size=25,
@@ -154,35 +172,36 @@ class TestBatchedFileCache:
             assert (f in got) == (f in ref)
 
     @given(
-        dedup_windows,
-        catalogs,
+        sized_windows,
         st.integers(min_value=8, max_value=60),
         st.booleans(),
     )
     @settings(max_examples=100, deadline=None)
     def test_window_matches_per_access_walk(
-        self, window, sizes, capacity, touch_on_hit
+        self, window, capacity, touch_on_hit
     ):
         ref = (FileLRU if touch_on_hit else FileFIFO)(capacity)
         want_hits, want = [], [0, 0, 0, 0, 0, 0]
         clock = 0.0
         for job in window:
             hits = 0
-            for f in job:
+            for f, size in job:
                 clock += 1.0
-                outcome = ref.request(f, sizes[f], clock)
+                outcome = ref.request(f, size, clock)
                 want[0] += 1
                 want[1] += outcome.hit
-                want[2] += sizes[f]
-                want[3] += sizes[f] if outcome.hit else 0
+                want[2] += size
+                want[3] += size if outcome.hit else 0
                 want[4] += outcome.bytes_fetched
                 want[5] += outcome.bypassed
                 hits += outcome.hit
             want_hits.append(hits)
 
         got = BatchedFileCache(capacity, touch_on_hit=touch_on_hit)
-        flat, offsets = columnar(window)
-        seg_sizes = np.array([sizes[f] for f in flat], dtype=np.int64)
+        flat, offsets = columnar([[f for f, _ in job] for job in window])
+        seg_sizes = np.array(
+            [size for job in window for _, size in job], dtype=np.int64
+        )
         job_hits, totals = got.request_window(flat, offsets, seg_sizes)
         assert job_hits == want_hits
         assert list(totals) == want

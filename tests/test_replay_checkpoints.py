@@ -9,7 +9,8 @@ batch-capable policies) and the per-access loop (``batch=False``) must
 record the same sequence, checkpoint for checkpoint, on small
 adversarial traces: 1-byte caches, zero-size files, empty jobs, repeated
 ids and files larger than the cache.  The kernel's per-access hit mask,
-with its runs split at those marks, must equal the per-access loop's.
+with its runs split at those marks, must equal the per-access loop's,
+with its jobs split and counters reset at the same marks.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from repro import registry
 from repro.cache.base import CacheMetrics
 from repro.core.identify import find_filecules
 from repro.engine import simulate
-from repro.engine.hierarchy import _replay_recorded
 from repro.obs.instrument import Instrumentation
 from tests.conftest import make_trace
 
@@ -120,27 +120,35 @@ def test_kernel_and_per_access_checkpoints_agree(
 @settings(max_examples=300, deadline=None)
 def test_kernel_hit_mask_matches_per_access(jobs, sizes, capacity, spec, data):
     """The kernel, run under a checkpoint so runs split at the marks,
-    marks exactly the accesses the per-access loop records as hits."""
+    marks exactly the accesses the per-access loop records as hits when
+    it too is split at the marks."""
     trace = make_trace(jobs, n_files=N_FILES, file_sizes=sizes)
     n = trace.n_accesses
     every = data.draw(st.integers(min_value=1, max_value=n + 1), label="every")
     partition = find_filecules(trace)
     bound = registry.parse(spec)
 
-    def policy():
-        return registry.build(bound, capacity, trace=trace, partition=partition)
-
     kernel_mask = np.zeros(n, dtype=bool)
-    kernel_metrics = CacheMetrics()
+    kernel_metrics = CacheMetrics(name=str(bound), capacity_bytes=capacity)
     marks: list[int] = []
-    policy().batch_kernel(trace, kernel_mask)(
+    policy = registry.build(bound, capacity, trace=trace, partition=partition)
+    policy.batch_kernel(trace, kernel_mask)(
         kernel_metrics, lambda done, evicted: marks.append(done), every
     )
     assert marks == expected_marks(n, every)
 
     serial_mask = np.zeros(n, dtype=bool)
-    serial_metrics = CacheMetrics()
-    _replay_recorded(trace, policy(), serial_metrics, serial_mask, batch=False)
+    recorder = Recorder(every)
+    serial_metrics = simulate(
+        trace,
+        bound,
+        capacity,
+        partition=partition,
+        instrumentation=recorder,
+        batch=False,
+        hit_out=serial_mask,
+    )
+    assert [call[0] for call in recorder.calls] == expected_marks(n, every)
     assert kernel_mask.tolist() == serial_mask.tolist()
     assert kernel_metrics == serial_metrics
 

@@ -19,6 +19,7 @@ from repro.service import (
     ServiceState,
     run_load,
 )
+from repro.service.loadgen import jobs_from_trace
 from repro.service.server import _batch_bucket
 from repro.service.shard import ShardedServiceState
 
@@ -75,6 +76,29 @@ class TestStateIngestBatch:
         ref, want = replay_sequential(JOBS)
         state = ServiceState(capacity_bytes=64, ingest_kernel=False)
         assert state.ingest_batch(JOBS) == want
+        assert state_fingerprint(state) == state_fingerprint(ref)
+
+    @pytest.mark.parametrize("fraction", [0.05, 0.2, 0.5])
+    @pytest.mark.parametrize("policy", ["lru", "file-fifo"])
+    def test_windowed_advisor_matches_reference_on_stream(
+        self, small_trace, policy, fraction
+    ):
+        # The windowed advisor, fed 64-job windows of a generated
+        # stream, against the registry's FileLRU/FileFIFO fed job by job.
+        jobs = [
+            (job["files"], job["sizes"], job["site"])
+            for job in jobs_from_trace(small_trace)
+        ]
+        capacity = int(fraction * int(small_trace.file_sizes.sum()))
+        ref = ServiceState(
+            policy=policy, capacity_bytes=capacity, ingest_kernel=False
+        )
+        want = [ref.ingest(*job) for job in jobs]
+        state = ServiceState(policy=policy, capacity_bytes=capacity)
+        got = []
+        for i in range(0, len(jobs), 64):
+            got.extend(state.ingest_batch(jobs[i : i + 64]))
+        assert got == want
         assert state_fingerprint(state) == state_fingerprint(ref)
 
     def test_empty_batch(self):

@@ -12,12 +12,15 @@ It:
 2. replays the first ``SLICE_JOBS`` jobs as an ingest-only stream over
    one pipelined connection against a live single-worker
    :class:`~repro.service.server.FileculeServer` with writer coalescing
-   on (the default stack: ``observe_jobs_batch`` + ``request_window``);
+   on (the default stack: ``observe_jobs_batch`` plus one
+   ``BatchedFileCache.request_window`` per site, which replays each
+   job on the residency loop the offline batch kernel shares);
 3. gates ingest throughput against the floor below, and checks the
    actor actually coalesced (mean writer batch well above one job);
-4. replays the same slice through the per-job state path
-   (``ingest_kernel=False``) and requires the identical partition
-   checksum and per-site advisor statistics;
+4. replays the same slice through the per-job state path with the
+   registry's reference advisors (``ingest_kernel=False``, so
+   ``FileLRU``) and requires the identical partition checksum and
+   per-site advisor statistics;
 5. writes ``benchmarks/output/service_ingest_smoke.json`` with host
    info and per-phase timings.
 
