@@ -184,11 +184,6 @@ class LegacyServiceState(ServiceState):
             "site_hits": hits,
         }
 
-    #: The pre-shard state had no memoized read path — hide the
-    #: attribute so the server takes the generic (re-sort, re-sum,
-    #: re-encode per request) lookup path the old stack paid for.
-    filecule_of_json = None
-
 
 class LegacyServer(FileculeServer):
     """Pre-shard ``FileculeServer`` write path, transcribed from c976267.

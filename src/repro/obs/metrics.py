@@ -343,7 +343,7 @@ class MetricsRegistry:
         """Full-fidelity JSON-safe form of every metric in the registry.
 
         This is the cross-worker aggregation wire format: each worker of
-        a sharded daemon serves its registry's ``state_dict`` over its
+        a cluster daemon serves its registry's ``state_dict`` over its
         admin endpoint, and an aggregator rebuilds them with
         :meth:`from_state_dict` and folds them together with
         :meth:`merge` — bucket-exact, unlike merging rendered

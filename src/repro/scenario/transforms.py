@@ -335,7 +335,8 @@ def site_outage(
     the window the site operates (and rejoins) unchanged.  Only the
     ``job_nodes`` column changes — the access pattern is intact, which
     is exactly what makes the scenario interesting for per-site cache
-    advisors and the sharded service: traffic moves, co-access does not.
+    advisors and the service's cluster workers: traffic moves, co-access
+    does not.
     """
     if trace.n_jobs == 0:
         return trace

@@ -12,17 +12,15 @@ succeeded SAM (XCache-style services fed by a live job stream):
 * :mod:`repro.service.state` — single-writer service state: the exact
   incremental filecule partition, per-site cache advisors backed by a
   configurable :mod:`repro.cache` policy, and JSONL snapshot/restore;
-* :mod:`repro.service.shard` — site-sharded state: N independent
-  single-writer shards whose partitions merge exactly via the §6
-  partial-knowledge meet;
 * :mod:`repro.service.server` — asyncio daemon with per-connection
-  backpressure, per-shard actors, cross-connection request batching,
+  backpressure, one state actor, cross-connection request batching,
   coalesced writes and graceful shutdown;
 * :mod:`repro.service.cluster` — pre-fork ``SO_REUSEPORT`` multi-worker
   supervisor with crash restarts and coordinated shutdown
   (``repro-serve serve --workers N``);
 * :mod:`repro.service.aggregate` — cross-worker read side: merges
-  partitions, stats and metric registries over per-worker admin ports;
+  partitions (exactly, via the §6 partial-knowledge meet), stats and
+  metric registries over per-worker admin ports;
 * :mod:`repro.service.client` — sync and async clients, both pipelined;
 * :mod:`repro.service.loadgen` — concurrent load generator replaying a
   :class:`~repro.traces.Trace` or synthetic stream at a target rate —
@@ -65,12 +63,6 @@ from repro.service.state import (
     ServiceState,
     SnapshotError,
 )
-from repro.service.shard import (
-    ShardedServiceState,
-    merge_partition_payloads,
-    restore_state,
-    shard_of_site,
-)
 from repro.service.server import FileculeServer
 from repro.service.cluster import (
     ClusterConfig,
@@ -82,6 +74,7 @@ from repro.service.aggregate import (
     aggregate_partition,
     aggregate_registry,
     aggregate_stats,
+    merge_partition_payloads,
     worker_ports,
 )
 from repro.service.client import AsyncServiceClient, ServiceClient
@@ -109,10 +102,6 @@ __all__ = [
     "POLICY_REGISTRY",
     "ServiceState",
     "SnapshotError",
-    "ShardedServiceState",
-    "merge_partition_payloads",
-    "restore_state",
-    "shard_of_site",
     "FileculeServer",
     "ClusterConfig",
     "ClusterServer",
@@ -121,6 +110,7 @@ __all__ = [
     "aggregate_partition",
     "aggregate_registry",
     "aggregate_stats",
+    "merge_partition_payloads",
     "worker_ports",
     "AsyncServiceClient",
     "ServiceClient",

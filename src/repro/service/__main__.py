@@ -2,8 +2,7 @@
 
 Five subcommands::
 
-    repro-serve serve --port 7401 --workers 4 --shards 2 \
-        --advisor-policy lru \
+    repro-serve serve --port 7401 --workers 4 --advisor-policy lru \
         --capacity 10TB --snapshot /var/lib/repro/state.jsonl \
         --snapshot-interval 60 --metrics-port 9401 --span-log spans.jsonl \
         --sample-every 1.0 --health --health-log health.jsonl
@@ -54,8 +53,7 @@ from repro.service.client import ServiceClient
 from repro.service.cluster import ClusterConfig, run_cluster
 from repro.service.loadgen import jobs_from_trace, run_load_procs, run_load_sync
 from repro.service.server import FileculeServer
-from repro.service.shard import ShardedServiceState, restore_state
-from repro.service.state import ServiceState
+from repro.service.state import ServiceState, SnapshotError
 from repro.util.units import parse_size
 from repro.workload.calibration import (
     default_config,
@@ -92,7 +90,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 host=args.host,
                 port=args.port,
                 workers=args.workers,
-                shards=args.shards,
                 policy=args.policy,
                 capacity_bytes=args.capacity,
                 default_size=args.default_size,
@@ -110,34 +107,25 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             )
         )
 
-    def fresh_state():
-        if args.shards > 1:
-            return ShardedServiceState(
-                n_shards=args.shards,
-                policy=args.policy,
-                capacity_bytes=args.capacity,
-                default_size=args.default_size,
-                decay_half_life=args.decay_half_life,
-            )
-        return ServiceState(
+    if args.restore and Path(args.snapshot).exists():
+        try:
+            state = ServiceState.restore(args.snapshot)
+        except SnapshotError as exc:
+            print(f"cannot restore {args.snapshot}: {exc}", file=sys.stderr)
+            return 2
+        print(
+            f"restored {state.stats()['jobs_observed']} jobs / "
+            f"{state.stats()['n_classes']} classes from {args.snapshot}"
+        )
+    else:
+        if args.restore:
+            print(f"no snapshot at {args.snapshot}; starting fresh")
+        state = ServiceState(
             policy=args.policy,
             capacity_bytes=args.capacity,
             default_size=args.default_size,
             decay_half_life=args.decay_half_life,
         )
-
-    if args.restore:
-        if Path(args.snapshot).exists():
-            state = restore_state(args.snapshot)
-            print(
-                f"restored {state.stats()['jobs_observed']} jobs / "
-                f"{state.stats()['n_classes']} classes from {args.snapshot}"
-            )
-        else:
-            print(f"no snapshot at {args.snapshot}; starting fresh")
-            state = fresh_state()
-    else:
-        state = fresh_state()
     server = FileculeServer(
         state,
         host=args.host,
@@ -281,13 +269,6 @@ def main(argv: list[str] | None = None) -> int:
         default=1,
         metavar="N",
         help="pre-fork N worker processes sharing the port (SO_REUSEPORT)",
-    )
-    p_serve.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        metavar="K",
-        help="site-shard each worker's state into K single-writer actors",
     )
     p_serve.add_argument(
         "--advisor-policy",

@@ -6,9 +6,9 @@ is the read side — it fans requests out over those ports and merges the
 answers into one cluster-wide view:
 
 * **partition** — per-worker partitions merge with the §6 meet
-  (:func:`repro.service.shard.merge_partition_payloads`); because each
-  worker observed a disjoint slice of the job stream, the merge equals
-  what a single observer of everything would have identified;
+  (:func:`merge_partition_payloads`); because each worker observed a
+  disjoint slice of the job stream, the merge equals what a single
+  observer of everything would have identified;
 * **metrics** — per-worker ``/registry`` payloads (full-fidelity
   :meth:`MetricsRegistry.state_dict`, bucket-exact histograms) rebuild
   into registries and fold together with :meth:`MetricsRegistry.merge`;
@@ -26,9 +26,11 @@ from __future__ import annotations
 import json
 import urllib.request
 
+from repro.core.filecule import Filecule, FileculePartition
+from repro.core.merge import merge_all
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeseries import TimeSeriesRecorder
-from repro.service.shard import merge_partition_payloads
+from repro.service.state import partition_checksum
 
 #: Per-request timeout for one admin fetch.
 FETCH_TIMEOUT = 5.0
@@ -51,6 +53,50 @@ def fetch_text(host: str, port: int, path: str, timeout: float = FETCH_TIMEOUT) 
 def worker_ports(base: int, workers: int) -> list[int]:
     """The admin-port layout of a ``--workers N --metrics-port base`` run."""
     return [base + index for index in range(workers)]
+
+
+def merge_partition_payloads(payloads: list[dict]) -> dict:
+    """Merge ``partition()`` payloads from disjoint observers.
+
+    ``payloads`` are the wire-shaped results of the ``partition`` op —
+    ``{"classes": [{"files": [...], "requests": n}, ...]}`` — one per
+    cluster worker (``None`` entries are skipped).  Returns a payload of
+    the same shape whose grouping is the meet of the inputs; because each
+    job was observed by exactly one input, the meet equals the partition
+    a single observer of the whole stream would have produced (and the
+    summed request counts are exact).
+    """
+    payloads = [p for p in payloads if p is not None]
+    if not payloads:
+        return {"n_classes": 0, "checksum": partition_checksum([]), "classes": []}
+    n_files = 0
+    for payload in payloads:
+        for cls in payload["classes"]:
+            if cls["files"]:
+                n_files = max(n_files, max(cls["files"]) + 1)
+    partitions = []
+    for payload in payloads:
+        filecules = [
+            Filecule(
+                filecule_id=i,
+                file_ids=cls["files"],
+                n_requests=int(cls["requests"]),
+                size_bytes=0,
+            )
+            for i, cls in enumerate(payload["classes"])
+        ]
+        partitions.append(FileculePartition(filecules, n_files))
+    merged = merge_all(partitions)
+    classes = [
+        {"files": fc.file_ids.tolist(), "requests": fc.n_requests}
+        for fc in merged
+    ]
+    classes.sort(key=lambda c: c["files"])
+    return {
+        "n_classes": len(classes),
+        "checksum": partition_checksum(c["files"] for c in classes),
+        "classes": classes,
+    }
 
 
 def aggregate_partition(host: str, ports: list[int]) -> dict:
@@ -225,6 +271,7 @@ __all__ = [
     "fetch_json",
     "fetch_text",
     "worker_ports",
+    "merge_partition_payloads",
     "aggregate_partition",
     "aggregate_registry",
     "aggregate_history",

@@ -2,8 +2,8 @@
 
 One parent process supervises ``workers`` forked children.  Every child
 runs a full :class:`~repro.service.server.FileculeServer` — its own event
-loop, its own (optionally site-sharded) state, its own metrics registry —
-and all children accept on the **same TCP port**:
+loop, its own state, its own metrics registry — and all children accept
+on the **same TCP port**:
 
 * on platforms with ``SO_REUSEPORT`` (Linux, modern BSDs) each worker
   binds its own acceptor and the kernel load-balances incoming
@@ -14,10 +14,10 @@ and all children accept on the **same TCP port**:
 Because every connection is owned by exactly one worker, the workers
 observe **disjoint job sets** — which is precisely the condition under
 which per-observer filecule partitions merge exactly (paper §6, see
-:mod:`repro.service.shard`).  Cross-worker aggregation therefore happens
-out-of-band, over per-worker admin HTTP ports (``metrics_port + index``):
-:mod:`repro.service.aggregate` fans out over them and merges partitions,
-stats and metric registries.
+:func:`repro.service.aggregate.merge_partition_payloads`).  Cross-worker
+aggregation therefore happens out-of-band, over per-worker admin HTTP
+ports (``metrics_port + index``): :mod:`repro.service.aggregate` fans out
+over them and merges partitions, stats and metric registries.
 
 Supervision policy:
 
@@ -46,7 +46,6 @@ from dataclasses import dataclass
 
 from repro.obs.log import get_logger
 from repro.service.server import HAS_REUSEPORT, FileculeServer
-from repro.service.shard import ShardedServiceState, restore_state
 from repro.service.state import ServiceState
 from repro.util.units import TB
 
@@ -66,7 +65,6 @@ class ClusterConfig:
     host: str = "127.0.0.1"
     port: int = 0
     workers: int = 2
-    shards: int = 1  # site-shards per worker (1 = plain ServiceState)
     policy: str = "lru"
     capacity_bytes: int = 1 * TB
     default_size: int = 1
@@ -131,15 +129,7 @@ def pick_free_port_block(host: str, count: int, attempts: int = 20) -> int:
 def _build_state(config: ClusterConfig, index: int, restore: bool):
     snap = config.worker_snapshot_path(index)
     if restore and snap is not None and os.path.exists(snap):
-        return restore_state(snap)
-    if config.shards > 1:
-        return ShardedServiceState(
-            n_shards=config.shards,
-            policy=config.policy,
-            capacity_bytes=config.capacity_bytes,
-            default_size=config.default_size,
-            decay_half_life=config.decay_half_life,
-        )
+        return ServiceState.restore(snap)
     return ServiceState(
         policy=config.policy,
         capacity_bytes=config.capacity_bytes,
@@ -251,7 +241,6 @@ class ClusterServer:
             host=config.host,
             port=self.port,
             workers=config.workers,
-            shards=config.shards,
             reuse_port=HAS_REUSEPORT,
             metrics_ports=self.metrics_ports(),
         )

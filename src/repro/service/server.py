@@ -1,6 +1,6 @@
 """The asyncio daemon serving the filecule-management protocol.
 
-Concurrency model — one event loop, one writer per shard:
+Concurrency model — one event loop, one writer:
 
 * every connection gets a **reader task** (decodes request lines and a
   **response queue**) and a **writer task** (sends responses back in
@@ -10,17 +10,15 @@ Concurrency model — one event loop, one writer per shard:
   backpressure with no explicit window bookkeeping.  The writer coalesces
   consecutive ready responses into one reused buffer and hands the kernel
   a single write;
-* requests funnel into **state actor** tasks.  A plain
-  :class:`~repro.service.state.ServiceState` gets one actor (the single
-  writer); a :class:`~repro.service.shard.ShardedServiceState` gets one
-  actor per shard, and per-site requests route to the owning shard's
-  inbox (``state.route_request``).  Each actor drains its inbox in
-  batches (up to ``batch_max`` per wakeup), handles the request, and
-  **encodes the response to bytes immediately** — so response dicts never
-  outlive the handling step, and reused state buffers cannot be observed
-  mid-mutation by a later writer;
+* requests funnel into one **state actor** task, the state's single
+  writer.  It drains its inbox in batches (up to ``batch_max`` per
+  wakeup), handles each request, and **encodes the response to bytes
+  immediately** — so response dicts never outlive the handling step, and
+  reused state buffers cannot be observed mid-mutation by a later
+  writer.  A state call that raises is never retried: each request it
+  covered gets an ``internal`` error carrying its own id;
 * ``SIGINT``/``SIGTERM`` (and the ``shutdown`` op) trigger a graceful
-  stop: stop accepting, unblock connected readers, let the actors drain
+  stop: stop accepting, unblock connected readers, let the actor drain
   every in-flight request, write a final snapshot if configured.
 
 For multi-process deployments (:mod:`repro.service.cluster`), the server
@@ -60,6 +58,7 @@ import os
 import signal
 import socket as socket_module
 import time
+import traceback
 
 from repro.obs import trace as obstrace
 from repro.obs.health import HealthMonitor
@@ -109,14 +108,13 @@ class FileculeServer:
     Parameters
     ----------
     state:
-        The service state — a :class:`~repro.service.state.ServiceState`
-        or a :class:`~repro.service.shard.ShardedServiceState` (restored
+        The :class:`~repro.service.state.ServiceState` to serve (restored
         from a snapshot by the caller if desired).
     host, port:
         Bind address; ``port=0`` picks an ephemeral port (exposed as
         :attr:`port` after :meth:`start`).
     batch_max:
-        Maximum requests a state actor handles per wakeup.
+        Maximum requests the state actor handles per wakeup.
     pending_per_connection:
         Bound on a connection's unsent responses before its reader stops
         accepting new requests (per-connection backpressure window).
@@ -153,11 +151,11 @@ class FileculeServer:
         Requests handled slower than this emit a ``slow-op`` structured
         log line carrying the request's ``rid``.
     coalesce_ingest:
-        When True (default) and the state exposes ``ingest_batch``, each
-        actor wakeup hands its maximal runs of consecutive queued
-        fast-path ingest requests to the state as one kernel call
-        (per-request responses are still rendered individually and in
-        order).  Disable to force the per-job ingest path.
+        When True (default), each actor wakeup hands its maximal runs of
+        consecutive queued fast-path ingest requests to the state's
+        ``ingest_batch`` as one kernel call (per-request responses are
+        still rendered individually and in order).  Disable to force the
+        per-job ingest path.
     reuse_port:
         Bind the data port with ``SO_REUSEPORT`` so sibling worker
         processes can share it (the kernel load-balances accepts).
@@ -236,16 +234,8 @@ class FileculeServer:
         self._stop_event: asyncio.Event | None = None
         self._background: list[asyncio.Task] = []
         self._connections: set[asyncio.Task] = set()
-        # One inbox + actor per shard; a plain state gets exactly one.
-        # ``route_request`` (sharded states) maps a request to its
-        # owning shard's actor — requests for different shards never
-        # contend on one queue.
-        self._route = getattr(state, "route_request", None)
-        self._n_actors = (
-            getattr(state, "n_shards", 1) if self._route is not None else 1
-        )
-        self._inboxes: list[asyncio.Queue] = []
-        self._actor_tasks: list[asyncio.Task] = []
+        self._inbox: asyncio.Queue | None = None
+        self._actor_task: asyncio.Task | None = None
         # Interned-op dispatch: one dict hit replaces the if/elif chain
         # (ops are interned by decode_request, so lookup is by identity).
         self._ops = {
@@ -263,7 +253,7 @@ class FileculeServer:
         }
 
     # ------------------------------------------------------------------
-    # request handling (runs on a state actor)
+    # request handling (runs on the state actor)
     # ------------------------------------------------------------------
     def _op_ping(self, request: dict) -> dict:
         return {"pong": True, "jobs_observed": self.state.jobs_observed}
@@ -326,17 +316,33 @@ class FileculeServer:
             self.metrics.inc("errors")
             return error_response(request_id, "snapshot-error", str(exc), rid=rid)
         except Exception as exc:  # noqa: BLE001 — fault barrier
-            slog.error(
-                "internal-error",
-                op=op,
-                rid=rid,
-                error=f"{type(exc).__name__}: {exc}",
-            )
-            self.metrics.inc("errors")
-            return error_response(
-                request_id, "internal", f"{type(exc).__name__}: {exc}", rid=rid
-            )
+            return self._internal_errors(exc, op, [request])[0]
         return ok_response(request_id, result, rid=rid)
+
+    def _internal_errors(
+        self, exc: Exception, op: str, requests: list[dict]
+    ) -> list[dict]:
+        """The fault barrier: answer a state call that raised.
+
+        The call is not retried (it may already have mutated state).
+        Every request it covered — one, or a whole coalesced ingest run
+        — counts one error and gets an ``internal`` error response
+        carrying its own id.
+        """
+        error = f"{type(exc).__name__}: {exc}"
+        slog.error(
+            "internal-error",
+            op=op,
+            requests=len(requests),
+            rid=requests[0].get("rid"),
+            error=error,
+            traceback="".join(traceback.format_exception(exc)),
+        )
+        self.metrics.inc("errors", len(requests))
+        return [
+            error_response(r["id"], "internal", error, rid=r.get("rid"))
+            for r in requests
+        ]
 
     def _set_state_gauges(self, stats: dict) -> None:
         """Republish live state stats as registry gauges.
@@ -431,9 +437,6 @@ class FileculeServer:
         One ``ingest_batch`` state call for the whole run; per-request
         receipts render through the wire template individually and in
         order, so clients cannot tell coalesced from per-job handling.
-        Like the single fast path, the state call is not retried on
-        failure (it may have partially mutated state); every request in
-        the run then gets an ``internal`` error carrying its own id.
         """
         metrics = self.metrics
         n_jobs = len(run)
@@ -459,22 +462,11 @@ class FileculeServer:
                 ]
                 span_fields["ok"] = True
             except Exception as exc:  # noqa: BLE001 — fault barrier
-                slog.error(
-                    "internal-error",
-                    op="ingest.batch",
-                    jobs=n_jobs,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-                metrics.inc("errors", n_jobs)
                 datas = [
-                    encode_response(
-                        error_response(
-                            r["id"],
-                            "internal",
-                            f"{type(exc).__name__}: {exc}",
-                        )
+                    encode_response(response)
+                    for response in self._internal_errors(
+                        exc, "ingest.batch", [r for r, _, _ in run]
                     )
-                    for r, _, _ in run
                 ]
                 span_fields["ok"] = False
         t1 = time.perf_counter()
@@ -500,16 +492,7 @@ class FileculeServer:
 
     async def _actor(self, inbox: asyncio.Queue) -> None:
         metrics = self.metrics
-        state_ingest = self.state.ingest
-        ingest_batch = (
-            getattr(self.state, "ingest_batch", None)
-            if self.coalesce_ingest
-            else None
-        )
-        # Plain states expose the memoized filecule_of payload; sharded
-        # states (cross-shard meet per lookup) take the generic path.
-        filecule_json = getattr(self.state, "filecule_of_json", None)
-        perf_counter = time.perf_counter
+        coalesce = self.coalesce_ingest
         while True:
             batch = [await inbox.get()]
             while len(batch) < self.batch_max:
@@ -531,7 +514,7 @@ class FileculeServer:
                 # exactly the ingests queued before it, so it breaks
                 # the run.
                 if (
-                    ingest_batch is not None
+                    coalesce
                     and op == "ingest"
                     and rid is None
                     and type(request["id"]) is int
@@ -558,8 +541,6 @@ class FileculeServer:
 
     def _handle_one(self, request: dict, future, t_enqueued: float) -> None:
         metrics = self.metrics
-        state_ingest = self.state.ingest
-        filecule_json = getattr(self.state, "filecule_of_json", None)
         perf_counter = time.perf_counter
         op = request["op"]
         rid = request.get("rid")
@@ -567,79 +548,40 @@ class FileculeServer:
         with obstrace.span(
             f"op.{op}", recorder=self.spans, rid=rid
         ) as span_fields:
-            # Hot path: a plain-int-id, untraced ingest renders
-            # its receipt straight through the wire template —
-            # no response dict, no json.dumps.  The state call
-            # is NOT retried on failure (it may already have
-            # mutated state); errors map exactly as in _handle.
             if (
-                op == "ingest"
+                (op == "ingest" or op == "filecule_of")
                 and rid is None
                 and type(request["id"]) is int
             ):
-                # A writer batch of one: keep the batch-size
-                # histogram honest for mixed traffic.
-                metrics.inc("ingest_batches")
-                metrics.inc("ingest_batch_jobs", jobs="1")
+                # Hot paths for untraced plain-int-id requests: an ingest
+                # renders its receipt straight through the wire template,
+                # a filecule_of serves the state's memoized, already
+                # encoded payload — no response dict, no json.dumps.
                 try:
-                    r = state_ingest(
-                        request["files"],
-                        request["sizes"],
-                        request["site"],
-                    )
-                    data = INGEST_OK_TEMPLATE % (
-                        request["id"],
-                        r["job_seq"],
-                        r["n_files"],
-                        r["n_classes"],
-                        r["site_hits"],
-                    )
+                    if op == "ingest":
+                        # A writer batch of one: keep the batch-size
+                        # histogram honest for mixed traffic.
+                        metrics.inc("ingest_batches")
+                        metrics.inc("ingest_batch_jobs", jobs="1")
+                        r = self.state.ingest(
+                            request["files"], request["sizes"], request["site"]
+                        )
+                        data = INGEST_OK_TEMPLATE % (
+                            request["id"],
+                            r["job_seq"],
+                            r["n_files"],
+                            r["n_classes"],
+                            r["site_hits"],
+                        )
+                    else:
+                        data = RESULT_OK_TEMPLATE % (
+                            request["id"],
+                            self.state.filecule_of_json(request["file"]),
+                        )
                     span_fields["ok"] = True
                 except Exception as exc:  # noqa: BLE001 — fault barrier
-                    slog.error(
-                        "internal-error",
-                        op=op,
-                        rid=rid,
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
-                    metrics.inc("errors")
                     data = encode_response(
-                        error_response(
-                            request["id"],
-                            "internal",
-                            f"{type(exc).__name__}: {exc}",
-                        )
-                    )
-                    span_fields["ok"] = False
-            elif (
-                op == "filecule_of"
-                and filecule_json is not None
-                and rid is None
-                and type(request["id"]) is int
-            ):
-                # Read fast path: the state serves a memoized,
-                # already-encoded payload; only the envelope is
-                # rendered per request.
-                try:
-                    data = RESULT_OK_TEMPLATE % (
-                        request["id"],
-                        filecule_json(request["file"]),
-                    )
-                    span_fields["ok"] = True
-                except Exception as exc:  # noqa: BLE001 — fault barrier
-                    slog.error(
-                        "internal-error",
-                        op=op,
-                        rid=rid,
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
-                    metrics.inc("errors")
-                    data = encode_response(
-                        error_response(
-                            request["id"],
-                            "internal",
-                            f"{type(exc).__name__}: {exc}",
-                        )
+                        self._internal_errors(exc, op, [request])[0]
                     )
                     span_fields["ok"] = False
             else:
@@ -710,8 +652,7 @@ class FileculeServer:
         loop = asyncio.get_running_loop()
         outbox: asyncio.Queue = asyncio.Queue(maxsize=self.pending_per_connection)
         writer_task = asyncio.create_task(self._write_responses(outbox, writer))
-        inboxes = self._inboxes
-        route = self._route
+        inbox = self._inbox
         try:
             while True:
                 try:
@@ -751,14 +692,13 @@ class FileculeServer:
                     )
                     await outbox.put(future)
                     continue
-                # Hand to the owning actor first so the future always
-                # resolves, then to the outbox.  Inboxes are unbounded,
-                # so put_nowait never fails and skips the coroutine
-                # overhead of an await.  The outbox is the backpressure
-                # point: blocks when the client has
-                # pending_per_connection unanswered requests.
-                idx = route(request) if route is not None else 0
-                inboxes[idx].put_nowait((request, future, time.perf_counter()))
+                # Hand to the actor first so the future always resolves,
+                # then to the outbox.  The inbox is unbounded, so
+                # put_nowait never fails and skips the coroutine overhead
+                # of an await.  The outbox is the backpressure point:
+                # blocks when the client has pending_per_connection
+                # unanswered requests.
+                inbox.put_nowait((request, future, time.perf_counter()))
                 if outbox.full():
                     await outbox.put(future)
                 else:
@@ -914,11 +854,9 @@ class FileculeServer:
         """Bind and start serving; returns once the socket is listening."""
         if self._server is not None:
             raise RuntimeError("server already started")
-        self._inboxes = [asyncio.Queue() for _ in range(self._n_actors)]
+        self._inbox = asyncio.Queue()
         self._stop_event = asyncio.Event()
-        self._actor_tasks = [
-            asyncio.create_task(self._actor(inbox)) for inbox in self._inboxes
-        ]
+        self._actor_task = asyncio.create_task(self._actor(self._inbox))
         if self.snapshot_path and self.snapshot_interval:
             self._background.append(asyncio.create_task(self._periodic_snapshot()))
         if self.log_interval:
@@ -953,7 +891,6 @@ class FileculeServer:
             host=self.host,
             port=self.port,
             worker=self.worker_index,
-            actors=self._n_actors,
             policy=self.state.policy_name,
             capacity_bytes=self.state.capacity_bytes,
             metrics_port=self.metrics_port,
@@ -973,15 +910,14 @@ class FileculeServer:
         for task in list(self._connections):
             task.cancel()
         await asyncio.gather(*self._connections, return_exceptions=True)
-        # Let the actors answer everything already accepted.
-        while any(not inbox.empty() for inbox in self._inboxes):
+        # Let the actor answer everything already accepted.
+        while not self._inbox.empty():
             await asyncio.sleep(0)
-        for task in self._actor_tasks:
-            task.cancel()
+        self._actor_task.cancel()
         for task in self._background:
             task.cancel()
         await asyncio.gather(
-            *self._actor_tasks, *self._background, return_exceptions=True
+            self._actor_task, *self._background, return_exceptions=True
         )
         if self.snapshot_path:
             try:
@@ -1012,7 +948,7 @@ class FileculeServer:
             except OSError as exc:
                 slog.error("health-log-failed", error=str(exc))
         self._server = None
-        self._actor_tasks = []
+        self._actor_task = None
         self._background.clear()
         slog.info("stopped", **self.metrics.snapshot())
 

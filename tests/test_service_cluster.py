@@ -94,7 +94,7 @@ class TestClusterEndToEnd:
     def test_partition_merged_across_workers_matches_offline(
         self, tiny_trace, tiny_jobs
     ):
-        config = make_config(workers=2, shards=2)
+        config = make_config(workers=2)
         with ClusterServer(config) as cluster:
             replay_jobs(cluster.port, tiny_jobs)
             ports = worker_ports(config.metrics_port, 2)
@@ -155,7 +155,7 @@ class TestCrashRecovery:
         snapshot, phase 2 ingests the rest, and the merged partition must
         equal the offline answer over the whole trace.
         """
-        config = make_config(workers=2, shards=2, tmp_path=tmp_path)
+        config = make_config(workers=2, tmp_path=tmp_path)
         half = len(tiny_jobs) // 2
         with ClusterServer(config) as cluster:
             replay_jobs(cluster.port, tiny_jobs[:half])

@@ -6,7 +6,6 @@ from __future__ import annotations
 import json
 import math
 
-from repro.service.shard import ShardedServiceState, restore_state
 from repro.service.state import ServiceState
 
 
@@ -40,10 +39,6 @@ class TestDecayedIngest:
         fresh = json.loads(state.filecule_of_json(0))
         assert fresh["filecule"]["files"] == [0]
 
-    def test_sharded_passthrough(self):
-        state = ShardedServiceState(n_shards=2, decay_half_life=4.0)
-        assert all(s.decay_half_life == 4.0 for s in state.shards)
-
 
 class TestDecaySnapshots:
     def test_restore_preserves_decay_and_continues_identically(self, tmp_path):
@@ -53,7 +48,7 @@ class TestDecaySnapshots:
         path = tmp_path / "snap.jsonl"
         state.snapshot(path)
 
-        restored = restore_state(path)
+        restored = ServiceState.restore(path)
         assert isinstance(restored, ServiceState)
         assert restored.decay_half_life == 5.0
         assert restored.partition() == state.partition()
@@ -71,17 +66,5 @@ class TestDecaySnapshots:
         state.snapshot(path)
         meta = json.loads(path.read_text().splitlines()[0])
         assert "decay_half_life" not in meta
-        restored = restore_state(path)
+        restored = ServiceState.restore(path)
         assert restored.decay_half_life == math.inf
-
-    def test_sharded_manifest_round_trip(self, tmp_path):
-        state = ShardedServiceState(n_shards=2, decay_half_life=4.0)
-        for k in range(50):
-            state.ingest([k % 5, 100], site=k % 3)
-        path = tmp_path / "manifest.json"
-        state.snapshot(path)
-        restored = restore_state(path)
-        assert isinstance(restored, ShardedServiceState)
-        assert restored.decay_half_life == 4.0
-        assert all(s.decay_half_life == 4.0 for s in restored.shards)
-        assert restored.partition() == state.partition()

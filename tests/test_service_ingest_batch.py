@@ -21,7 +21,6 @@ from repro.service import (
 )
 from repro.service.loadgen import jobs_from_trace
 from repro.service.server import _batch_bucket
-from repro.service.shard import ShardedServiceState
 
 #: An adversarial little stream: duplicates, unsorted segments, empty
 #: jobs, missing sizes, a size refinement (file 3 shrinks), three sites.
@@ -103,14 +102,6 @@ class TestStateIngestBatch:
 
     def test_empty_batch(self):
         assert ServiceState().ingest_batch([]) == []
-
-    def test_sharded_delegates_same_shard_runs(self):
-        ref = ShardedServiceState(n_shards=2, capacity_bytes=64)
-        want = [ref.ingest(f, s, site) for f, s, site in JOBS]
-        state = ShardedServiceState(n_shards=2, capacity_bytes=64)
-        got = state.ingest_batch(JOBS)
-        assert got == want
-        assert ref.stats() == state.stats()
 
 
 class TestBatchBucket:

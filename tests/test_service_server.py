@@ -22,6 +22,7 @@ from repro.service import (
     ServiceClient,
     ServiceError,
     ServiceState,
+    encode_request,
     jobs_from_trace,
     run_load,
 )
@@ -328,6 +329,80 @@ class TestServerSnapshotIntegration:
         assert target.exists()
 
 
+class _FailsOn666(ServiceState):
+    """A state whose request handlers raise when asked about file 666."""
+
+    def ingest(self, files, sizes=None, site=0):
+        if 666 in files:
+            raise RuntimeError("boom on 666")
+        return super().ingest(files, sizes, site)
+
+    def ingest_batch(self, batch):
+        if any(666 in files for files, _, _ in batch):
+            raise RuntimeError("boom on 666")
+        return super().ingest_batch(batch)
+
+    def filecule_of_json(self, file_id):
+        if file_id == 666:
+            raise RuntimeError("boom on 666")
+        return super().filecule_of_json(file_id)
+
+    def advise(self, files, site=0):
+        if 666 in files:
+            raise RuntimeError("boom on 666")
+        return super().advise(files, site)
+
+
+class TestInternalErrorBarrier:
+    def test_every_path_answers_internal_with_its_own_id(self):
+        """A state exception becomes an ``internal`` error on each path:
+        the per-job ingest, a coalesced ingest run, the ``filecule_of``
+        read and the generic handler; the daemon keeps serving."""
+
+        async def scenario(server):
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+
+            async def exchange(*requests):
+                # One write per call: requests sent together queue
+                # together, so consecutive ingests coalesce.
+                writer.write(
+                    b"".join(
+                        encode_request(op, request_id, **fields)
+                        for op, request_id, fields in requests
+                    )
+                )
+                await writer.drain()
+                return [json.loads(await reader.readline()) for _ in requests]
+
+            try:
+                responses = [
+                    *await exchange(("ingest", 1, {"files": [666]})),
+                    *await exchange(
+                        ("ingest", 2, {"files": [666, 1]}),
+                        ("ingest", 3, {"files": [2, 666]}),
+                    ),
+                    *await exchange(("filecule_of", 4, {"file": 666})),
+                    *await exchange(("advise", 5, {"files": [666]})),
+                    *await exchange(("ping", 6, {})),
+                ]
+            finally:
+                writer.close()
+                await writer.wait_closed()
+            return responses, server.metrics
+
+        responses, metrics = run(_with_server(_FailsOn666(), scenario))
+        for request_id, response in enumerate(responses[:5], start=1):
+            assert response["id"] == request_id
+            assert response["ok"] is False
+            assert response["error"]["code"] == "internal"
+            assert "boom on 666" in response["error"]["message"]
+        assert responses[5]["id"] == 6 and responses[5]["ok"] is True
+        assert metrics.get("errors") == 5
+        assert metrics.get("ingest_batch_jobs", jobs="2") == 1
+
+
 class TestCliSmoke:
     def test_main_serve_and_loadgen_threads(self, tmp_path):
         """Drive the real CLI entry points: serve in a thread, loadgen
@@ -393,3 +468,34 @@ class TestCliSmoke:
             server_thread.join(timeout=15)
         assert not server_thread.is_alive()
         assert (tmp_path / "cli.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "head",
+        [
+            {"format": "bogus"},
+            # The manifest line that 1.14's ``serve --shards`` snapshots wrote.
+            {
+                "format": "repro-service-sharded-snapshot",
+                "version": 1,
+                "n_shards": 2,
+                "policy": "lru",
+                "capacity_bytes": 1,
+                "default_size": 1,
+                "shards": ["snap.jsonl.shard0", "snap.jsonl.shard1"],
+            },
+        ],
+        ids=["bogus", "sharded-manifest"],
+    )
+    def test_serve_restore_of_bad_snapshot_exits_2(self, tmp_path, capsys, head):
+        """The restore runs before the bind, so no server comes up."""
+        from repro.service.__main__ import main
+
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(head) + "\n")
+        rc = main(
+            ["serve", "--port", "0", "--snapshot", str(path), "--restore"]
+        )
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert str(path) in err
+        assert "Traceback" not in err

@@ -1,25 +1,20 @@
-"""Site-sharded service state: routing, §6 merge exactness, snapshots.
+"""The §6 meet across disjoint observers, as in cluster workers.
 
-The load-bearing invariant (paper §6): because every job is ingested
-whole at exactly one shard, the meet of the per-shard partitions equals
-the partition a single observer of the full stream would identify — and
-the merged per-class request counts are exact, not upper bounds.  The
-tests here replay real generated traces through :class:`ShardedServiceState`
-at several shard counts and compare checksums against the offline
+The load-bearing invariant (paper §6): when every job is observed whole
+by exactly one observer — as each worker of a pre-fork cluster observes
+the jobs of the connections the kernel routed to it — the meet of the
+observers' partitions equals the partition a single observer of the
+full stream would identify, and the merged per-class request counts are
+exact, not upper bounds.  The tests here split real generated traces
+round-robin over plain :class:`ServiceState` observers, merge them with
+:func:`merge_partition_payloads` and compare against the offline
 :func:`find_filecules` answer.
 """
-
-import json
 
 import pytest
 
 from repro.core.identify import find_filecules
-from repro.service.shard import (
-    ShardedServiceState,
-    merge_partition_payloads,
-    restore_state,
-    shard_of_site,
-)
+from repro.service.aggregate import merge_partition_payloads
 from repro.service.state import ServiceState, partition_checksum
 from repro.workload.calibration import tiny_config
 from repro.workload.generator import generate_trace
@@ -36,106 +31,35 @@ def offline_checksum(trace):
     )
 
 
-def replay(state, trace, advise_every=0):
+def observe(trace, n_observers):
+    """Job ``i`` goes to observer ``i % n_observers``, like the cluster's
+    round-robin connections; returns the observers' partitions."""
+    observers = [ServiceState() for _ in range(n_observers)]
     sites = trace.job_sites
     for job_id, files in trace.iter_jobs():
         file_list = files.tolist()
-        site = int(sites[job_id])
-        if advise_every and job_id % advise_every == 0:
-            state.advise(file_list, site=site)
-        state.ingest(
+        observers[job_id % n_observers].ingest(
             file_list,
             sizes=[int(trace.file_sizes[f]) for f in file_list],
-            site=site,
+            site=int(sites[job_id]),
         )
+    return [observer.partition() for observer in observers]
 
 
-class TestRouting:
-    def test_deterministic(self):
-        for site in range(200):
-            assert shard_of_site(site, 4) == shard_of_site(site, 4)
-
-    def test_in_range_and_spread(self):
-        n = 8
-        hits = [0] * n
-        for site in range(1000):
-            shard = shard_of_site(site, n)
-            assert 0 <= shard < n
-            hits[shard] += 1
-        # Fibonacci hashing spreads consecutive ids well: no empty shard
-        # and no shard hoarding more than half the sites.
-        assert min(hits) > 0
-        assert max(hits) < 500
-
-    def test_single_shard_is_identity(self):
-        assert all(shard_of_site(s, 1) == 0 for s in range(50))
-
-    def test_route_request(self):
-        state = ShardedServiceState(n_shards=4)
-        ingest = {"op": "ingest", "files": [1], "site": 3}
-        assert state.route_request(ingest) == shard_of_site(3, 4)
-        assert state.route_request({"op": "stats"}) == 0
-
-    def test_rejects_bad_shard_count(self):
-        with pytest.raises(ValueError):
-            ShardedServiceState(n_shards=0)
+def requests_by_files(payload):
+    return {tuple(c["files"]): c["requests"] for c in payload["classes"]}
 
 
 class TestMergeExactness:
-    @pytest.mark.parametrize("n_shards", [1, 2, 4, 7])
-    def test_partition_matches_offline(self, tiny_trace, n_shards):
-        state = ShardedServiceState(n_shards=n_shards)
-        replay(state, tiny_trace)
-        merged = state.partition()
+    @pytest.mark.parametrize("n_observers", [1, 2, 4, 7])
+    def test_partition_matches_offline(self, tiny_trace, n_observers):
+        merged = merge_partition_payloads(observe(tiny_trace, n_observers))
         assert merged["checksum"] == offline_checksum(tiny_trace)
-        assert merged["n_shards"] == n_shards
 
     def test_request_counts_are_exact(self, tiny_trace):
-        sharded = ShardedServiceState(n_shards=4)
-        single = ServiceState()
-        replay(sharded, tiny_trace)
-        replay(single, tiny_trace)
-        by_files_sharded = {
-            tuple(c["files"]): c["requests"]
-            for c in sharded.partition()["classes"]
-        }
-        by_files_single = {
-            tuple(c["files"]): c["requests"]
-            for c in single.partition()["classes"]
-        }
-        assert by_files_sharded == by_files_single
-
-    def test_stats_merges_shards(self, tiny_trace):
-        state = ShardedServiceState(n_shards=3)
-        replay(state, tiny_trace, advise_every=5)
-        stats = state.stats()
-        assert stats["jobs_observed"] == tiny_trace.n_jobs
-        assert stats["partition_checksum"] == offline_checksum(tiny_trace)
-        assert len(stats["shards"]) == 3
-        assert sum(s["jobs_observed"] for s in stats["shards"]) == (
-            tiny_trace.n_jobs
-        )
-        # Each site routes to exactly one shard, so the union is disjoint.
-        assert sum(s["n_sites"] for s in stats["shards"]) == len(
-            stats["sites"]
-        )
-
-    def test_filecule_of_intersects_shards(self):
-        state = ShardedServiceState(n_shards=2)
-        # Find two sites on different shards so the same files are
-        # observed from both sides of the hash split.
-        site_a = 0
-        site_b = next(
-            s
-            for s in range(1, 64)
-            if shard_of_site(s, 2) != shard_of_site(site_a, 2)
-        )
-        state.ingest([1, 2, 3], site=site_a)
-        state.ingest([1, 2], site=site_b)
-        info = state.filecule_of(1)
-        assert info["filecule"]["files"] == [1, 2]
-        assert info["filecule"]["requests"] == 2
-        assert state.filecule_of(999)["filecule"] is None
+        merged = merge_partition_payloads(observe(tiny_trace, 4))
+        (single,) = observe(tiny_trace, 1)
+        assert requests_by_files(merged) == requests_by_files(single)
 
     def test_merge_partition_payloads_counts(self):
         a = ServiceState()
@@ -148,70 +72,6 @@ class TestMergeExactness:
             tuple(c["files"]): c["requests"] for c in merged["classes"]
         }
         assert by_files == {(1, 2): 2, (3,): 3, (4,): 1}
-
-
-class TestShardedSnapshot:
-    def test_round_trip(self, tiny_trace, tmp_path):
-        state = ShardedServiceState(n_shards=3)
-        replay(state, tiny_trace, advise_every=7)
-        path = tmp_path / "cluster.jsonl"
-        receipt = state.snapshot(str(path))
-        assert receipt["n_shards"] == 3
-        restored = ShardedServiceState.restore(str(path))
-        assert restored.n_shards == 3
-        assert restored.partition() == state.partition()
-        assert (
-            restored.stats()["partition_checksum"]
-            == state.stats()["partition_checksum"]
-        )
-
-    def test_restore_state_sniffs_format(self, tmp_path):
-        plain = ServiceState()
-        plain.ingest([1, 2])
-        plain_path = tmp_path / "plain.jsonl"
-        plain.snapshot(str(plain_path))
-        assert isinstance(restore_state(str(plain_path)), ServiceState)
-
-        sharded = ShardedServiceState(n_shards=2)
-        sharded.ingest([1, 2], site=5)
-        sharded_path = tmp_path / "sharded.jsonl"
-        sharded.snapshot(str(sharded_path))
-        restored = restore_state(str(sharded_path))
-        assert isinstance(restored, ShardedServiceState)
-        assert restored.n_shards == 2
-
-    def test_manifest_is_json_lines(self, tmp_path):
-        state = ShardedServiceState(n_shards=2)
-        state.ingest([7, 8], site=1)
-        path = tmp_path / "snap.jsonl"
-        state.snapshot(str(path))
-        header = json.loads(path.read_text().splitlines()[0])
-        assert header["format"] == "repro-service-sharded-snapshot"
-        assert header["n_shards"] == 2
-
-    def test_crash_recovery_from_snapshot(self, tiny_trace, tmp_path):
-        """Snapshot mid-stream, 'crash', restore, finish: exact partition.
-
-        The state-level version of what the cluster supervisor does —
-        the process-level version lives in ``test_service_cluster.py``.
-        """
-        jobs = list(tiny_trace.iter_jobs())
-        sites = tiny_trace.job_sites
-        half = len(jobs) // 2
-
-        state = ShardedServiceState(n_shards=2)
-        for job_id, files in jobs[:half]:
-            state.ingest(files.tolist(), site=int(sites[job_id]))
-        path = tmp_path / "mid.jsonl"
-        state.snapshot(str(path))
-        del state  # the crash
-
-        recovered = restore_state(str(path))
-        for job_id, files in jobs[half:]:
-            recovered.ingest(files.tolist(), site=int(sites[job_id]))
-        assert recovered.partition()["checksum"] == offline_checksum(
-            tiny_trace
-        )
 
 
 class TestMergePayloadEdges:
