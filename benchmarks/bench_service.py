@@ -42,19 +42,17 @@ CI uses both for its two-worker smoke job.
 
 The **ingest tier** measures the write path on its own: an ingest-only
 stream replayed through one single-worker server per row, one
-connection, pipelined.  Three rows replay the same prefix slice —
+connection, pipelined.  Two rows replay the same prefix slice —
 
 * ``per-job (pre-batch, transcribed)`` — the ingest path as it stood
   before the batch kernel landed: the quadratic new-file probe
   (``request - class_of.keys()`` walks the whole observed catalog per
   job) plus the per-access advisor walk, transcribed and measured
-  fresh in the same run (the ``bench_sweep`` legacy methodology);
-* ``per-job (current)`` — today's code with the windowed advisor and
-  writer coalescing disabled (``ingest_kernel=False``,
-  ``coalesce_ingest=False``): per-request ``observe_job`` and the
-  registry's per-access advisors, but with the quadratic fixed;
-* ``batched`` — the default stack: the actor coalesces each wakeup's
-  run of queued ingests into one ``observe_jobs_batch`` call plus one
+  fresh in the same run (the ``bench_sweep`` legacy methodology); its
+  ``ingest_batch`` runs the 1.15.0 per-job ``ingest`` body one job at
+  a time;
+* ``batched`` — the default stack: the actor hands each wakeup's run
+  of queued ingests to one ``observe_jobs_batch`` call plus one
   ``request_window`` per site, which replays each job on the
   residency loop the offline batch kernel shares.
 
@@ -147,7 +145,7 @@ SAMPLER_REPEATS = 1 if TINY else 10
 #: Ingest tier: ``REPRO_BENCH_INGEST=paper`` swaps in the trace-store
 #: paper workload and arms the hard single-worker throughput gate.
 INGEST_TIER = os.environ.get("REPRO_BENCH_INGEST", "").strip() or None
-#: Jobs in the prefix slice all three ingest rows replay (the pre-batch
+#: Jobs in the prefix slice both ingest rows replay (the pre-batch
 #: baseline is quadratic in observed files, so it runs the prefix only;
 #: its measured throughput *falls* with every additional job, making
 #: the prefix-based gate conservative).
@@ -352,11 +350,62 @@ class _PreBatchIdentifier(IncrementalFileculeIdentifier):
 
 
 class _PreBatchIngestState(ServiceState):
-    """The pre-batch per-job ingest stack: quadratic probe, scalar advisors."""
+    """The pre-batch per-job ingest stack: quadratic probe, scalar advisors.
+
+    ``ingest`` is the per-job body as of 1.15.0, and ``ingest_batch``
+    runs it one job at a time, so the server's ingest runs reach the
+    per-job path this row stands for.
+    """
 
     def __init__(self, **kwargs):
         super().__init__(ingest_kernel=False, **kwargs)
         self._ident = _PreBatchIdentifier(half_life=self.decay_half_life)
+
+    def ingest(self, files, sizes=None, site=0):
+        if sizes is not None:
+            self._sizes.update(zip(files, map(int, sizes)))
+        affected = self._ident.observe_job(files, now=self._clock + 1.0)
+        if self._filecule_json:
+            cache_pop = self._filecule_json.pop
+            for cid in affected:
+                cache_pop(cid, None)
+        advisor = self._advisor(site)
+        self._clock += 1.0
+        clock = self._clock
+        size_of = self._sizes.get
+        default_size = self.default_size
+        policy_request = advisor.policy.request
+        hits = 0
+        bytes_requested = 0
+        bytes_hit = 0
+        bytes_fetched = 0
+        bypasses = 0
+        unique = dict.fromkeys(files)
+        for f in unique:
+            size = size_of(f, default_size)
+            outcome = policy_request(f, size, clock)
+            bytes_requested += size
+            if outcome.hit:
+                hits += 1
+                bytes_hit += size
+            else:
+                fetched = outcome.bytes_fetched
+                if fetched:
+                    bytes_fetched += fetched
+                if outcome.bypassed:
+                    bypasses += 1
+        advisor.metrics.record_totals(
+            len(unique), hits, bytes_requested, bytes_hit, bytes_fetched, bypasses
+        )
+        return {
+            "job_seq": self._ident.n_jobs_observed,
+            "n_files": self._ident.n_files_observed,
+            "n_classes": self._ident.n_classes,
+            "site_hits": hits,
+        }
+
+    def ingest_batch(self, batch):
+        return [self.ingest(files, sizes, site) for files, sizes, site in batch]
 
 
 def _encode_ingests(jobs: list[dict]) -> list[bytes]:
@@ -374,17 +423,10 @@ async def _measure_ingest_row(
     capacity_bytes: int,
     *,
     make_state=ServiceState,
-    ingest_kernel: bool = True,
-    coalesce_ingest: bool = True,
 ) -> dict:
     """Replay an ingest-only stream through one fresh single-worker server."""
-    kwargs = {"policy": "lru", "capacity_bytes": capacity_bytes}
-    if make_state is ServiceState:
-        kwargs["ingest_kernel"] = ingest_kernel
-    state = make_state(**kwargs)
-    server = FileculeServer(
-        state, log_interval=None, coalesce_ingest=coalesce_ingest
-    )
+    state = make_state(policy="lru", capacity_bytes=capacity_bytes)
+    server = FileculeServer(state, log_interval=None)
     await server.start()
     try:
         t0 = time.perf_counter()
@@ -413,7 +455,7 @@ async def _measure_ingest_row(
 
 
 def _measure_ingest_tier(suite_trace, suite_jobs: list[dict]) -> dict:
-    """The single-worker ingest table: pre-batch, per-job, batched rows."""
+    """The single-worker ingest table: pre-batch and batched rows."""
     if INGEST_TIER == "paper":
         trace = cached_trace(paper_config(), seed=SEED, on_event=print)
         jobs = jobs_from_trace(trace)
@@ -432,16 +474,6 @@ def _measure_ingest_tier(suite_trace, suite_jobs: list[dict]) -> dict:
                 prefix_lines,
                 capacity,
                 make_state=_PreBatchIngestState,
-                coalesce_ingest=False,
-            )
-        ),
-        asyncio.run(
-            _measure_ingest_row(
-                "per-job (current)",
-                prefix_lines,
-                capacity,
-                ingest_kernel=False,
-                coalesce_ingest=False,
             )
         ),
         asyncio.run(

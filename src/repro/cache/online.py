@@ -5,15 +5,16 @@
 whose state is a :class:`~repro.cache.batch.Residency` with file ids as
 groups: the same ``OrderedDict`` and
 :meth:`~repro.cache.batch.Residency.replay` step the offline batch
-kernel drives.  Its payoff is
-:meth:`request_window`: the service's coalesced ingest path hands it a
-whole window of deduped job segments in columnar form and gets back
-per-job hit counts plus aggregate outcome totals, folded from the replay
-codes in numpy instead of one :meth:`request` call per access.
+kernel drives.  Its payoff is :meth:`request_window`: every service
+ingest hands it a window of deduped job segments as plain lists in CSR
+shape and gets back per-job hit counts plus aggregate outcome totals,
+folded from the replay codes with list operations (``count``,
+``compress``, ``filter``) instead of one :meth:`request` call per
+access, so a one-job window pays no numpy dispatch.
 
-The per-access :meth:`request` replays a single file on the same state,
-so mixed traffic (coalesced ingest windows interleaved with single-job
-ingests) sees one consistent cache model.  Semantics are those of the
+The per-access :meth:`request` replays a single file on the same state;
+it is how :func:`~repro.engine.replay.simulate` drives the advisor as an
+ordinary replacement policy.  Semantics are those of the
 dict-backed policies by construction: a hit never updates the stored
 size, a miss larger than the whole cache bypasses, and eviction runs in
 least-recently-touched (LRU) or insertion (FIFO) order.
@@ -21,7 +22,7 @@ least-recently-touched (LRU) or insertion (FIFO) order.
 
 from __future__ import annotations
 
-import numpy as np
+from itertools import compress
 
 from repro.cache.base import HIT, ReplacementPolicy, RequestOutcome
 from repro.cache.batch import BYPASS_CODE, HIT_CODE, Residency
@@ -66,42 +67,40 @@ class BatchedFileCache(ReplacementPolicy):
         return RequestOutcome(hit=False, bytes_fetched=size)
 
     def request_window(
-        self, flat: np.ndarray, offsets: np.ndarray, sizes: np.ndarray
+        self, flat: list[int], offsets: list[int], sizes: list[int]
     ) -> tuple[list[int], tuple[int, int, int, int, int, int]]:
         """Process a window of deduped job segments in access order.
 
         ``flat``/``offsets`` are the CSR-shaped unique file ids of the
-        window's jobs; ``sizes`` the aligned request sizes.  Returns
-        ``(per-job hit counts, (requests, hits, bytes_requested,
-        bytes_hit, bytes_fetched, bypasses))`` — the exact outcome
-        aggregates :meth:`request` called per access would produce.
+        window's jobs; ``sizes`` the aligned request sizes, all plain
+        lists.  Returns ``(per-job hit counts, (requests, hits,
+        bytes_requested, bytes_hit, bytes_fetched, bypasses))`` — the
+        exact outcome aggregates :meth:`request` called per access would
+        produce.
 
         Each job replays with its own ``{file: size}`` dict, since a
         later job in the window may carry a refined size for a file.
         """
         replay = self._state.replay
         before = self._state.used
-        ids = flat.tolist()
-        szs = sizes.tolist()
-        offs = offsets.tolist()
         codes: list[int] = []
-        for lo, hi in zip(offs, offs[1:]):
-            job = ids[lo:hi]
-            codes += replay(job, dict(zip(job, szs[lo:hi])))
-        code = np.array(codes, dtype=np.int64)
-        hit = code == HIT_CODE
-        self._settle(before, int(code[code >= 0].sum()))
-        hits_before = np.zeros(len(codes) + 1, dtype=np.int64)
-        np.cumsum(hit, out=hits_before[1:])
-        bytes_requested = int(sizes.sum())
-        bytes_hit = int(sizes[hit].sum())
-        return np.diff(hits_before[offsets]).tolist(), (
+        job_hits: list[int] = []
+        for lo, hi in zip(offsets, offsets[1:]):
+            job = flat[lo:hi]
+            job_codes = replay(job, dict(zip(job, sizes[lo:hi])))
+            job_hits.append(job_codes.count(HIT_CODE))
+            codes += job_codes
+        # An admitted request's code is its size, the only codes >= 0.
+        self._settle(before, sum(filter((0).__le__, codes)))
+        bytes_requested = sum(sizes)
+        bytes_hit = sum(compress(sizes, map(HIT_CODE.__eq__, codes)))
+        return job_hits, (
             len(codes),
-            int(hits_before[-1]),
+            sum(job_hits),
             bytes_requested,
             bytes_hit,
             bytes_requested - bytes_hit,
-            int((code == BYPASS_CODE).sum()),
+            codes.count(BYPASS_CODE),
         )
 
 

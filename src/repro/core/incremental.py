@@ -47,6 +47,13 @@ from repro.core.filecule import Filecule, FileculePartition
 from repro.traces.trace import Trace
 
 
+def _as_list(values, kind) -> list:
+    """``values`` (a sequence or numpy array) as a list of ``kind``."""
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
+    return list(map(kind, values))
+
+
 class IncrementalFileculeIdentifier:
     """Maintains the filecule partition of a growing job stream.
 
@@ -105,11 +112,6 @@ class IncrementalFileculeIdentifier:
         self._last: dict[int, float] = {}
         self._time = 0.0
         self._expiry: list[tuple[float, int]] = []
-        # Lazy numpy mirror of _class_of (file id -> class id, -1 unseen)
-        # backing the vectorized batch kernel.  Built on the first
-        # observe_jobs_batch call and kept current by _fresh_class from
-        # then on; purely sequential users never pay for it.
-        self._class_arr: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -160,58 +162,7 @@ class IncrementalFileculeIdentifier:
         self._class_of.update(dict.fromkeys(members, cid))
         self._weight[cid] = weight
         self._last[cid] = last
-        arr = self._class_arr
-        if arr is not None:
-            # _fresh_class is the only place file->class assignments
-            # change (splits move files *into* fresh classes; the files
-            # left behind keep their id), so updating the mirror here
-            # keeps it exact.
-            if len(members) == 1:
-                f = next(iter(members))
-                if f >= arr.size:
-                    arr = self._grow_class_arr(f + 1)
-                if f >= 0:
-                    arr[f] = cid
-                else:
-                    self._class_arr = None  # negative id: drop the mirror
-            else:
-                idx = np.fromiter(members, dtype=np.int64, count=len(members))
-                hi = int(idx.max())
-                if hi >= arr.size:
-                    arr = self._grow_class_arr(hi + 1)
-                if int(idx.min()) >= 0:
-                    arr[idx] = cid
-                else:
-                    self._class_arr = None
         return cid
-
-    def _grow_class_arr(self, n: int) -> np.ndarray:
-        """Return the class mirror, grown to cover file ids below ``n``."""
-        arr = self._class_arr
-        if arr is None:
-            size = max(n, 1024)
-            arr = np.full(size, -1, dtype=np.int64)
-            class_of = self._class_of
-            if class_of:
-                ids = np.fromiter(
-                    class_of.keys(), dtype=np.int64, count=len(class_of)
-                )
-                if int(ids.min()) < 0:
-                    raise ValueError(
-                        "batch kernel requires non-negative file ids"
-                    )
-                hi = int(ids.max())
-                if hi >= arr.size:
-                    arr = np.full(hi + 1024, -1, dtype=np.int64)
-                arr[ids] = np.fromiter(
-                    class_of.values(), dtype=np.int64, count=len(class_of)
-                )
-            self._class_arr = arr
-        elif n > arr.size:
-            grown = np.full(max(n, 2 * arr.size), -1, dtype=np.int64)
-            grown[: arr.size] = arr
-            arr = self._class_arr = grown
-        return arr
 
     def _decayed_weight(self, cid: int, now: float) -> float:
         """The class's co-access weight decayed forward to ``now``."""
@@ -320,11 +271,11 @@ class IncrementalFileculeIdentifier:
     ) -> None:
         """Refine the partition with one (non-empty) request set.
 
-        The exact sequential core shared by :meth:`observe_job` and the
-        batch kernel's fallback path.  Consumes ``request`` (it is
-        mutated) and folds the affected class ids into ``affected``.
-        Split fresh-class ids depend on the iteration order of
-        ``request``, so callers must build it the same way
+        The exact sequential core shared by :meth:`observe_job` and
+        :meth:`observe_jobs_batch`'s split path.  Consumes ``request``
+        (it is mutated) and folds the affected class ids into
+        ``affected``.  Split fresh-class ids depend on the iteration
+        order of ``request``, so callers must build it the same way
         ``observe_job`` does (``set(map(int, <ids in wire order>))``)
         for bit-identical results.
         """
@@ -380,141 +331,83 @@ class IncrementalFileculeIdentifier:
         ``file_ids`` is the flat concatenation of the jobs' input sets
         and ``offsets`` the job boundaries (``offsets[j]:offsets[j+1]``
         is job ``j``'s segment), mirroring :class:`~repro.traces.trace.Trace`'s
-        CSR layout.  ``now``, when given, is one decay timestamp per job;
-        omitted, each job gets the logical per-call tick exactly as
-        :meth:`observe_job` would.  ``job_counts``, when given, receives
-        one ``(n_files_observed, n_classes)`` tuple per job, read after
-        that job applied — the service layer's per-request receipts.
+        CSR layout; lists and numpy arrays are both accepted.  ``now``,
+        when given, is one decay timestamp per job; omitted, each job
+        gets the logical per-call tick exactly as :meth:`observe_job`
+        would.  ``job_counts``, when given, receives one
+        ``(n_files_observed, n_classes)`` tuple per job, read after that
+        job applied — the service layer's per-request receipts.
 
         Bit-identical to calling :meth:`observe_job` per segment — same
         partition, same class ids, same :meth:`state_dict`, and the
         returned set is exactly the union of the per-job affected sets —
         at ``half_life=inf`` and finite.  The win is the common case: a
-        job whose (sorted-unique) input gathers onto whole existing
-        classes advances request counts with a few vector ops instead of
-        per-file dict/set churn; jobs that create, split, or dissolve
-        classes fall back to the sequential core for that job only.
+        job whose files make up whole existing classes advances their
+        request counts after one dict probe per file, without grouping
+        the files into per-class sets; jobs that create, split, or
+        dissolve classes take the sequential core for that job only.
         """
-        flat = np.ascontiguousarray(np.asarray(file_ids, dtype=np.int64))
-        offs = np.asarray(offsets, dtype=np.int64)
-        if offs.ndim != 1 or offs.size == 0:
+        flat = _as_list(file_ids, int)
+        offs = _as_list(offsets, int)
+        n_jobs = len(offs) - 1
+        if n_jobs < 0:
             raise ValueError("offsets must be a non-empty 1-d array")
-        n_jobs = offs.size - 1
         if (
             offs[0] != 0
-            or (n_jobs and int(offs[-1]) != flat.size)
-            or np.any(np.diff(offs) < 0)
+            or (n_jobs and offs[-1] != len(flat))
+            or offs != sorted(offs)
         ):
             raise ValueError(
                 "offsets must start at 0, end at len(file_ids), "
                 "and be non-decreasing"
             )
-        if flat.size and int(flat.min()) < 0:
+        if flat and min(flat) < 0:
             raise ValueError("file ids must be non-negative")
-        nows = None if now is None else np.asarray(now, dtype=np.float64)
-        if nows is not None and nows.shape != (n_jobs,):
+        nows = None if now is None else _as_list(now, float)
+        if nows is not None and len(nows) != n_jobs:
             raise ValueError(
-                f"now must have one timestamp per job, got shape "
-                f"{nows.shape} for {n_jobs} jobs"
+                f"now must have one timestamp per job, got {len(nows)} "
+                f"timestamps for {n_jobs} jobs"
             )
-        arr = self._grow_class_arr(int(flat.max()) + 1 if flat.size else 1)
-        # One vector pass marks where consecutive flat entries strictly
-        # increase; a segment is sorted-unique iff its interior slice of
-        # this mask is all True.
-        inc = flat[1:] > flat[:-1]
-        offs_list = offs.tolist()
-        nows_list = None if nows is None else nows.tolist()
         affected: set[int] = set()
         members = self._members
-        requests_map = self._requests
-        weight_map = self._weight
-        last_map = self._last
+        class_of_get = self._class_of.get
         counts_append = None if job_counts is None else job_counts.append
-        class_of = self._class_of
-        affected_add = affected.add
-        decaying = self.half_life != math.inf
-        # Below this size, one python pass over the ids beats numpy
-        # (gather + unique pay ~µs dispatch each; p50 jobs are tens of
-        # files).  Above it, the vector path wins.
-        small = 2048
         for j in range(n_jobs):
-            a = offs_list[j]
-            b = offs_list[j + 1]
             self._n_jobs += 1
-            t = float(self._n_jobs) if nows_list is None else nows_list[j]
+            t = float(self._n_jobs) if nows is None else nows[j]
             if t > self._time:
                 self._time = t
             else:
                 t = self._time
             if self._expiry:
                 affected |= self._expire(t)
-                arr = self._class_arr  # _expire may regrow the mirror
-            if a == b:
-                if counts_append is not None:
-                    counts_append((len(class_of), len(members)))
-                continue
-            touched_ids = None
-            if b - a <= small:
-                if b - a == 1 or bool(inc[a : b - 1].all()):
-                    # Gather classes through the mirror (one C-speed
-                    # fancy index instead of per-file probes of the
-                    # million-key dict), then count per class in a
-                    # small, cache-hot python dict.
-                    counts = {}
-                    for cid in arr[flat[a:b]].tolist():
-                        if cid < 0:
-                            counts = None  # unseen file
-                            break
-                        counts[cid] = counts.get(cid, 0) + 1
-                    if counts is not None and all(
-                        c == len(members[cid]) for cid, c in counts.items()
-                    ):
-                        touched_ids = counts
-            elif bool(inc[a : b - 1].all()):
-                seg = flat[a:b]
-                cls = arr[seg]
-                c0 = int(cls[0])
-                if c0 >= 0:
-                    if bool((cls == c0).all()):
-                        # Dominant case: the whole job is one class.
-                        if b - a == len(members[c0]):
-                            touched_ids = (c0,)
-                    elif int(cls.min()) >= 0:
-                        u, counts = np.unique(cls, return_counts=True)
-                        ul = u.tolist()
-                        if all(
-                            c == len(members[cid])
-                            for cid, c in zip(ul, counts.tolist())
-                        ):
-                            touched_ids = ul
-            if touched_ids is not None:
-                # Pure whole-class touches: same per-class updates as the
-                # sequential whole-touch branch (order across classes is
-                # immaterial — the updates are independent and the expiry
-                # heap pops by value).
-                if decaying:
-                    for cid in touched_ids:
-                        affected_add(cid)
-                        requests_map[cid] += 1
-                        weight_map[cid] = self._decayed_weight(cid, t) + 1.0
-                        last_map[cid] = t
-                        self._push_expiry(cid)
-                else:
-                    # half_life=inf: decay and expiry are identities.
-                    for cid in touched_ids:
-                        affected_add(cid)
-                        requests_map[cid] += 1
-                        weight_map[cid] += 1.0
-                        last_map[cid] = t
+            # set() over the wire-order ids reproduces observe_job's
+            # insertion order (duplicates are no-ops on the hash table),
+            # which fixes the ids a split hands out.
+            request = set(flat[offs[j] : offs[j + 1]])
+            touched = set(map(class_of_get, request))
+            # Every file belongs to one class, so the touched classes'
+            # sizes add up to len(request) exactly when each is touched
+            # whole.
+            if None in touched or sum(
+                len(members[cid]) for cid in touched
+            ) != len(request):
+                # New files or a split: exact sequential core.
+                self._apply_request(request, t, affected)
             else:
-                # New files, a split, duplicates, or unsorted input:
-                # exact sequential core.  set() over the wire-order ids
-                # reproduces observe_job's insertion order (duplicates
-                # are no-ops on the hash table).
-                self._apply_request(set(flat[a:b].tolist()), t, affected)
-                arr = self._class_arr  # _fresh_class may regrow it
+                # Whole-class touches: the sequential whole-touch branch
+                # per class (order across classes is immaterial — the
+                # updates are independent and the expiry heap pops by
+                # value).
+                affected |= touched
+                for cid in touched:
+                    self._requests[cid] += 1
+                    self._weight[cid] = self._decayed_weight(cid, t) + 1.0
+                    self._last[cid] = t
+                    self._push_expiry(cid)
             if counts_append is not None:
-                counts_append((len(class_of), len(members)))
+                counts_append((len(self._class_of), len(members)))
         return affected
 
     def state_dict(self) -> dict:
@@ -602,10 +495,10 @@ class IncrementalFileculeIdentifier:
         Job start times drive the decay clock, so a finite ``half_life``
         is measured in trace seconds here (and the clock clamp makes the
         ≈-chronological job order safe).  Jobs stream through
-        :meth:`observe_jobs_batch` in windows of ``window`` jobs —
-        bit-identical to the per-job loop this method used to run, at a
-        fraction of the cost (the trace is already columnar, so each
-        window is a zero-copy slice).
+        :meth:`observe_jobs_batch` in windows of ``window`` jobs (the
+        trace is already columnar, so each window is one slice of its
+        access array) — bit-identical to the per-job loop this method
+        used to run.
         """
         ptr = trace.job_access_ptr
         starts = np.asarray(trace.job_starts, dtype=np.float64)

@@ -31,9 +31,10 @@ Two throughput levers beyond connection count:
 * ``ingest_batch > 1`` is the coalescing-friendly variant of pipelining:
   groups of that many jobs are flushed together with the group's
   ``advise`` probes front-loaded, so the ingests arrive back-to-back in
-  the daemon's writer inbox and coalesce into single kernel calls (see
-  ``docs/SERVICE.md``).  Advises in a group consult the pre-group
-  partition — the trade a batching middleware actually makes;
+  the daemon's inbox and each group runs as one ``ingest_batch`` window
+  rather than a window per job (see ``docs/SERVICE.md``).  Advises in
+  a group consult the pre-group partition — the trade a batching
+  middleware actually makes;
 * :func:`run_load_procs` forks N generator processes so a single Python
   client process is never the bottleneck of a multi-worker measurement;
   per-op latency histograms from the children merge bucket-exactly

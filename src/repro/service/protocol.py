@@ -164,18 +164,6 @@ INGEST_OK_TEMPLATE = (
 RESULT_OK_TEMPLATE = b'{"v":1,"id":%d,"ok":true,"result":%s}\n'
 
 
-def encode_response_into(buffer: bytearray, response: dict[str, Any]) -> None:
-    """Append one encoded response line to a reused ``bytearray``.
-
-    The server's connection writers coalesce consecutive ready responses
-    into one buffer and hand the kernel a single ``write`` — under a
-    pipelining client this collapses per-response syscall and scheduling
-    overhead.
-    """
-    buffer += json.dumps(response, separators=(",", ":")).encode()
-    buffer += b"\n"
-
-
 # ----------------------------------------------------------------------
 # decoding + validation
 # ----------------------------------------------------------------------

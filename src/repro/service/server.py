@@ -15,8 +15,11 @@ Concurrency model — one event loop, one writer:
   wakeup), handles each request, and **encodes the response to bytes
   immediately** — so response dicts never outlive the handling step, and
   reused state buffers cannot be observed mid-mutation by a later
-  writer.  A state call that raises is never retried: each request it
-  covered gets an ``internal`` error carrying its own id;
+  writer.  Ingests have one path: each maximal run of one or more
+  consecutive plain ingests (no ``rid``, an int ``id``) is one
+  ``ServiceState.ingest_batch`` window.  A state call that raises is
+  never retried: each request it covered gets an ``internal`` error
+  carrying its own id;
 * ``SIGINT``/``SIGTERM`` (and the ``shutdown`` op) trigger a graceful
   stop: stop accepting, unblock connected readers, let the actor drain
   every in-flight request, write a final snapshot if configured.
@@ -150,12 +153,6 @@ class FileculeServer:
     slow_op_seconds:
         Requests handled slower than this emit a ``slow-op`` structured
         log line carrying the request's ``rid``.
-    coalesce_ingest:
-        When True (default), each actor wakeup hands its maximal runs of
-        consecutive queued fast-path ingest requests to the state's
-        ``ingest_batch`` as one kernel call (per-request responses are
-        still rendered individually and in order).  Disable to force the
-        per-job ingest path.
     reuse_port:
         Bind the data port with ``SO_REUSEPORT`` so sibling worker
         processes can share it (the kernel load-balances accepts).
@@ -187,7 +184,6 @@ class FileculeServer:
         health: bool = False,
         health_log_path: str | None = None,
         slow_op_seconds: float = 0.25,
-        coalesce_ingest: bool = True,
         reuse_port: bool = False,
         sock: socket_module.socket | None = None,
         worker_index: int | None = None,
@@ -211,7 +207,6 @@ class FileculeServer:
         self.metrics_port = metrics_port
         self.span_log_path = span_log_path
         self.slow_op_seconds = slow_op_seconds
-        self.coalesce_ingest = coalesce_ingest
         self.reuse_port = reuse_port
         self.worker_index = worker_index
         self.metrics = MetricsRegistry()
@@ -325,7 +320,7 @@ class FileculeServer:
         """The fault barrier: answer a state call that raised.
 
         The call is not retried (it may already have mutated state).
-        Every request it covered — one, or a whole coalesced ingest run
+        Every request it covered — one, or a whole ingest run
         — counts one error and gets an ``internal`` error response
         carrying its own id.
         """
@@ -432,18 +427,17 @@ class FileculeServer:
         return payload
 
     def _ingest_run(self, run: list) -> None:
-        """Handle one coalesced run of fast-path ingest requests.
+        """Handle one run of plain ingest requests (one or more).
 
-        One ``ingest_batch`` state call for the whole run; per-request
-        receipts render through the wire template individually and in
-        order, so clients cannot tell coalesced from per-job handling.
+        One ``ingest_batch`` state call for the whole run, under one
+        ``op.ingest`` span carrying ``jobs``; per-request receipts render
+        through the wire template individually and in order, so clients
+        cannot tell how their requests were grouped.
         """
         metrics = self.metrics
         n_jobs = len(run)
         t0 = time.perf_counter()
-        with obstrace.span(
-            "op.ingest.batch", recorder=self.spans
-        ) as span_fields:
+        with obstrace.span("op.ingest", recorder=self.spans) as span_fields:
             span_fields["jobs"] = n_jobs
             try:
                 receipts = self.state.ingest_batch(
@@ -465,7 +459,7 @@ class FileculeServer:
                 datas = [
                     encode_response(response)
                     for response in self._internal_errors(
-                        exc, "ingest.batch", [r for r, _, _ in run]
+                        exc, "ingest", [r for r, _, _ in run]
                     )
                 ]
                 span_fields["ok"] = False
@@ -482,7 +476,7 @@ class FileculeServer:
             metrics.inc("slow_ops", n_jobs)
             slog.warning(
                 "slow-op",
-                op="ingest.batch",
+                op="ingest",
                 jobs=n_jobs,
                 duration_ms=round((t1 - t0) * 1e3, 3),
             )
@@ -491,8 +485,14 @@ class FileculeServer:
                 future.set_result(data)
 
     async def _actor(self, inbox: asyncio.Queue) -> None:
+        """The state's single writer: drain the inbox in wakeup batches.
+
+        Each run of plain ingests goes to :meth:`_ingest_run`; every
+        other request (including an ingest with a ``rid`` or a non-int
+        ``id``, which the state serves as a one-job window) goes to
+        :meth:`_handle_one`, in queue order.
+        """
         metrics = self.metrics
-        coalesce = self.coalesce_ingest
         while True:
             batch = [await inbox.get()]
             while len(batch) < self.batch_max:
@@ -505,37 +505,19 @@ class FileculeServer:
             n = len(batch)
             i = 0
             while i < n:
-                request, future, t_enqueued = batch[i]
-                op = request["op"]
-                rid = request.get("rid")
-                # Coalesce a maximal run of consecutive fast-path
-                # ingests into one kernel call.  Only *consecutive*
-                # requests coalesce: an interleaved read must observe
-                # exactly the ingests queued before it, so it breaks
-                # the run.
-                if (
-                    coalesce
-                    and op == "ingest"
-                    and rid is None
-                    and type(request["id"]) is int
-                ):
-                    j = i + 1
-                    while j < n:
-                        r = batch[j][0]
-                        if (
-                            r["op"] == "ingest"
-                            and r.get("rid") is None
-                            and type(r["id"]) is int
-                        ):
-                            j += 1
-                        else:
-                            break
-                    if j - i >= 2:
-                        self._ingest_run(batch[i:j])
-                        i = j
-                        continue
-                self._handle_one(request, future, t_enqueued)
-                i += 1
+                # A maximal run of consecutive plain ingests is one
+                # ingest_batch window.  Only *consecutive* requests join
+                # a run: an interleaved read must observe exactly the
+                # ingests queued before it, so it breaks the run.
+                j = i
+                while j < n and _plain_ingest(batch[j][0]):
+                    j += 1
+                if j > i:
+                    self._ingest_run(batch[i:j])
+                    i = j
+                else:
+                    self._handle_one(*batch[i])
+                    i += 1
             # Yield so connection writers interleave with the next batch.
             await asyncio.sleep(0)
 
@@ -548,36 +530,15 @@ class FileculeServer:
         with obstrace.span(
             f"op.{op}", recorder=self.spans, rid=rid
         ) as span_fields:
-            if (
-                (op == "ingest" or op == "filecule_of")
-                and rid is None
-                and type(request["id"]) is int
-            ):
-                # Hot paths for untraced plain-int-id requests: an ingest
-                # renders its receipt straight through the wire template,
-                # a filecule_of serves the state's memoized, already
-                # encoded payload — no response dict, no json.dumps.
+            if op == "filecule_of" and rid is None and type(request["id"]) is int:
+                # Hot path for untraced plain-int-id lookups: serve the
+                # state's memoized, already encoded payload — no
+                # response dict, no json.dumps.
                 try:
-                    if op == "ingest":
-                        # A writer batch of one: keep the batch-size
-                        # histogram honest for mixed traffic.
-                        metrics.inc("ingest_batches")
-                        metrics.inc("ingest_batch_jobs", jobs="1")
-                        r = self.state.ingest(
-                            request["files"], request["sizes"], request["site"]
-                        )
-                        data = INGEST_OK_TEMPLATE % (
-                            request["id"],
-                            r["job_seq"],
-                            r["n_files"],
-                            r["n_classes"],
-                            r["site_hits"],
-                        )
-                    else:
-                        data = RESULT_OK_TEMPLATE % (
-                            request["id"],
-                            self.state.filecule_of_json(request["file"]),
-                        )
+                    data = RESULT_OK_TEMPLATE % (
+                        request["id"],
+                        self.state.filecule_of_json(request["file"]),
+                    )
                     span_fields["ok"] = True
                 except Exception as exc:  # noqa: BLE001 — fault barrier
                     data = encode_response(
@@ -986,6 +947,19 @@ class FileculeServer:
     def run(self) -> None:
         """Blocking entry point (used by ``repro-serve serve``)."""
         asyncio.run(self.serve_forever())
+
+
+def _plain_ingest(request: dict) -> bool:
+    """An ingest that can join a run: no ``rid`` and an int ``id``.
+
+    A run shares one span, so a traced ingest is handled on its own;
+    the receipt template renders the id with ``%d``.
+    """
+    return (
+        request["op"] == "ingest"
+        and request.get("rid") is None
+        and type(request["id"]) is int
+    )
 
 
 def _json_bytes(payload: dict) -> bytes:

@@ -11,7 +11,10 @@ Three concerns live here:
 * **partition** — an :class:`~repro.core.incremental.IncrementalFileculeIdentifier`
   maintains the *exact* filecule partition of the ingested job stream
   (equal, by construction and by test, to offline
-  :func:`~repro.core.identify.find_filecules` over the same jobs);
+  :func:`~repro.core.identify.find_filecules` over the same jobs).
+  There is one ingest path: :meth:`ServiceState.ingest_batch` takes a
+  window of jobs as plain lists, and :meth:`ServiceState.ingest` is a
+  window of one;
 * **advice** — one cache advisor per site models that site's cache with a
   configurable :mod:`repro.cache` policy; ``advise`` turns a job's input
   set into a filecule-granularity admission/prefetch plan against that
@@ -30,10 +33,9 @@ import hashlib
 import json
 import math
 import os
+from itertools import repeat
 from pathlib import Path
 from typing import Callable
-
-import numpy as np
 
 from repro import registry
 from repro.cache.base import CacheMetrics, ReplacementPolicy
@@ -73,9 +75,6 @@ def _parse_advisor_policy(policy: str) -> "registry.BoundSpec":
 
 SNAPSHOT_FORMAT = "repro-service-snapshot"
 SNAPSHOT_VERSION = 1
-
-#: Shared empty segment for zero-file ingests in a coalesced batch.
-_EMPTY_IDS = np.empty(0, dtype=np.int64)
 
 
 class SnapshotError(Exception):
@@ -136,10 +135,10 @@ class ServiceState:
         When True (default) and the advisor policy is a plain
         ``file-lru``/``file-fifo``, site advisors are built as
         :class:`~repro.cache.online.BatchedFileCache`, which runs the
-        offline batch kernel's residency loop, so coalesced
-        :meth:`ingest_batch` windows take its windowed path.  Disable
+        offline batch kernel's residency loop, so every
+        :meth:`ingest_batch` window takes its windowed path.  Disable
         to force the registry-built policies and the per-access advisor
-        walk — the "per-job path" benchmarks compare against.
+        walk.
     """
 
     def __init__(
@@ -224,138 +223,64 @@ class ServiceState:
         """Observe one job submission: refine the partition, warm the model.
 
         Returns a small receipt (stream position and partition shape) so
-        pipelining clients can cheaply spot-check progress.
+        pipelining clients can cheaply spot-check progress.  A window of
+        one job through :meth:`ingest_batch`.
         """
-        if sizes is not None:
-            # int() keeps direct API callers' numpy sizes JSON-safe for
-            # snapshots; map+zip runs the walk at C speed.
-            self._sizes.update(zip(files, map(int, sizes)))
-        # The ingest clock ticks once per job (incremented below); feeding
-        # the *post*-tick value keeps decay time aligned with the clock
-        # the advisors see.  At half_life=inf the value is irrelevant.
-        affected = self._ident.observe_job(files, now=self._clock + 1.0)
-        if self._filecule_json:
-            # Exact read-cache invalidation: only the classes this job
-            # created, split, or advanced change their lookup payload.
-            cache_pop = self._filecule_json.pop
-            for cid in affected:
-                cache_pop(cid, None)
-        advisor = self._advisor(site)
-        self._clock += 1.0
-        clock = self._clock
-        # De-duplicated, order-preserving walk: dict.fromkeys builds the
-        # unique-file sequence in one C pass (cheaper than per-file set
-        # membership bytecode).  Outcome accounting accumulates in locals
-        # and folds into the advisor's metrics with one record_totals
-        # call per job instead of one method call per file.
-        size_of = self._sizes.get
-        default_size = self.default_size
-        policy_request = advisor.policy.request
-        hits = 0
-        bytes_requested = 0
-        bytes_hit = 0
-        bytes_fetched = 0
-        bypasses = 0
-        unique = dict.fromkeys(files)
-        requests = len(unique)
-        for f in unique:
-            size = size_of(f, default_size)
-            outcome = policy_request(f, size, clock)
-            bytes_requested += size
-            if outcome.hit:
-                hits += 1
-                bytes_hit += size
-            else:
-                fetched = outcome.bytes_fetched
-                if fetched:
-                    bytes_fetched += fetched
-                if outcome.bypassed:
-                    bypasses += 1
-        advisor.metrics.record_totals(
-            requests, hits, bytes_requested, bytes_hit, bytes_fetched, bypasses
-        )
-        return {
-            "job_seq": self._ident.n_jobs_observed,
-            "n_files": self._ident.n_files_observed,
-            "n_classes": self._ident.n_classes,
-            "site_hits": hits,
-        }
+        return self.ingest_batch([(files, sizes, site)])[0]
 
     def ingest_batch(
         self, batch: list[tuple[list[int], list[int] | None, int]]
     ) -> list[dict]:
-        """Observe a window of queued jobs in one kernel pass.
+        """Observe a window of queued jobs in one pass.
 
         ``batch`` is a list of ``(files, sizes, site)`` triples in
-        arrival order.  Returns one :meth:`ingest` receipt per job, with
-        the same values a per-job loop would produce — the partition,
-        size catalog, advisor caches, metrics, and read-cache
-        invalidation all end in the identical state.  The server's actor
-        calls this with each wakeup's run of queued ingest requests; the
+        arrival order.  Returns one :meth:`ingest` receipt per job.  The
         partition refinement goes through
-        :meth:`~repro.core.incremental.IncrementalFileculeIdentifier.observe_jobs_batch`
-        and advisor accounting through the array kernel's windowed path
-        when the policy has one.
+        :meth:`~repro.core.incremental.IncrementalFileculeIdentifier.observe_jobs_batch`,
+        which equals ``observe_job`` per job, and advisor accounting
+        through one ``request_window`` per site when the policy has
+        one, else the per-access walk; the size catalog, advisor
+        caches, metrics and read-cache invalidation end as they would
+        job by job.  The server's actor calls this with each wakeup's
+        run of queued ingest requests.
         """
         n = len(batch)
         if n == 0:
             return []
         # Build phase, in job order: update the size catalog and resolve
-        # each job's deduped file ids + request sizes exactly as the
-        # sequential path's dict.fromkeys walk + size_of reads would at
-        # that job's turn (a later job's size refinement must not leak
-        # into an earlier job's accounting).
+        # each job's deduped file ids and request sizes at that job's
+        # turn (a later job's size refinement must not leak into an
+        # earlier job's accounting).
         size_get = self._sizes.get
         sizes_update = self._sizes.update
-        default_size = self.default_size
-        segs: list[np.ndarray] = []
-        seg_sizes: list[np.ndarray] = []
-        for files, sizes, site in batch:
+        default_sizes = repeat(self.default_size)
+        flat: list[int] = []
+        req_sizes: list[int] = []
+        offsets = [0]
+        for files, sizes, _ in batch:
             if sizes is not None:
+                # int() keeps direct API callers' numpy sizes JSON-safe
+                # for snapshots.
                 sizes_update(zip(files, map(int, sizes)))
-            if not len(files):
-                segs.append(_EMPTY_IDS)
-                seg_sizes.append(_EMPTY_IDS)
-                continue
-            arr = np.asarray(files, dtype=np.int64)
-            if bool((arr[1:] > arr[:-1]).all()):
-                # Sorted-unique input (the wire-common case): the job's
-                # own sizes are what the catalog now holds for it.
-                segs.append(arr)
-                if sizes is not None and len(sizes) == len(files):
-                    seg_sizes.append(np.asarray(sizes, dtype=np.int64))
-                else:
-                    seg_sizes.append(
-                        np.fromiter(
-                            (size_get(f, default_size) for f in files),
-                            dtype=np.int64,
-                            count=len(files),
-                        )
-                    )
-            else:
-                unique = dict.fromkeys(files)
-                segs.append(
-                    np.fromiter(unique, dtype=np.int64, count=len(unique))
-                )
-                seg_sizes.append(
-                    np.fromiter(
-                        (size_get(f, default_size) for f in unique),
-                        dtype=np.int64,
-                        count=len(unique),
-                    )
-                )
-        offs = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum([s.size for s in segs], out=offs[1:])
-        flat = np.concatenate(segs)
+            unique = dict.fromkeys(files)
+            flat += unique
+            req_sizes += map(size_get, unique, default_sizes)
+            offsets.append(len(flat))
         clock0 = self._clock
-        nows = clock0 + np.arange(1, n + 1, dtype=np.float64)
         job_seq0 = self._ident.n_jobs_observed
         counts: list[tuple[int, int]] = []
+        # Decay time is the post-tick clock the advisors see (at
+        # half_life=inf the value is irrelevant).
         affected = self._ident.observe_jobs_batch(
-            flat, offs, now=nows, job_counts=counts
+            flat,
+            offsets,
+            now=[clock0 + i for i in range(1, n + 1)],
+            job_counts=counts,
         )
         self._clock = clock0 + n
         if self._filecule_json:
+            # Exact read-cache invalidation: only the classes these jobs
+            # created, split, or advanced change their lookup payload.
             cache_pop = self._filecule_json.pop
             for cid in affected:
                 cache_pop(cid, None)
@@ -371,16 +296,14 @@ class ServiceState:
             window = getattr(advisor.policy, "request_window", None)
             if window is not None:
                 if len(idxs) == n:
-                    site_flat, site_offs = flat, offs
-                    site_sizes = np.concatenate(seg_sizes)
+                    site_flat, site_offs, site_sizes = flat, offsets, req_sizes
                 else:
-                    site_segs = [segs[i] for i in idxs]
-                    site_flat = np.concatenate(site_segs)
-                    site_offs = np.zeros(len(idxs) + 1, dtype=np.int64)
-                    np.cumsum(
-                        [s.size for s in site_segs], out=site_offs[1:]
-                    )
-                    site_sizes = np.concatenate([seg_sizes[i] for i in idxs])
+                    site_flat, site_offs, site_sizes = [], [0], []
+                    for i in idxs:
+                        lo, hi = offsets[i], offsets[i + 1]
+                        site_flat += flat[lo:hi]
+                        site_sizes += req_sizes[lo:hi]
+                        site_offs.append(len(site_flat))
                 job_hits, totals = window(site_flat, site_offs, site_sizes)
                 advisor.metrics.record_totals(*totals)
                 for i, h in zip(idxs, job_hits):
@@ -397,8 +320,8 @@ class ServiceState:
                     bytes_hit = 0
                     bytes_fetched = 0
                     bypasses = 0
-                    seg_list = segs[i].tolist()
-                    for f, size in zip(seg_list, seg_sizes[i].tolist()):
+                    lo, hi = offsets[i], offsets[i + 1]
+                    for f, size in zip(flat[lo:hi], req_sizes[lo:hi]):
                         outcome = policy_request(f, size, clock)
                         bytes_requested += size
                         if outcome.hit:
@@ -411,7 +334,7 @@ class ServiceState:
                             if outcome.bypassed:
                                 bypasses += 1
                     record(
-                        len(seg_list),
+                        hi - lo,
                         hits,
                         bytes_requested,
                         bytes_hit,

@@ -9,8 +9,6 @@ negative file ids, and the factory's eligibility rules.
 
 from types import SimpleNamespace
 
-import numpy as np
-
 from repro import registry
 from repro.cache.fifo import FileFIFO
 from repro.cache.lru import FileLRU
@@ -20,10 +18,11 @@ from repro.obs.instrument import SimStats
 
 
 def window(cache, jobs, sizes_by_file):
-    flat = np.array([f for job in jobs for f in job], dtype=np.int64)
-    offsets = np.zeros(len(jobs) + 1, dtype=np.int64)
-    np.cumsum([len(j) for j in jobs], out=offsets[1:])
-    sizes = np.array([sizes_by_file[f] for f in flat], dtype=np.int64)
+    flat = [f for job in jobs for f in job]
+    offsets = [0]
+    for job in jobs:
+        offsets.append(offsets[-1] + len(job))
+    sizes = [sizes_by_file[f] for f in flat]
     return cache.request_window(flat, offsets, sizes)
 
 

@@ -1,8 +1,9 @@
-"""The vectorized observe kernel: batched ≡ sequential, bit for bit.
+"""The windowed observe path: batched ≡ sequential, bit for bit.
 
 ``observe_jobs_batch`` promises the exact partition, class ids,
 ``state_dict`` and affected-id union that per-job ``observe_job`` calls
-would produce — at infinite and finite half-life, for any window split.
+would produce — at infinite and finite half-life, for any window split,
+from list or numpy input.
 These tests drive both paths over adversarial streams (splits, new
 files, duplicates, unsorted input, empty jobs, decay expiry) and demand
 equality of everything observable.
@@ -44,7 +45,7 @@ def random_stream(rng, n_jobs=60, n_files=40):
         size = int(rng.integers(1, 8))
         job = rng.choice(n_files, size=size, replace=False).tolist()
         if kind < 0.25:
-            job = sorted(job)  # sorted-unique: pure-path candidate
+            job = sorted(job)  # sorted, as wire clients usually send
         elif kind < 0.35:
             job = job + [job[0]]  # duplicate
         jobs.append(job)
@@ -52,8 +53,16 @@ def random_stream(rng, n_jobs=60, n_files=40):
 
 
 class TestEquivalence:
-    @pytest.mark.parametrize("half_life", [math.inf, 40.0])
-    def test_batch_matches_sequential(self, half_life):
+    @pytest.mark.parametrize(
+        "half_life, to_input",
+        [
+            pytest.param(math.inf, np.asarray, id="inf"),
+            pytest.param(40.0, np.asarray, id="40.0"),
+            pytest.param(math.inf, np.ndarray.tolist, id="inf-list"),
+            pytest.param(40.0, np.ndarray.tolist, id="40.0-list"),
+        ],
+    )
+    def test_batch_matches_sequential(self, half_life, to_input):
         rng = np.random.default_rng(11)
         jobs = random_stream(rng)
         nows = np.cumsum(rng.uniform(0.0, 5.0, size=len(jobs)))
@@ -62,7 +71,9 @@ class TestEquivalence:
         )
         bat = IncrementalFileculeIdentifier(half_life=half_life)
         flat, offsets = columnar(jobs)
-        bat_affected = bat.observe_jobs_batch(flat, offsets, now=nows)
+        bat_affected = bat.observe_jobs_batch(
+            to_input(flat), to_input(offsets), now=to_input(nows)
+        )
         assert bat.state_dict() == seq.state_dict()
         assert bat_affected == seq_affected
 

@@ -199,10 +199,10 @@ class TestBatchedFileCache:
 
         got = BatchedFileCache(capacity, touch_on_hit=touch_on_hit)
         flat, offsets = columnar([[f for f, _ in job] for job in window])
-        seg_sizes = np.array(
-            [size for job in window for _, size in job], dtype=np.int64
+        seg_sizes = [size for job in window for _, size in job]
+        job_hits, totals = got.request_window(
+            flat.tolist(), offsets.tolist(), seg_sizes
         )
-        job_hits, totals = got.request_window(flat, offsets, seg_sizes)
         assert job_hits == want_hits
         assert list(totals) == want
         assert got.used_bytes == ref.used_bytes

@@ -1,18 +1,25 @@
-"""Coalesced ingest, end to end: state kernel, actor runs, loadgen knob.
+"""Windowed ingest, end to end: state window, actor runs, loadgen knob.
 
-The contract under test: a window of ingest requests processed through
-``ServiceState.ingest_batch`` (and the server actor's coalescing on top
-of it) returns the *same receipts* and leaves the *same state* — the
-partition, size catalog, per-site advisor caches and metrics — as the
-per-job path, while the observability layer faithfully reports what
-coalescing actually achieved (batch counters, size histogram, per-request
-latency accounting).
+The contract under test: every ingest is a window through
+``ServiceState.ingest_batch`` (``ingest`` is a window of one job), and
+any window split returns the *same receipts* and leaves the *same
+state* — the partition, per-site advisor caches and metrics — as an
+independent reference built only from reference parts: per-job
+``observe_job`` and the registry's per-access policies.  On top of it,
+the server actor's runs keep per-request answers, and the observability
+layer faithfully reports what grouping achieved (batch counters, size
+histogram, per-request latency accounting).
 """
 
 import asyncio
+import json
+import math
 
 import pytest
 
+from repro import registry
+from repro.cache.base import CacheMetrics
+from repro.core.incremental import IncrementalFileculeIdentifier
 from repro.service import (
     AsyncServiceClient,
     FileculeServer,
@@ -20,7 +27,10 @@ from repro.service import (
     run_load,
 )
 from repro.service.loadgen import jobs_from_trace
+from repro.service.protocol import encode_request
 from repro.service.server import _batch_bucket
+from repro.service.state import partition_checksum
+from repro.util.units import TB
 
 #: An adversarial little stream: duplicates, unsorted segments, empty
 #: jobs, missing sizes, a size refinement (file 3 shrinks), three sites.
@@ -36,6 +46,76 @@ JOBS = [
 ]
 
 
+class ReferenceService:
+    """What the service must compute, from reference parts only.
+
+    ``observe_job`` gives the partition and the receipts; a
+    registry-built policy per site, fed each job's de-duplicated files
+    one request at a time at clock ``i + 1`` (job ``i`` of the stream),
+    gives the site stats.  ``stats`` has the keys ``state_fingerprint``
+    reads.
+    """
+
+    def __init__(
+        self,
+        policy="lru",
+        capacity_bytes=1 * TB,
+        default_size=1,
+        decay_half_life=math.inf,
+    ):
+        self.policy = policy
+        self.capacity_bytes = capacity_bytes
+        self.default_size = default_size
+        self.ident = IncrementalFileculeIdentifier(half_life=decay_half_life)
+        self.sizes = {}
+        self.sites = {}
+
+    def ingest(self, files, sizes=None, site=0):
+        if sizes is not None:
+            self.sizes.update(zip(files, sizes))
+        clock = self.ident.n_jobs_observed + 1.0
+        self.ident.observe_job(files, now=clock)
+        if site not in self.sites:
+            self.sites[site] = (
+                registry.build(self.policy, self.capacity_bytes),
+                CacheMetrics(
+                    name=f"{self.policy}@site{site}",
+                    capacity_bytes=self.capacity_bytes,
+                ),
+            )
+        cache, metrics = self.sites[site]
+        hits = 0
+        for f in dict.fromkeys(files):
+            size = self.sizes.get(f, self.default_size)
+            outcome = cache.request(f, size, clock)
+            metrics.record(size, outcome)
+            hits += outcome.hit
+        return {
+            "job_seq": self.ident.n_jobs_observed,
+            "n_files": self.ident.n_files_observed,
+            "n_classes": self.ident.n_classes,
+            "site_hits": hits,
+        }
+
+    def stats(self):
+        return {
+            "partition_checksum": partition_checksum(self.ident.classes()),
+            "jobs_observed": self.ident.n_jobs_observed,
+            "n_classes": self.ident.n_classes,
+            "sites": {
+                str(site): {
+                    "policy": metrics.name,
+                    "requests": metrics.requests,
+                    "hits": metrics.hits,
+                    "hit_rate": metrics.hit_rate,
+                    "byte_miss_rate": metrics.byte_miss_rate,
+                    "used_bytes": cache.used_bytes,
+                }
+                for site, (cache, metrics) in sorted(self.sites.items())
+            },
+        }
+
+
 def state_fingerprint(state):
     stats = state.stats()
     return (
@@ -47,8 +127,8 @@ def state_fingerprint(state):
 
 
 def replay_sequential(jobs, **kwargs):
-    state = ServiceState(capacity_bytes=64, **kwargs)
-    return state, [state.ingest(f, s, site) for f, s, site in jobs]
+    ref = ReferenceService(capacity_bytes=64, **kwargs)
+    return ref, [ref.ingest(f, s, site) for f, s, site in jobs]
 
 
 class TestStateIngestBatch:
@@ -78,20 +158,19 @@ class TestStateIngestBatch:
         assert state_fingerprint(state) == state_fingerprint(ref)
 
     @pytest.mark.parametrize("fraction", [0.05, 0.2, 0.5])
-    @pytest.mark.parametrize("policy", ["lru", "file-fifo"])
+    @pytest.mark.parametrize("policy", ["lru", "file-fifo", "gds"])
     def test_windowed_advisor_matches_reference_on_stream(
         self, small_trace, policy, fraction
     ):
-        # The windowed advisor, fed 64-job windows of a generated
-        # stream, against the registry's FileLRU/FileFIFO fed job by job.
+        # 64-job windows of a generated stream — the windowed advisor
+        # for lru/file-fifo, the per-access walk for gds — against the
+        # registry's policies fed job by job.
         jobs = [
             (job["files"], job["sizes"], job["site"])
             for job in jobs_from_trace(small_trace)
         ]
         capacity = int(fraction * int(small_trace.file_sizes.sum()))
-        ref = ServiceState(
-            policy=policy, capacity_bytes=capacity, ingest_kernel=False
-        )
+        ref = ReferenceService(policy=policy, capacity_bytes=capacity)
         want = [ref.ingest(*job) for job in jobs]
         state = ServiceState(policy=policy, capacity_bytes=capacity)
         got = []
@@ -102,6 +181,16 @@ class TestStateIngestBatch:
 
     def test_empty_batch(self):
         assert ServiceState().ingest_batch([]) == []
+
+    def test_file_id_beyond_any_dense_table(self):
+        # File ids are keys, not indices: an id of 2**40 costs one entry
+        # (a table sized by the largest id would need 8 TiB).
+        jobs = [([2**40, 7], [1, 1], 0), ([7], [1], 0)]
+        ref = ReferenceService()
+        want = [ref.ingest(*job) for job in jobs]
+        state = ServiceState()
+        assert state.ingest_batch(jobs) == want
+        assert state_fingerprint(state) == state_fingerprint(ref)
 
 
 class TestBatchBucket:
@@ -134,9 +223,9 @@ def loadgen_jobs():
 
 class TestServerCoalescing:
     def test_coalesced_run_matches_per_job_server(self):
-        async def scenario(coalesce, ingest_batch):
+        async def scenario(ingest_batch):
             state = ServiceState(capacity_bytes=64)
-            server = await _serve(state, coalesce_ingest=coalesce)
+            server = await _serve(state)
             try:
                 report = await run_load(
                     "127.0.0.1",
@@ -151,8 +240,10 @@ class TestServerCoalescing:
             assert report.errors == 0
             return state_fingerprint(state), report, snapshot
 
-        base_fp, base_report, base_snap = run(scenario(False, 1))
-        coal_fp, coal_report, coal_snap = run(scenario(True, 8))
+        # Closed loop (one request in flight) gives runs of one job;
+        # groups of 8 queue together and run as longer windows.
+        base_fp, base_report, base_snap = run(scenario(1))
+        coal_fp, coal_report, coal_snap = run(scenario(8))
         # Same single-connection arrival order: everything the daemon
         # models — partition AND per-site cache advisors — must match.
         assert coal_fp == base_fp
@@ -197,6 +288,30 @@ class TestServerCoalescing:
 
         run(_with_coalescing_server(scenario))
 
+    def test_pipelined_large_file_ids_answer_ok(self):
+        async def scenario(server):
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            try:
+                # One write: the two ingests queue together and run as
+                # one window.
+                writer.write(
+                    encode_request("ingest", 1, files=[2**40, 7], sizes=[1, 1])
+                    + encode_request("ingest", 2, files=[7], sizes=[1])
+                )
+                await writer.drain()
+                responses = [json.loads(await reader.readline()) for _ in "12"]
+            finally:
+                writer.close()
+                await writer.wait_closed()
+            assert [r["id"] for r in responses] == [1, 2]
+            assert [r["ok"] for r in responses] == [True, True]
+            assert [r["result"]["job_seq"] for r in responses] == [1, 2]
+            return None
+
+        run(_with_coalescing_server(scenario))
+
     def test_mixed_ops_with_rids_take_slow_path_but_agree(self):
         async def scenario(server):
             async with await AsyncServiceClient.connect(
@@ -219,7 +334,7 @@ class TestServerCoalescing:
 
 
 async def _with_coalescing_server(fn):
-    server = await _serve(coalesce_ingest=True)
+    server = await _serve()
     try:
         return await fn(server)
     finally:
