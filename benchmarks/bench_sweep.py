@@ -2,7 +2,7 @@
 
 For each tier in ``REPRO_BENCH_TIERS`` (comma list; default ``tiny``)
 the Figure 10 contenders (file-LRU and filecule-LRU) replay a capacity
-grid four ways:
+grid four ways, and the three batch-capable policies a fifth:
 
 * ``legacy`` — a faithful transcription of the pre-optimization replay
   (per-access loop with numpy scalar boxing, per-access
@@ -16,7 +16,12 @@ grid four ways:
   path for batch-capable policies since the kernel landed;
 * ``parallel`` — ``sweep(jobs=N)``: the chunked process pool, or the
   auto-serial fallback when the planner says a pool cannot win (a
-  one-CPU host, a tiny grid) — either way never slower than serial.
+  one-CPU host, a tiny grid) — either way never slower than serial;
+* ``python-loop`` — the batch kernel on its Python residency loop
+  (:func:`repro.cache.native.residency_loop` patched to report no
+  library, as on a host without a C compiler), for file-LRU, file-FIFO
+  and filecule-LRU, each cell timed right after the same cell's
+  ``batch`` run in the same process.
 
 Every variant must produce bit-identical :class:`CacheMetrics` — the
 benchmark *fails* on any divergence; so do the paper-tier performance
@@ -26,9 +31,12 @@ CPUs).  The batch gate applies to capacities at or above 10% of the
 accessed data, where hits dominate.  Below that the workload is
 *eviction-bound* (at total/100 the miss rate is ~87%).  The floor was
 drawn when only hit-dominated cells ran on a numpy bulk path; today's
-kernel is one dict loop at every capacity, so eviction-bound cells are
-measured, asserted bit-identical, and reported — flagged
-``eviction_bound`` — like the rest; they just carry no 2x floor.
+kernel is one residency loop at every capacity, so eviction-bound cells
+are measured, asserted bit-identical, and reported — flagged
+``eviction_bound`` — like the rest; they just carry no 2x floor.  At
+the paper tier the compiled loop must also run file-LRU and file-FIFO
+at >= 5x the Python loop at every capacity, so a silent fall back to
+the Python loop (1x) fails the run; filecule-LRU's ratio is reported.
 Results go to ``BENCH_sweep.json`` (repo root) and
 ``benchmarks/output/sweep.txt``.
 
@@ -48,8 +56,11 @@ import json
 import os
 import time
 from pathlib import Path
+from unittest import mock
 
+from repro.cache import native
 from repro.cache.base import CacheMetrics, RequestOutcome
+from repro.cache.fifo import FileFIFO
 from repro.cache.filecule_lru import FileculeLRU
 from repro.cache.lru import FileLRU
 from repro.cache.simulator import sweep
@@ -84,6 +95,15 @@ TIER_SPECS = {
     "paper": {"caps": "coarse3", "jobs": (4,), "legacy": False, "gate": 2.0},
     "grown": {"caps": "coarse1", "jobs": (4,), "legacy": False, "gate": None},
 }
+
+#: Floor of the compiled over the Python residency loop, per tier, for
+#: the LOOP_GATED policies at every capacity (other tiers report only).
+LOOP_GATES = {"paper": 5.0}
+
+#: Policies whose compiled-loop speedup is gated; filecule-LRU's runs
+#: cover ~7 accesses each, so its numpy run split and fold dominate and
+#: its ratio is reported only.
+LOOP_GATED = ("file-lru", "file-fifo")
 
 #: Capacities below total_bytes // GATE_MIN_CAP_DIVISOR are
 #: eviction-bound (the total/100 cell runs at ~87% miss rate; see the
@@ -307,6 +327,66 @@ def _bench_tier(tier: str, lines: list[str]) -> dict:
     )
     _assert_cells_identical(serial, batch, f"{tier}: batch vs per-access")
 
+    # The compiled residency loop against the Python one: each cell runs
+    # on both, back to back in this process, so the ratio holds however
+    # the host's speed drifts between runs.
+    loop_factories = {**factories, "file-fifo": lambda c: FileFIFO(c)}
+    python_loop: dict[str, dict] = {}
+    for name in ("file-lru", "file-fifo", "filecule-lru"):
+        factory = loop_factories[name]
+        c_wall = p_wall = 0.0
+        per_cap = []
+        for k, cap in enumerate(caps):
+
+            def run(f=factory, c=cap, n=name):
+                return simulate(trace, f, c, name=n, batch=True)
+
+            compiled, cw = _timed(run)
+            with mock.patch.object(native, "residency_loop", lambda: None):
+                python, pw = _timed(run)
+            assert python == compiled, (
+                f"{tier}: python-loop vs batch: {name}@"
+                f"{format_bytes(cap, 1)} diverged: {python} != {compiled}"
+            )
+            if name in batch_cells:
+                assert compiled == batch_cells[name][k], name
+            c_wall += cw
+            p_wall += pw
+            per_cap.append(
+                {
+                    "capacity": cap,
+                    "batch_s": round(cw, 4),
+                    "python_loop_s": round(pw, 4),
+                    "loop_speedup": round(pw / cw, 2),
+                }
+            )
+        python_loop[name] = {
+            "batch_s": round(c_wall, 4),
+            "python_loop_s": round(p_wall, 4),
+            "loop_speedup": round(p_wall / c_wall, 2),
+            "per_capacity": per_cap,
+        }
+        lines.append(
+            f"[{tier}] {name:>14}: python-loop {p_wall:7.2f}s  "
+            f"batch {c_wall:7.2f}s  ({p_wall / c_wall:.2f}x compiled loop)"
+        )
+        for row in per_cap:
+            lines.append(
+                f"[{tier}]   {format_bytes(row['capacity'], 1):>10}: "
+                f"python-loop {row['python_loop_s']:7.2f}s  "
+                f"batch {row['batch_s']:7.2f}s  "
+                f"({row['loop_speedup']:.2f}x)"
+            )
+    loop_gate = LOOP_GATES.get(tier)
+    if loop_gate is not None:
+        for name in LOOP_GATED:
+            for row in python_loop[name]["per_capacity"]:
+                assert row["loop_speedup"] >= loop_gate, (
+                    f"{tier}: {name}@{format_bytes(row['capacity'], 1)} "
+                    f"compiled loop only {row['loop_speedup']}x the Python "
+                    f"loop (gate: >= {loop_gate}x); did it fall back?"
+                )
+
     # Frozen pre-optimization reference, cheap tiers only.
     legacy_stats = None
     if spec["legacy"]:
@@ -415,6 +495,7 @@ def _bench_tier(tier: str, lines: list[str]) -> dict:
         "serial_per_access": stats(serial_wall),
         "batch": stats(batch_wall),
         "per_policy": per_policy,
+        "python_loop": python_loop,
         "parallel": parallel,
     }
     if legacy_stats is not None:
@@ -434,6 +515,11 @@ def _bench_tier(tier: str, lines: list[str]) -> dict:
             if cpus < 4
             else "all gates enforced",
         }
+    if loop_gate is not None:
+        payload.setdefault("gates", {}).update(
+            compiled_loop_floor=loop_gate,
+            compiled_loop_gated_policies=list(LOOP_GATED),
+        )
     return payload
 
 

@@ -178,9 +178,8 @@ class ReplacementPolicy(ABC):
         """Optional whole-trace replay kernel for this policy over ``trace``.
 
         Policies whose request semantics reduce to pure group residency
-        (see :mod:`repro.cache.batch`: one
-        :class:`~repro.cache.batch.Residency` replay over runs of
-        same-group accesses, folded with numpy) return a single-use
+        (see :mod:`repro.cache.batch`: one residency-loop pass over
+        runs of same-group accesses, folded with numpy) return a single-use
         callable ``kernel(metrics, checkpoint=None, every=0) -> None``
         (see :meth:`repro.cache.batch.GroupedReplayKernel.__call__`)
         that replays the *entire* trace and folds outcome totals into

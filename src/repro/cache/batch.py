@@ -24,7 +24,8 @@ window of at most ``WINDOW`` accesses cut at the progress marks:
    at paper scale; in file mode a run is a repeated file id.  Every
    access after a run's head meets the state the head left (the group
    resident, or too large to cache), so the head decides the run.
-2. **Loop** (Python): one :meth:`Residency.replay` over the run heads.
+2. **Loop** (compiled loop, :meth:`Residency.replay` fallback): one call
+   of ``residency.c`` (:mod:`repro.cache.native`) walks the run heads.
 3. **Fold** (numpy): the codes, run lengths and
    :attr:`~repro.traces.trace.Trace.access_size_cumsum` give the six
    :class:`~repro.cache.base.CacheMetrics` counters and the optional
@@ -33,10 +34,10 @@ window of at most ``WINDOW`` accesses cut at the progress marks:
    bypassed run streams every access's own file and caches nothing.
 
 There is one path, with no switch on capacity or hit rate.  The kernel
-is bit-identical to per-access replay (the test suite gates all
-policies) and never materializes :attr:`Trace.replay_columns`, so a
-batch run keeps paper-scale memory at the numpy columns plus one dict
-entry per resident group.
+is bit-identical to per-access replay on both loops (the test suite
+gates all policies) and never materializes :attr:`Trace.replay_columns`,
+so a batch run keeps paper-scale memory at the numpy columns plus 17
+bytes per catalog group: a resident flag and two recency-list links.
 """
 
 from __future__ import annotations
@@ -45,7 +46,9 @@ from collections import OrderedDict
 
 import numpy as np
 
+from repro.cache import native
 from repro.cache.base import CacheMetrics
+from repro.traces.trace import check_ids
 
 #: Accesses per numpy window: bounds the per-window run arrays and code
 #: list, while the per-window numpy calls stay a few ns per access.
@@ -117,7 +120,7 @@ class GroupedReplayKernel:
     capacity:
         Cache capacity in bytes.
     group_sizes:
-        Plain-list size of each group in bytes (for file granularity,
+        int64 array of each group's size in bytes (for file granularity,
         the trace's file sizes; for filecules, the partition's sizes).
     labels:
         Optional numpy file-id → group-id map.  ``None`` means file
@@ -140,13 +143,14 @@ class GroupedReplayKernel:
         trace,
         *,
         capacity: int,
-        group_sizes: list,
+        group_sizes: np.ndarray,
         labels=None,
         touch_on_hit: bool = True,
         hit_out=None,
     ) -> None:
         self._trace = trace
-        self._state = Residency(capacity, touch_on_hit)
+        self._capacity = int(capacity)
+        self._touch = touch_on_hit
         self._group_sizes = group_sizes
         self._labels = labels
         self._hit_out = hit_out
@@ -162,7 +166,9 @@ class GroupedReplayKernel:
         ``done == n``, after ``metrics`` has been brought up to the
         totals of the first ``done`` accesses.  Windows are cut at the
         marks; the cumulative ``evicted_bytes`` is derived as admitted −
-        resident bytes, so the eviction loop counts nothing.
+        resident bytes, so the eviction loop counts nothing.  File ids
+        outside ``[0, trace.n_files)`` (checked in ``access_size_cumsum``)
+        and group ids outside ``[0, len(group_sizes))`` raise IndexError.
         """
         if self._spent:
             raise RuntimeError("batch kernels are single-use; build a new one")
@@ -175,8 +181,31 @@ class GroupedReplayKernel:
         sizes = trace.file_sizes
         labels = self._labels
         gsizes = self._group_sizes
-        state = self._state
-        replay = state.replay
+        n_groups = len(gsizes)
+        state = np.array([-1, -1, 0], dtype=np.int64)  # head, tail, used
+        loop = native.residency_loop()
+        if loop is None:
+            residency = Residency(self._capacity, self._touch)
+            size_list = gsizes.tolist()
+
+            def replay(groups):
+                codes = residency.replay(groups.tolist(), size_list)
+                state[2] = residency.used
+                return np.array(codes, dtype=np.int64)
+
+        else:
+            # Flags and prev/next links; ctypes ignores int64 overflow.
+            args = (
+                gsizes, min(self._capacity, 2**63 - 1), self._touch,
+                np.zeros(n_groups, np.uint8), np.empty(n_groups, np.int64),
+                np.empty(n_groups, np.int64), state,
+            )
+
+            def replay(groups):
+                codes = np.empty(len(groups), dtype=np.int64)
+                loop(groups, len(groups), *args, codes)
+                return codes
+
         ho = self._hit_out
         admitted = 0  # bytes ever admitted
 
@@ -199,11 +228,10 @@ class GroupedReplayKernel:
                             f"file {int(win[p])} has no filecule; partition "
                             f"does not match the replayed trace"
                         )
+                check_ids(groups, n_groups, i, "group")
                 heads = np.flatnonzero(groups[1:] != groups[:-1]) + 1
                 heads = np.concatenate(([0], heads))
-                code = np.array(
-                    replay(groups[heads].tolist(), gsizes), dtype=np.int64
-                )
+                code = replay(groups[heads])
                 bounds = np.append(heads, j - i)
                 run_len = np.diff(bounds)
                 run_bytes = np.diff(csum[i + bounds])
@@ -237,5 +265,5 @@ class GroupedReplayKernel:
                 bypasses=bypasses,
             )
             if checkpoint is not None:
-                checkpoint(hi, admitted - state.used)
+                checkpoint(hi, admitted - int(state[2]))
             lo = hi

@@ -31,7 +31,7 @@ class FileFIFO(ReplacementPolicy):
         return GroupedReplayKernel(
             trace,
             capacity=self.capacity_bytes,
-            group_sizes=trace.file_size_list,
+            group_sizes=trace.file_sizes,
             touch_on_hit=False,
             hit_out=hit_out,
         )

@@ -111,7 +111,7 @@ class FileculeLRU(ReplacementPolicy):
         return GroupedReplayKernel(
             trace,
             capacity=self.capacity_bytes,
-            group_sizes=self._size_list,
+            group_sizes=self._sizes,
             labels=self._labels,
             touch_on_hit=True,
             hit_out=hit_out,

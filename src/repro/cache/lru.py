@@ -39,7 +39,7 @@ class FileLRU(ReplacementPolicy):
         return GroupedReplayKernel(
             trace,
             capacity=self.capacity_bytes,
-            group_sizes=trace.file_size_list,
+            group_sizes=trace.file_sizes,
             touch_on_hit=True,
             hit_out=hit_out,
         )

@@ -1,16 +1,15 @@
 """The service's file-LRU/FIFO advisor, on the shared residency loop.
 
 :class:`BatchedFileCache` is a drop-in for :class:`~repro.cache.lru.FileLRU`
-(and, with ``touch_on_hit=False``, :class:`~repro.cache.fifo.FileFIFO`)
-whose state is a :class:`~repro.cache.batch.Residency` with file ids as
-groups: the same ``OrderedDict`` and
-:meth:`~repro.cache.batch.Residency.replay` step the offline batch
-kernel drives.  Its payoff is :meth:`request_window`: every service
-ingest hands it a window of deduped job segments as plain lists in CSR
-shape and gets back per-job hit counts plus aggregate outcome totals,
-folded from the replay codes with list operations (``count``,
-``compress``, ``filter``) instead of one :meth:`request` call per
-access, so a one-job window pays no numpy dispatch.
+(and, with ``touch_on_hit=False``, :class:`~repro.cache.fifo.FileFIFO`) whose
+state is a :class:`~repro.cache.batch.Residency` with file ids as groups: the
+``OrderedDict`` and :meth:`~repro.cache.batch.Residency.replay` step the batch
+kernel falls back to, as unbounded wire ids rule out the compiled loop's dense
+state.  Its payoff is :meth:`request_window`: every service ingest hands it a
+window of deduped job segments as plain lists in CSR shape and gets back
+per-job hit counts plus aggregate outcome totals, folded from the replay codes
+with list operations (``count``, ``compress``, ``filter``) instead of one
+:meth:`request` call per access, so a one-job window pays no numpy dispatch.
 
 The per-access :meth:`request` replays a single file on the same state;
 it is how :func:`~repro.engine.replay.simulate` drives the advisor as an

@@ -40,6 +40,18 @@ def _as_array(values, dtype) -> np.ndarray:
     return arr
 
 
+def check_ids(ids: np.ndarray, bound: int, first: int = 0, kind="file") -> None:
+    """Raise ``IndexError`` naming the first access (``first + k``) whose
+    id ``ids[k]`` is outside ``[0, bound)``: unvalidated traces (the
+    store, shared memory, subsets) may carry any file id."""
+    if len(ids) and (ids.min() < 0 or ids.max() >= bound):
+        p = int(np.argmax((ids < 0) | (ids >= bound)))
+        raise IndexError(
+            f"access {first + p} requests {kind} {int(ids[p])}, "
+            f"outside [0, {bound})"
+        )
+
+
 class Trace:
     """An immutable job/file-access trace.
 
@@ -308,16 +320,6 @@ class Trace:
         return out
 
     @cached_property
-    def file_size_list(self) -> list[int]:
-        """``file_sizes`` as a plain Python list (one shared conversion).
-
-        Used by the per-access replay path (via :attr:`replay_columns`)
-        and by the batch kernels' eviction bookkeeping; evicted together
-        with the other list copies by :meth:`release_replay_columns`.
-        """
-        return self.file_sizes.tolist()
-
-    @cached_property
     def replay_columns(self) -> tuple[list, list, list, list]:
         """``(job_ptr, access_files, file_sizes, job_starts)`` as plain lists.
 
@@ -331,12 +333,14 @@ class Trace:
         access while cached; at paper scale that rivals the numpy
         columns themselves, so the copies are *evictable*: call
         :meth:`release_replay_columns` when a replay consumer is done
-        (the batch kernels never materialize them at all).
+        (the batch kernels never materialize them at all).  Raises
+        ``IndexError`` on a file id outside the catalog.
         """
+        check_ids(self.access_files, self.n_files)
         return (
             self.job_access_ptr.tolist(),
             self.access_files.tolist(),
-            self.file_size_list,
+            self.file_sizes.tolist(),
             self.job_starts.tolist(),
         )
 
@@ -348,7 +352,6 @@ class Trace:
         roughly half the resident footprint of a paper-scale trace.
         """
         self.__dict__.pop("replay_columns", None)
-        self.__dict__.pop("file_size_list", None)
 
     @cached_property
     def access_size_cumsum(self) -> np.ndarray:
@@ -357,7 +360,9 @@ class Trace:
         ``cumsum[b] - cumsum[a]`` is the total bytes requested by the
         access range ``[a, b)`` — the batch replay kernels account whole
         hit runs with one subtraction instead of per-access adds.
+        Raises ``IndexError`` on a file id outside the catalog.
         """
+        check_ids(self.access_files, self.n_files)
         out = np.zeros(self.n_accesses + 1, dtype=np.int64)
         np.cumsum(self.file_sizes[self.access_files], out=out[1:])
         out.setflags(write=False)

@@ -2,13 +2,33 @@
 
 from __future__ import annotations
 
+import contextlib
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from repro.cache import native
 from repro.core.identify import find_filecules
 from repro.traces.trace import Trace
 from repro.workload.calibration import small_config, tiny_config
 from repro.workload.generator import generate_trace
+
+#: The batch kernel's two residency loops: the compiled one and the
+#: Python fallback.
+RESIDENCY_LOOPS = ("compiled", "python")
+
+
+def residency_loop_of(loop: str):
+    """Context in which the batch kernel runs ``loop``.
+
+    ``"python"`` patches the loader to report no library, which is what
+    the kernel sees where the C loop cannot be built; ``"compiled"``
+    leaves the loader alone.
+    """
+    if loop == "python":
+        return mock.patch.object(native, "residency_loop", lambda: None)
+    return contextlib.nullcontext()
 
 
 def make_trace(

@@ -16,8 +16,12 @@ import numpy as np
 import pytest
 
 from repro import registry
+from repro.cache.base import CacheMetrics
+from repro.cache.batch import GroupedReplayKernel
 from repro.engine import simulate
 from repro.obs.instrument import MultiInstrumentation, ProgressReporter, SimStats
+from repro.traces.trace import Trace
+from tests.conftest import RESIDENCY_LOOPS, make_trace, residency_loop_of
 
 #: Capacity fractions covering eviction-dominated, mixed and
 #: no-eviction regimes, plus the degenerate extremes below.
@@ -47,33 +51,40 @@ def test_every_spec_bit_identical_to_per_access(tiny_trace, tiny_partition):
     """batch=None (auto) equals batch=False for all 15 registered specs,
     with and without a SimStats and a ProgressReporter attached — and
     for the batch-capable specs both routes show the observers the same
-    counters and lines, less the throughput and ETA fields."""
-    for spec in registry.list_specs():
-        factory = _factory(spec, tiny_trace, tiny_partition)
-        for cap in _caps(tiny_trace):
-            auto = simulate(tiny_trace, factory, cap, name=spec.name)
-            serial = simulate(
-                tiny_trace, factory, cap, name=spec.name, batch=False
-            )
-            assert auto == serial, (spec.name, cap)
-            seen = []
-            for batch in (None, False) if spec.supports_batch else (None,):
-                stats, reporter, both = _observers()
-                observed = simulate(
-                    tiny_trace,
-                    factory,
-                    cap,
-                    name=spec.name,
-                    instrumentation=both,
-                    batch=batch,
+    counters and lines, less the throughput and ETA fields.  The three
+    batch-capable specs run on both residency loops."""
+    for loop, spec in [
+        (loop, spec)
+        for loop in RESIDENCY_LOOPS
+        for spec in registry.list_specs()
+        if loop == "compiled" or spec.supports_batch
+    ]:
+        with residency_loop_of(loop):
+            factory = _factory(spec, tiny_trace, tiny_partition)
+            for cap in _caps(tiny_trace):
+                auto = simulate(tiny_trace, factory, cap, name=spec.name)
+                serial = simulate(
+                    tiny_trace, factory, cap, name=spec.name, batch=False
                 )
-                assert observed == auto, (spec.name, cap, batch)
-                lines = [
-                    line.split(" acc/s")[0].rsplit(" ", 1)[0]
-                    for line in reporter.stream.getvalue().splitlines()
-                ]
-                seen.append((stats.snapshot(), lines))
-            assert seen[0] == seen[-1], (spec.name, cap)
+                assert auto == serial, (spec.name, cap)
+                seen = []
+                for batch in (None, False) if spec.supports_batch else (None,):
+                    stats, reporter, both = _observers()
+                    observed = simulate(
+                        tiny_trace,
+                        factory,
+                        cap,
+                        name=spec.name,
+                        instrumentation=both,
+                        batch=batch,
+                    )
+                    assert observed == auto, (spec.name, cap, batch)
+                    lines = [
+                        line.split(" acc/s")[0].rsplit(" ", 1)[0]
+                        for line in reporter.stream.getvalue().splitlines()
+                    ]
+                    seen.append((stats.snapshot(), lines))
+                assert seen[0] == seen[-1], (spec.name, cap)
 
 
 def test_supports_batch_flag_matches_kernel_offer(tiny_trace, tiny_partition):
@@ -92,6 +103,57 @@ def test_supports_batch_flag_matches_kernel_offer(tiny_trace, tiny_partition):
 def test_batch_true_demands_a_kernel(tiny_trace):
     with pytest.raises(ValueError, match="no.*batch kernel"):
         simulate(tiny_trace, "file-lfu", 10**9, batch=True)
+
+
+@pytest.mark.parametrize("bad", ["negative", "n_files"])
+@pytest.mark.parametrize("batch", [True, False], ids=["kernel", "per-access"])
+@pytest.mark.parametrize("spec", ["file-lru", "file-fifo"])
+def test_out_of_range_file_id_fails_on_both_routes(spec, batch, bad):
+    """A trace built without validation (as the store, shared memory and
+    subsets build them) may name a file outside the catalog.  Both
+    routes refuse it with an IndexError naming the first bad access,
+    instead of charging file 2's size to id -1 or reading past the
+    sizes."""
+    n_files = 3
+    file_id = -1 if bad == "negative" else n_files
+    trace = Trace(
+        file_sizes=[10, 20, 30],
+        file_tiers=[1] * n_files,
+        file_datasets=[0] * n_files,
+        job_users=[0, 0],
+        job_nodes=[0, 0],
+        job_tiers=[1, 1],
+        job_starts=[0.0, 3600.0],
+        job_ends=[3600.0, 7200.0],
+        access_jobs=[0, 0, 1, 1],
+        access_files=[0, file_id, 1, file_id],
+        user_domains=[0],
+        node_sites=[0],
+        node_domains=[0],
+        site_names=["site0"],
+        domain_names=[".d0"],
+        canonical=True,
+        validate=False,
+    )
+    with pytest.raises(IndexError, match=f"access 1 requests file {file_id},"):
+        simulate(trace, spec, 100, batch=batch)
+
+
+def test_kernel_checks_group_ids_before_its_loop():
+    """Group ids the sizes do not cover are refused per window, naming
+    the access, before either residency loop reads them."""
+    trace = make_trace([[0, 1], [2]], file_sizes=[1, 2, 3])
+    for loop in RESIDENCY_LOOPS:
+        kernel = GroupedReplayKernel(
+            trace,
+            capacity=10,
+            group_sizes=np.array([1, 2], dtype=np.int64),
+            labels=np.array([0, 1, 5], dtype=np.int64),
+        )
+        with residency_loop_of(loop), pytest.raises(
+            IndexError, match="access 2 requests group 5, outside"
+        ):
+            kernel(CacheMetrics(name="x", capacity_bytes=10))
 
 
 @pytest.mark.parametrize("batch", [None, False], ids=["kernel", "per-access"])

@@ -10,7 +10,9 @@ record the same sequence, checkpoint for checkpoint, on small
 adversarial traces: 1-byte caches, zero-size files, empty jobs, repeated
 ids and files larger than the cache.  The kernel's per-access hit mask,
 with its runs split at those marks, must equal the per-access loop's,
-with its jobs split and counters reset at the same marks.
+with its jobs split and counters reset at the same marks.  Both kernel
+tests draw the kernel's residency loop: the compiled one or the Python
+fallback.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from repro.cache.base import CacheMetrics
 from repro.core.identify import find_filecules
 from repro.engine import simulate
 from repro.obs.instrument import Instrumentation
-from tests.conftest import make_trace
+from tests.conftest import RESIDENCY_LOOPS, make_trace, residency_loop_of
 
 N_FILES = 8
 
@@ -40,6 +42,7 @@ job_lists = st.lists(
 )
 capacities = st.one_of(st.just(1), st.integers(min_value=1, max_value=30))
 kernel_specs = st.sampled_from(["file-lru", "file-fifo", "filecule-lru"])
+residency_loops = st.sampled_from(RESIDENCY_LOOPS)
 
 
 class Recorder(Instrumentation):
@@ -90,23 +93,26 @@ def _replay(trace, spec, capacity, every, batch):
     sizes=file_sizes,
     capacity=capacities,
     spec=kernel_specs,
+    loop=residency_loops,
     data=st.data(),
 )
 @settings(max_examples=300, deadline=None)
 def test_kernel_and_per_access_checkpoints_agree(
-    jobs, sizes, capacity, spec, data
+    jobs, sizes, capacity, spec, loop, data
 ):
     trace = make_trace(jobs, n_files=N_FILES, file_sizes=sizes)
     n = trace.n_accesses
     every = data.draw(st.integers(min_value=1, max_value=n + 1), label="every")
-    kernel, kernel_calls = _replay(trace, spec, capacity, every, None)
+    with residency_loop_of(loop):
+        kernel, kernel_calls = _replay(trace, spec, capacity, every, None)
     serial, serial_calls = _replay(trace, spec, capacity, every, False)
     assert kernel_calls == serial_calls
     assert [call[0] for call in kernel_calls] == expected_marks(n, every)
     assert all(call[0] == call[1] for call in kernel_calls)
-    plain = simulate(
-        trace, spec, capacity, partition=find_filecules(trace)
-    )
+    with residency_loop_of(loop):
+        plain = simulate(
+            trace, spec, capacity, partition=find_filecules(trace)
+        )
     assert kernel == serial == plain
 
 
@@ -115,10 +121,13 @@ def test_kernel_and_per_access_checkpoints_agree(
     sizes=file_sizes,
     capacity=capacities,
     spec=kernel_specs,
+    loop=residency_loops,
     data=st.data(),
 )
 @settings(max_examples=300, deadline=None)
-def test_kernel_hit_mask_matches_per_access(jobs, sizes, capacity, spec, data):
+def test_kernel_hit_mask_matches_per_access(
+    jobs, sizes, capacity, spec, loop, data
+):
     """The kernel, run under a checkpoint so runs split at the marks,
     marks exactly the accesses the per-access loop records as hits when
     it too is split at the marks."""
@@ -132,9 +141,10 @@ def test_kernel_hit_mask_matches_per_access(jobs, sizes, capacity, spec, data):
     kernel_metrics = CacheMetrics(name=str(bound), capacity_bytes=capacity)
     marks: list[int] = []
     policy = registry.build(bound, capacity, trace=trace, partition=partition)
-    policy.batch_kernel(trace, kernel_mask)(
-        kernel_metrics, lambda done, evicted: marks.append(done), every
-    )
+    with residency_loop_of(loop):
+        policy.batch_kernel(trace, kernel_mask)(
+            kernel_metrics, lambda done, evicted: marks.append(done), every
+        )
     assert marks == expected_marks(n, every)
 
     serial_mask = np.zeros(n, dtype=bool)
