@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from collections.abc import Iterator
 
 import numpy as np
 
-from repro.traces.trace import Trace
+from repro.traces.trace import Trace, check_id
 from repro.util.units import format_bytes
 
 
@@ -77,67 +76,148 @@ class FileculePartition:
     Files that were never accessed are outside the partition and carry
     label ``-1`` — the paper's filecules are defined by usage, so unused
     files have no filecule.
+
+    The partition is kept as read-only columns:
+
+    * ``labels`` — the filecule of each catalog file, ``-1`` if none;
+    * ``requests`` (Figures 8–9), ``sizes_bytes`` (Figure 6) and
+      ``files_per_filecule`` (Figure 7) — one entry per filecule;
+    * ``members`` — the member file ids ordered by filecule, ascending
+      within each, with filecule ``i`` at
+      ``members[offsets[i]:offsets[i + 1]]``.
+
+    A :class:`Filecule` is built only when one is indexed or iterated;
+    its ``filecule_id`` is its position.
+
+    Construction takes a list of filecules, kept in the given order, or
+    a file→group labelling (:meth:`from_labels`), put in canonical
+    order.  Either way a file id outside ``[0, n_files)`` or a file in
+    two filecules raises ``ValueError``.
     """
 
     def __init__(self, filecules: list[Filecule], n_files: int) -> None:
-        self._filecules = list(filecules)
-        self.n_files = int(n_files)
+        filecules = list(filecules)
+        members = [fc.file_ids for fc in filecules]
+        self._set_columns(
+            int(n_files),
+            np.concatenate(members) if members else np.empty(0, np.int64),
+            np.cumsum([0] + [len(m) for m in members]),
+            np.array([fc.n_requests for fc in filecules], dtype=np.int64),
+            np.array([fc.size_bytes for fc in filecules], dtype=np.int64),
+        )
+
+    @classmethod
+    def from_labels(
+        cls,
+        file_ids: np.ndarray,
+        labels: np.ndarray,
+        n_files: int,
+        requests: np.ndarray,
+        file_sizes: np.ndarray | None = None,
+    ) -> FileculePartition:
+        """The partition grouping ``file_ids[k]`` by ``labels[k]``.
+
+        ``requests[k]`` is the request count of ``file_ids[k]``'s group;
+        each group takes the value at its smallest member.  A group's
+        size is the sum of ``file_sizes`` (indexed by file id) over its
+        members, or 0 without ``file_sizes``.  Groups are numbered in
+        canonical order: descending request count, then ascending
+        smallest member.
+        """
+        file_ids = np.asarray(file_ids, dtype=np.int64)
+        labels = np.asarray(labels, dtype=np.int64)
+        requests = np.asarray(requests, dtype=np.int64)
+        # runs of equal label, ascending file ids within each run
+        order = np.lexsort((file_ids, labels))
+        labels = labels[order]
+        first = np.flatnonzero(np.diff(labels, prepend=labels[:1] - 1))
+        heads = order[first]
+        rank = np.lexsort((file_ids[heads], -requests[heads]))
+        counts = np.diff(first, append=len(labels))[rank]
+        offsets = np.zeros(len(rank) + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        # the runs, moved to their filecule's place
+        runs = np.repeat(first[rank] - offsets[:-1], counts)
+        runs += np.arange(len(runs))
+        part = cls.__new__(cls)
+        part._set_columns(
+            int(n_files),
+            file_ids[order[runs]],
+            offsets,
+            requests[heads[rank]],
+            file_sizes=file_sizes,
+        )
+        return part
+
+    def _set_columns(
+        self, n_files, members, offsets, requests, sizes=None, file_sizes=None
+    ) -> None:
+        """Adopt the columns after the two checks: ids in
+        ``[0, n_files)`` and no file in two filecules.  Without
+        ``sizes``, each filecule's size sums ``file_sizes`` (indexed by
+        file id) over its members, or is 0 without ``file_sizes``."""
+        members = np.asarray(members, dtype=np.int64)
+        offsets = np.asarray(offsets, dtype=np.int64)
+        counts = np.diff(offsets)
+        owner = np.repeat(np.arange(len(counts)), counts)
+        bad = (members < 0) | (members >= n_files)
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ValueError(
+                f"filecule #{owner[k]} references file id {members[k]}, "
+                f"beyond the catalog [0, {n_files})"
+            )
         labels = np.full(n_files, -1, dtype=np.int64)
-        for fc in self._filecules:
-            if fc.file_ids.max(initial=-1) >= n_files:
-                raise ValueError(
-                    f"filecule #{fc.filecule_id} references file id beyond "
-                    f"catalog size {n_files}"
-                )
-            if np.any(labels[fc.file_ids] != -1):
-                raise ValueError(
-                    f"filecule #{fc.filecule_id} overlaps another filecule"
-                )
-            labels[fc.file_ids] = fc.filecule_id
-        labels.setflags(write=False)
+        labels[members] = owner
+        if np.count_nonzero(labels >= 0) < len(members):
+            first_seen = np.zeros(len(members), dtype=bool)
+            first_seen[np.unique(members, return_index=True)[1]] = True
+            k = int(np.argmin(first_seen))
+            raise ValueError(
+                f"filecule #{owner[k]} overlaps another filecule "
+                f"at file {members[k]}"
+            )
+        if sizes is None and file_sizes is not None and len(members):
+            sizes = np.add.reduceat(
+                np.asarray(file_sizes, dtype=np.int64)[members], offsets[:-1]
+            )
+        elif sizes is None:
+            sizes = np.zeros(len(counts), dtype=np.int64)
+        self.n_files = n_files
         self.labels = labels
+        self.members = members
+        self.offsets = offsets
+        self.files_per_filecule = counts
+        self.requests = requests
+        self.sizes_bytes = sizes
+        for column in (labels, members, offsets, counts, requests, sizes):
+            column.setflags(write=False)
 
     # -- container protocol -------------------------------------------------
     def __len__(self) -> int:
-        return len(self._filecules)
+        return len(self.files_per_filecule)
 
     def __iter__(self) -> Iterator[Filecule]:
-        return iter(self._filecules)
+        return (self[i] for i in range(len(self)))
 
     def __getitem__(self, filecule_id: int) -> Filecule:
-        return self._filecules[filecule_id]
+        i = range(len(self))[filecule_id]
+        return Filecule(
+            filecule_id=i,
+            file_ids=self.members[self.offsets[i] : self.offsets[i + 1]],
+            n_requests=int(self.requests[i]),
+            size_bytes=int(self.sizes_bytes[i]),
+        )
 
     def filecule_of(self, file_id: int) -> Filecule | None:
         """The filecule containing ``file_id``, or None if never accessed."""
-        label = int(self.labels[file_id])
-        return None if label == -1 else self._filecules[label]
-
-    # -- vectorized columns --------------------------------------------------
-    @cached_property
-    def files_per_filecule(self) -> np.ndarray:
-        """Member count of each filecule (Figure 7 series)."""
-        out = np.array([fc.n_files for fc in self._filecules], dtype=np.int64)
-        out.setflags(write=False)
-        return out
-
-    @cached_property
-    def sizes_bytes(self) -> np.ndarray:
-        """Total byte size of each filecule (Figure 6 series)."""
-        out = np.array([fc.size_bytes for fc in self._filecules], dtype=np.int64)
-        out.setflags(write=False)
-        return out
-
-    @cached_property
-    def requests(self) -> np.ndarray:
-        """Request count of each filecule (Figures 8–9 series)."""
-        out = np.array([fc.n_requests for fc in self._filecules], dtype=np.int64)
-        out.setflags(write=False)
-        return out
+        label = int(self.labels[check_id(file_id, self.n_files)])
+        return None if label == -1 else self[label]
 
     @property
     def n_covered_files(self) -> int:
         """Number of files that belong to some filecule."""
-        return int(self.files_per_filecule.sum()) if len(self) else 0
+        return len(self.members)
 
     # -- trace-coupled statistics ---------------------------------------------
     def representative_files(self) -> np.ndarray:
@@ -147,7 +227,7 @@ class FileculePartition:
         of "which jobs/users/sites touch this filecule" may be run on one
         representative file per filecule.
         """
-        out = np.array([int(fc.file_ids[0]) for fc in self._filecules], np.int64)
+        out = self.members[self.offsets[:-1]]
         out.setflags(write=False)
         return out
 
@@ -170,15 +250,15 @@ class FileculePartition:
                 "trace accesses files outside this partition; identify "
                 "filecules on the same trace"
             )
-        pairs = trace.access_jobs * (len(self._filecules) + 1) + labels
+        pairs = trace.access_jobs * (len(self) + 1) + labels
         unique_pairs = np.unique(pairs)
-        jobs_of_pairs = unique_pairs // (len(self._filecules) + 1)
+        jobs_of_pairs = unique_pairs // (len(self) + 1)
         return np.bincount(jobs_of_pairs, minlength=trace.n_jobs).astype(np.int64)
 
     def users_per_filecule(self, trace: Trace) -> np.ndarray:
         """Distinct users that accessed each filecule (Figure 4 series)."""
         reps = self.representative_files()
-        out = np.empty(len(self._filecules), dtype=np.int64)
+        out = np.empty(len(self), dtype=np.int64)
         for i, rep in enumerate(reps):
             jobs = trace.file_jobs(int(rep))
             out[i] = len(np.unique(trace.job_users[jobs]))
@@ -187,7 +267,7 @@ class FileculePartition:
     def sites_per_filecule(self, trace: Trace) -> np.ndarray:
         """Distinct submission sites that accessed each filecule."""
         reps = self.representative_files()
-        out = np.empty(len(self._filecules), dtype=np.int64)
+        out = np.empty(len(self), dtype=np.int64)
         for i, rep in enumerate(reps):
             jobs = trace.file_jobs(int(rep))
             out[i] = len(np.unique(trace.job_sites[jobs]))
@@ -200,9 +280,9 @@ class FileculePartition:
         (datasets are tier-homogeneous); this resolves ties deterministically
         toward the lowest tier code when they are not.
         """
-        out = np.empty(len(self._filecules), dtype=np.int16)
-        for i, fc in enumerate(self._filecules):
-            tiers = trace.file_tiers[fc.file_ids]
+        out = np.empty(len(self), dtype=np.int16)
+        for i, (lo, hi) in enumerate(zip(self.offsets[:-1], self.offsets[1:])):
+            tiers = trace.file_tiers[self.members[lo:hi]]
             codes, counts = np.unique(tiers, return_counts=True)
             out[i] = codes[np.argmax(counts)]
         return out

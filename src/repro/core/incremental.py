@@ -43,7 +43,7 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from repro.core.filecule import Filecule, FileculePartition
+from repro.core.filecule import FileculePartition
 from repro.traces.trace import Trace
 
 
@@ -529,20 +529,12 @@ class IncrementalFileculeIdentifier:
         """
         if n_files is None:
             n_files = max(self._class_of, default=-1) + 1
-        ordered = sorted(
-            self._members.items(),
-            key=lambda kv: (-self._requests[kv[0]], min(kv[1])),
+        n = len(self._class_of)
+        classes = self._class_of.values()
+        return FileculePartition.from_labels(
+            np.fromiter(self._class_of, np.int64, n),
+            np.fromiter(classes, np.int64, n),
+            n_files,
+            np.fromiter(map(self._requests.__getitem__, classes), np.int64, n),
+            sizes,
         )
-        filecules = []
-        for new_id, (cid, member_set) in enumerate(ordered):
-            arr = np.fromiter(member_set, dtype=np.int64, count=len(member_set))
-            size = int(np.asarray(sizes)[arr].sum()) if sizes is not None else 0
-            filecules.append(
-                Filecule(
-                    filecule_id=new_id,
-                    file_ids=arr,
-                    n_requests=self._requests[cid],
-                    size_bytes=size,
-                )
-            )
-        return FileculePartition(filecules, n_files)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.filecule import Filecule, FileculePartition
+from repro.core.filecule import FileculePartition
 from repro.core.dynamics import partition_similarity
 from repro.core.identify import find_filecules
 from repro.core.partial import identify_per_site
@@ -56,44 +56,15 @@ def merge_partitions(
         )
     la, lb = a.labels, b.labels
     covered = np.flatnonzero((la >= 0) | (lb >= 0))
-    if len(covered) == 0:
-        return FileculePartition([], a.n_files)
-
-    # encode the label pair; -1 (unobserved) is a valid pair component
-    pair_a = la[covered].astype(np.int64)
-    pair_b = lb[covered].astype(np.int64)
-    keys = (pair_a + 1) * (int(lb.max(initial=0)) + 2) + (pair_b + 1)
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    sorted_files = covered[order]
-    boundaries = np.flatnonzero(
-        np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1]))
+    la, lb = la[covered], lb[covered]
+    # group by the label pair; -1 (unobserved) is a valid pair component
+    # and picks the 0 appended to each observer's counts
+    return FileculePartition.from_labels(
+        covered,
+        (la + 1) * (int(lb.max(initial=0)) + 2) + (lb + 1),
+        a.n_files,
+        np.append(a.requests, 0)[la] + np.append(b.requests, 0)[lb],
     )
-    boundaries = np.append(boundaries, len(sorted_keys))
-
-    def requests_for(file_id: int) -> int:
-        total = 0
-        if la[file_id] >= 0:
-            total += a[int(la[file_id])].n_requests
-        if lb[file_id] >= 0:
-            total += b[int(lb[file_id])].n_requests
-        return total
-
-    groups: list[np.ndarray] = [
-        np.sort(sorted_files[boundaries[i] : boundaries[i + 1]])
-        for i in range(len(boundaries) - 1)
-    ]
-    groups.sort(key=lambda g: (-requests_for(int(g[0])), int(g[0])))
-    filecules = [
-        Filecule(
-            filecule_id=i,
-            file_ids=group,
-            n_requests=requests_for(int(group[0])),
-            size_bytes=0,
-        )
-        for i, group in enumerate(groups)
-    ]
-    return FileculePartition(filecules, a.n_files)
 
 
 def merge_all(partitions: list[FileculePartition]) -> FileculePartition:

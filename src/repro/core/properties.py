@@ -49,8 +49,9 @@ def assert_partition_valid(trace: Trace, partition: FileculePartition) -> None:
             f"{len(extra)} unaccessed files covered"
         )
 
+    filecules = list(partition)  # built once from the partition's columns
     seen = np.zeros(trace.n_files, dtype=bool)
-    for fc in partition:
+    for fc in filecules:
         if fc.n_files == 0:
             raise FileculeInvariantError(f"filecule #{fc.filecule_id} is empty")
         if np.any(seen[fc.file_ids]):
@@ -60,7 +61,7 @@ def assert_partition_valid(trace: Trace, partition: FileculePartition) -> None:
         seen[fc.file_ids] = True
 
     signatures: dict[bytes, int] = {}
-    for fc in partition:
+    for fc in filecules:
         ref_jobs = trace.file_jobs(int(fc.file_ids[0]))
         sig = ref_jobs.tobytes()
         if fc.n_requests != len(ref_jobs):
@@ -83,7 +84,7 @@ def assert_partition_valid(trace: Trace, partition: FileculePartition) -> None:
         signatures[sig] = fc.filecule_id
 
     # size bookkeeping
-    for fc in partition:
+    for fc in filecules:
         expected = int(trace.file_sizes[fc.file_ids].sum())
         if fc.size_bytes not in (0, expected):
             raise FileculeInvariantError(

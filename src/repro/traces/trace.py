@@ -16,6 +16,7 @@ paper uses (a job reads every event of every input file once, §3).
 
 from __future__ import annotations
 
+import operator
 from functools import cached_property
 from collections.abc import Iterator
 
@@ -50,6 +51,15 @@ def check_ids(ids: np.ndarray, bound: int, first: int = 0, kind="file") -> None:
             f"access {first + p} requests {kind} {int(ids[p])}, "
             f"outside [0, {bound})"
         )
+
+
+def check_id(value: int, bound: int, kind: str = "file") -> int:
+    """``value`` as an ``int``; ``IndexError`` naming it unless it is in
+    ``[0, bound)`` (a negative id would silently index from the end)."""
+    value = operator.index(value)
+    if not 0 <= value < bound:
+        raise IndexError(f"{kind} id {value} outside [0, {bound})")
+    return value
 
 
 class Trace:
@@ -259,7 +269,11 @@ class Trace:
     # ------------------------------------------------------------------
     @cached_property
     def job_access_ptr(self) -> np.ndarray:
-        """CSR pointer: accesses of job ``j`` live at ``[ptr[j], ptr[j+1])``."""
+        """CSR pointer: accesses of job ``j`` live at ``[ptr[j], ptr[j+1])``.
+
+        Raises ``IndexError`` on a job id outside ``[0, n_jobs)``.
+        """
+        check_ids(self.access_jobs, self.n_jobs, kind="job")
         counts = np.bincount(self.access_jobs, minlength=self.n_jobs)
         ptr = np.zeros(self.n_jobs + 1, dtype=np.int64)
         np.cumsum(counts, out=ptr[1:])
@@ -275,7 +289,11 @@ class Trace:
 
     @cached_property
     def file_access_ptr(self) -> np.ndarray:
-        """CSR pointer into ``accesses[_file_order]`` grouped per file."""
+        """CSR pointer into ``accesses[_file_order]`` grouped per file.
+
+        Raises ``IndexError`` on a file id outside ``[0, n_files)``.
+        """
+        check_ids(self.access_files, self.n_files)
         counts = np.bincount(self.access_files, minlength=self.n_files)
         ptr = np.zeros(self.n_files + 1, dtype=np.int64)
         np.cumsum(counts, out=ptr[1:])
@@ -285,20 +303,25 @@ class Trace:
     @cached_property
     def files_per_job(self) -> np.ndarray:
         """Number of distinct input files of each job (Figure 1 series)."""
-        out = np.bincount(self.access_jobs, minlength=self.n_jobs).astype(np.int64)
+        out = np.diff(self.job_access_ptr)
         out.setflags(write=False)
         return out
 
     @cached_property
     def file_popularity(self) -> np.ndarray:
         """Requests per file = number of distinct jobs reading it."""
-        out = np.bincount(self.access_files, minlength=self.n_files).astype(np.int64)
+        out = np.diff(self.file_access_ptr)
         out.setflags(write=False)
         return out
 
     @cached_property
     def job_input_bytes(self) -> np.ndarray:
-        """Total input bytes of each job (sum of its files' sizes)."""
+        """Total input bytes of each job (sum of its files' sizes).
+
+        Raises ``IndexError`` on a job or file id outside the catalogs.
+        """
+        check_ids(self.access_jobs, self.n_jobs, kind="job")
+        check_ids(self.access_files, self.n_files)
         contrib = self.file_sizes[self.access_files]
         out = np.zeros(self.n_jobs, dtype=np.int64)
         np.add.at(out, self.access_jobs, contrib)
@@ -379,12 +402,20 @@ class Trace:
     # row access
     # ------------------------------------------------------------------
     def job_files(self, job_id: int) -> np.ndarray:
-        """File ids accessed by ``job_id`` (sorted, read-only view)."""
+        """File ids accessed by ``job_id`` (sorted, read-only view).
+
+        Raises ``IndexError`` unless ``job_id`` is in ``[0, n_jobs)``.
+        """
+        job_id = check_id(job_id, self.n_jobs, "job")
         ptr = self.job_access_ptr
         return self.access_files[ptr[job_id] : ptr[job_id + 1]]
 
     def file_jobs(self, file_id: int) -> np.ndarray:
-        """Job ids that accessed ``file_id`` (sorted, read-only view)."""
+        """Job ids that accessed ``file_id`` (sorted, read-only view).
+
+        Raises ``IndexError`` unless ``file_id`` is in ``[0, n_files)``.
+        """
+        file_id = check_id(file_id, self.n_files)
         ptr = self.file_access_ptr
         return self.access_jobs[self._file_order[ptr[file_id] : ptr[file_id + 1]]]
 

@@ -105,6 +105,30 @@ def make_trace(
     )
 
 
+def unvalidated_trace(access_jobs, access_files) -> Trace:
+    """Three files of sizes 10/20/30 and two jobs, built without
+    validation, as the store, shared memory and subsets build traces."""
+    return Trace(
+        file_sizes=[10, 20, 30],
+        file_tiers=[1, 1, 1],
+        file_datasets=[0, 0, 0],
+        job_users=[0, 0],
+        job_nodes=[0, 0],
+        job_tiers=[1, 1],
+        job_starts=[0.0, 3600.0],
+        job_ends=[3600.0, 7200.0],
+        access_jobs=access_jobs,
+        access_files=access_files,
+        user_domains=[0],
+        node_sites=[0],
+        node_domains=[0],
+        site_names=["site0"],
+        domain_names=[".d0"],
+        canonical=True,
+        validate=False,
+    )
+
+
 @pytest.fixture(scope="session")
 def tiny_trace() -> Trace:
     """Generated tiny-scale workload (seed 3), shared per session."""

@@ -61,6 +61,66 @@ class TestPartitionConstruction:
         assert p.n_covered_files == 3
 
 
+class TestFromLabels:
+    def test_canonical_order(self):
+        # groups 7: {4, 1} (3 requests), 2: {0} (3), 5: {2, 3} (5)
+        p = FileculePartition.from_labels(
+            file_ids=[4, 0, 2, 1, 3],
+            labels=[7, 2, 5, 7, 5],
+            n_files=6,
+            requests=[3, 3, 5, 3, 5],
+            file_sizes=[1, 2, 4, 8, 16, 32],
+        )
+        assert [fc.file_ids.tolist() for fc in p] == [[2, 3], [0], [1, 4]]
+        assert p.requests.tolist() == [5, 3, 3]
+        assert p.sizes_bytes.tolist() == [12, 1, 18]
+        assert p.labels.tolist() == [1, 2, 0, 0, 2, -1]
+        assert p.offsets.tolist() == [0, 2, 3, 5]
+
+    def test_sizes_default_to_zero(self):
+        p = FileculePartition.from_labels([0, 1], [0, 1], 2, [1, 1])
+        assert p.sizes_bytes.tolist() == [0, 0]
+
+    def test_empty(self):
+        p = FileculePartition.from_labels([], [], 3, [])
+        assert len(p) == 0
+        assert p.labels.tolist() == [-1, -1, -1]
+        assert list(p) == []
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_out_of_range_rejected(self, bad):
+        with pytest.raises(ValueError, match="beyond"):
+            FileculePartition.from_labels([0, bad], [0, 1], 3, [1, 1])
+
+    def test_overlap_rejected(self):
+        with pytest.raises(ValueError, match="overlaps"):
+            FileculePartition.from_labels([0, 1, 1], [0, 0, 1], 3, [1, 1, 1])
+
+    def test_list_constructor_rejects_negative_ids(self):
+        with pytest.raises(ValueError, match="beyond"):
+            FileculePartition([Filecule(0, np.array([-1]), 1, 1)], n_files=3)
+
+    def test_columns_are_read_only(self, classic_trace):
+        p = find_filecules(classic_trace)
+        for column in (p.labels, p.members, p.offsets, p.requests, p.sizes_bytes):
+            with pytest.raises(ValueError):
+                column[0] = 9
+
+
+class TestLookupRange:
+    @pytest.mark.parametrize("bad", [-2, 8])
+    def test_filecule_of_out_of_range(self, classic_trace, bad):
+        """``filecule_of(-2)`` used to return the filecule of file 6."""
+        p = find_filecules(classic_trace)
+        with pytest.raises(IndexError, match=f"file id {bad} outside \\[0, 8\\)"):
+            p.filecule_of(bad)
+
+    def test_in_range(self, classic_trace):
+        p = find_filecules(classic_trace)
+        assert p.filecule_of(7) is None
+        assert p.filecule_of(np.int64(6)).file_ids.tolist() == [6]
+
+
 class TestPartitionStats:
     def test_vector_columns(self, classic_trace):
         p = find_filecules(classic_trace)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.traces.trace import Trace, TraceValidationError
-from tests.conftest import make_trace
+from tests.conftest import make_trace, unvalidated_trace
 
 
 class TestConstruction:
@@ -122,6 +122,53 @@ class TestDerived:
         )
         assert t.job_sites.tolist() == [0, 1]
         assert t.job_domains.tolist() == [0, 1]
+
+
+class TestOutOfRangeIds:
+    """A derived column over an access naming a file or job outside its
+    catalog raises an IndexError naming the access, instead of a numpy
+    error about ``bincount`` or charging id -1 to the last entry."""
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    @pytest.mark.parametrize(
+        "column", ["file_access_ptr", "file_popularity", "job_input_bytes"]
+    )
+    def test_file_id(self, column, bad):
+        trace = unvalidated_trace([0, 0, 1], [0, bad, 1])
+        message = f"access 1 requests file {bad}, outside \\[0, 3\\)"
+        with pytest.raises(IndexError, match=message):
+            getattr(trace, column)
+
+    @pytest.mark.parametrize("bad", [-1, 2])
+    @pytest.mark.parametrize(
+        "column", ["job_access_ptr", "files_per_job", "job_input_bytes"]
+    )
+    def test_job_id(self, column, bad):
+        trace = unvalidated_trace([0, 1, bad], [0, 1, 2])
+        message = f"access 2 requests job {bad}, outside \\[0, 2\\)"
+        with pytest.raises(IndexError, match=message):
+            getattr(trace, column)
+
+
+class TestLookupRange:
+    """Row lookups take ids in ``[0, n)`` only; a negative id used to
+    index from the end (or return an empty row) without error."""
+
+    @pytest.mark.parametrize("bad", [-1, 8])
+    def test_file_jobs(self, classic_trace, bad):
+        with pytest.raises(IndexError, match=f"file id {bad} outside \\[0, 8\\)"):
+            classic_trace.file_jobs(bad)
+
+    @pytest.mark.parametrize("bad", [-1, 5])
+    def test_job_files(self, classic_trace, bad):
+        with pytest.raises(IndexError, match=f"job id {bad} outside \\[0, 5\\)"):
+            classic_trace.job_files(bad)
+
+    def test_in_range_ids_still_work(self, classic_trace):
+        assert classic_trace.file_jobs(7).tolist() == []
+        assert classic_trace.job_files(4).tolist() == classic_trace.job_files(
+            np.int64(4)
+        ).tolist()
 
 
 class TestMeta:

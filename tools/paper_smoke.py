@@ -11,16 +11,20 @@ characterizes — without paying for the full benchmark matrix.  It:
 2. asserts the generated access count lands inside the documented band
    around the paper's ~13M file accesses (PAPER.md §2) — a drift here
    means the calibration, not the engine, changed;
-3. identifies filecules and replays one file-LRU cell (capacity =
-   total/10, the mixed-pressure regime) through the batch kernel,
-   gating its throughput against the floor below (bit-identity to the
-   per-access path is the benchmark suite's job, not the smoke check's);
-4. replays the same cell again with a ``ProgressReporter`` attached
+3. identifies filecules and checks the partition with
+   ``assert_partition_valid`` (coverage, disjointness, one signature
+   per filecule, maximality, sizes), failing on
+   ``FileculeInvariantError``;
+4. replays one file-LRU cell (capacity = total/10, the mixed-pressure
+   regime) through the batch kernel, gating its throughput against the
+   floor below (bit-identity to the per-access path is the benchmark
+   suite's job, not the smoke check's);
+5. replays the same cell again with a ``ProgressReporter`` attached
    (its lines discarded) — what ``REPRO_PROGRESS=1`` gives — gating it
    on the same floor and on metrics equal to the first replay, so
    turning progress on cannot quietly drop the cell to per-access
    replay;
-5. writes ``benchmarks/output/paper_smoke.json`` with host info and
+6. writes ``benchmarks/output/paper_smoke.json`` with host info and
    per-phase timings.
 
 Exit status is non-zero on any failed gate.  Run locally with::
@@ -39,7 +43,11 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.core import find_filecules  # noqa: E402
+from repro.core import (  # noqa: E402
+    FileculeInvariantError,
+    assert_partition_valid,
+    find_filecules,
+)
 from repro.engine import simulate  # noqa: E402
 from repro.obs.instrument import ProgressReporter  # noqa: E402
 from repro.util.host import host_info  # noqa: E402
@@ -88,6 +96,16 @@ def main() -> int:
     timings["partition_s"] = round(time.perf_counter() - t0, 2)
     print(f"filecules: {len(partition):,} ({timings['partition_s']}s)")
 
+    ok = True
+    t0 = time.perf_counter()
+    try:
+        assert_partition_valid(trace, partition)
+    except FileculeInvariantError as exc:
+        ok = False
+        print(f"FAIL: invalid filecule partition: {exc}", file=sys.stderr)
+    timings["validate_s"] = round(time.perf_counter() - t0, 2)
+    print(f"partition check: {'ok' if ok else 'FAILED'} ({timings['validate_s']}s)")
+
     capacity = trace.total_bytes() // 10
     t0 = time.perf_counter()
     metrics = simulate(trace, "file-lru", capacity, batch=True)
@@ -115,7 +133,6 @@ def main() -> int:
         f"{instrumented_rate:,.0f} accesses/s"
     )
 
-    ok = True
     for label, value in (("batch", rate), ("instrumented", instrumented_rate)):
         if value < MIN_BATCH_ACCESSES_PER_S:
             ok = False
