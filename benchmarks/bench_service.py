@@ -71,6 +71,7 @@ overhead, not the optimization.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import os
 import random
@@ -99,7 +100,14 @@ from repro.service.cluster import (
     ClusterServer,
     pick_free_port_block,
 )
-from repro.service.protocol import encode_request, encode_response
+from repro.service.protocol import (
+    MAX_LINE_BYTES,
+    ProtocolError,
+    decode_request,
+    encode_request,
+    encode_response,
+    error_response,
+)
 from repro.service.state import partition_checksum
 from repro.util.units import GB
 from repro.workload.calibration import paper_config, small_config, tiny_config
@@ -183,13 +191,102 @@ class LegacyServiceState(ServiceState):
         }
 
 
-class LegacyServer(FileculeServer):
-    """Pre-shard ``FileculeServer`` write path, transcribed from c976267.
+_STOP = object()  # sentinel closing a connection's response queue
 
-    Futures carry response dicts (the writer encodes), and every
+
+class LegacyServer(FileculeServer):
+    """Pre-shard ``FileculeServer`` write path, transcribed from c976267,
+    on the streams plumbing the server used up to 1.18.0.
+
+    Every connection is a reader task (``_handle_connection``) feeding a
+    shared inbox queue and a bounded per-connection outbox of futures,
+    plus a writer task (``_write_responses``); one actor task drains the
+    inbox.  Futures carry response dicts (the writer encodes), and every
     response is its own ``write`` + ``drain`` — no coalescing, no
-    template fast paths.
+    template fast paths.  ``legacy_writes`` counts the writer's writes,
+    so a run can prove this plumbing, not the base class's, answered.
     """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._inbox: asyncio.Queue | None = None
+        self._actor_task: asyncio.Task | None = None
+        self._connection_tasks: set[asyncio.Task] = set()
+        self.legacy_writes = 0
+
+    async def start(self):
+        self._inbox = asyncio.Queue()
+        self._stop_event = asyncio.Event()
+        self._actor_task = asyncio.create_task(self._actor(self._inbox))
+        self._server = await asyncio.start_server(
+            self._track_connection, self.host, self.port, limit=MAX_LINE_BYTES
+        )
+        self.port = self._server.sockets[0].getsockname()[1]
+
+    async def stop(self):
+        # 1.18.0 order: stop accepting, cancel the readers (each flushes
+        # its outbox), let the actor drain the inbox, then release.
+        self._server.close()
+        for task in list(self._connection_tasks):
+            task.cancel()
+        await asyncio.gather(*self._connection_tasks, return_exceptions=True)
+        while not self._inbox.empty():
+            await asyncio.sleep(0)
+        self._actor_task.cancel()
+        await asyncio.gather(self._actor_task, return_exceptions=True)
+        await super().stop()
+
+    def _track_connection(self, reader, writer):
+        task = asyncio.create_task(self._handle_connection(reader, writer))
+        self._connection_tasks.add(task)
+        task.add_done_callback(self._connection_tasks.discard)
+
+    async def _handle_connection(self, reader, writer):
+        self.metrics.inc("connections")
+        loop = asyncio.get_running_loop()
+        outbox = asyncio.Queue(maxsize=self.pending_per_connection)
+        writer_task = asyncio.create_task(self._write_responses(outbox, writer))
+        try:
+            while True:
+                try:
+                    line = await reader.readline()
+                except ValueError:
+                    future = loop.create_future()
+                    future.set_result(
+                        error_response(
+                            None,
+                            "too-large",
+                            f"request line exceeds {MAX_LINE_BYTES} bytes",
+                        )
+                    )
+                    await outbox.put(future)
+                    break
+                if not line:
+                    break
+                if not line.strip():
+                    continue
+                future = loop.create_future()
+                try:
+                    request = decode_request(line)
+                except ProtocolError as exc:
+                    self.metrics.inc("errors")
+                    future.set_result(error_response(None, exc.code, exc.message))
+                    await outbox.put(future)
+                    continue
+                self._inbox.put_nowait((request, future, time.perf_counter()))
+                await outbox.put(future)
+        except ConnectionError:
+            pass
+        finally:
+            try:
+                outbox.put_nowait(_STOP)
+            except asyncio.QueueFull:
+                writer_task.cancel()
+            with contextlib.suppress(asyncio.CancelledError, ConnectionError):
+                await writer_task
+            writer.close()
+            with contextlib.suppress(ConnectionError):
+                await writer.wait_closed()
 
     async def _actor(self, inbox):
         while True:
@@ -207,7 +304,10 @@ class LegacyServer(FileculeServer):
                 with obstrace.span(
                     f"op.{op}", recorder=self.spans, rid=rid
                 ) as span_fields:
-                    response = self._handle(request)
+                    try:
+                        response = self._handle(request)
+                    except Exception as exc:  # noqa: BLE001 — c976267's barrier
+                        response = self._internal_errors(exc, op, [request])[0]
                     span_fields["ok"] = response["ok"]
                 t1 = time.perf_counter()
                 self.metrics.inc("requests")
@@ -218,14 +318,13 @@ class LegacyServer(FileculeServer):
             await asyncio.sleep(0)
 
     async def _write_responses(self, outbox, writer):
-        from repro.service.server import _STOP
-
         while True:
             item = await outbox.get()
             if item is _STOP:
                 return
             response = await item
             writer.write(encode_response(response))
+            self.legacy_writes += 1
             await writer.drain()
 
 
@@ -568,6 +667,8 @@ async def _measure_baseline(
     finally:
         await server.stop()
     assert report.errors == 0
+    # Every answer went out through the transcribed writer.
+    assert server.legacy_writes == server.metrics.get("requests") > 0
     return {
         "stack": "pre-shard single actor (transcribed, commit c976267)",
         "workers": 1,

@@ -12,9 +12,11 @@ succeeded SAM (XCache-style services fed by a live job stream):
 * :mod:`repro.service.state` — single-writer service state: the exact
   incremental filecule partition, per-site cache advisors backed by a
   configurable :mod:`repro.cache` policy, and JSONL snapshot/restore;
-* :mod:`repro.service.server` — asyncio daemon with per-connection
-  backpressure, one state actor, cross-connection request batching,
-  coalesced writes and graceful shutdown;
+* :mod:`repro.service.server` — asyncio daemon: one protocol object
+  per connection (line framing, per-connection backpressure) and one
+  drain callback as the state's single writer (cross-connection request
+  batching, one write per connection per drain), with graceful
+  shutdown;
 * :mod:`repro.service.cluster` — pre-fork ``SO_REUSEPORT`` multi-worker
   supervisor with crash restarts and coordinated shutdown
   (``repro-serve serve --workers N``);

@@ -41,12 +41,13 @@ import multiprocessing
 import os
 import signal
 import socket
+import sys
 import time
 from dataclasses import dataclass
 
 from repro.obs.log import get_logger
 from repro.service.server import HAS_REUSEPORT, FileculeServer
-from repro.service.state import ServiceState
+from repro.service.state import ServiceState, SnapshotError
 from repro.util.units import TB
 
 slog = get_logger("repro.service.cluster")
@@ -147,7 +148,16 @@ def _worker_main(
     restore: bool,
 ) -> None:
     """Child-process entry: build state + server, serve until stopped."""
-    state = _build_state(config, index, restore)
+    # Until the server installs its own handlers, a stop signal ends the
+    # child (not the parent's inherited stop-flag handler).
+    for sig in (signal.SIGINT, signal.SIGTERM):
+        signal.signal(sig, signal.SIG_DFL)
+    try:
+        state = _build_state(config, index, restore)
+    except SnapshotError as exc:  # reported instead of becoming ready
+        snap = config.worker_snapshot_path(index)
+        ready_queue.put({"error": f"cannot restore {snap}: {exc}"})
+        raise SystemExit(2) from None
     span_log = (
         f"{config.span_log_path}.w{index}" if config.span_log_path else None
     )
@@ -292,6 +302,9 @@ class ClusterServer:
                             f"{handle.process.exitcode} before becoming ready"
                         )
                 continue
+            if "error" in info:
+                self.stop()
+                raise SnapshotError(info["error"])
             handle = self.workers[info["worker"]]
             handle.port = info["port"]
             handle.metrics_port = info["metrics_port"]
@@ -372,13 +385,20 @@ class ClusterServer:
             self.start()
             while not stop_requested and self.supervise_once():
                 time.sleep(0.2)
+        except RuntimeError:
+            # A stop signal sent to the whole process group (a terminal's
+            # Ctrl-C, a service manager) also ends workers still starting.
+            if not stop_requested:
+                raise
         finally:
             for sig, handler in previous.items():
                 signal.signal(sig, handler)
             self.stop()
 
     def stop(self) -> None:
-        """Coordinated graceful shutdown of every worker."""
+        """Coordinated graceful shutdown of every worker (once)."""
+        if self._stopping:
+            return
         self._stopping = True
         for handle in self.workers.values():
             if handle.process.exitcode is None:
@@ -427,7 +447,11 @@ def run_cluster(config: ClusterConfig) -> int:
     ``workers == 1`` still goes through the cluster path when asked to,
     but ``repro-serve`` uses an in-process server for that case.
     """
-    ClusterServer(config).run()
+    try:
+        ClusterServer(config).run()
+    except SnapshotError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     return 0
 
 

@@ -31,7 +31,7 @@ Two throughput levers beyond connection count:
 * ``ingest_batch > 1`` is the coalescing-friendly variant of pipelining:
   groups of that many jobs are flushed together with the group's
   ``advise`` probes front-loaded, so the ingests arrive back-to-back in
-  the daemon's inbox and each group runs as one ``ingest_batch`` window
+  the daemon's request queue and each group runs as one ``ingest_batch`` window
   rather than a window per job (see ``docs/SERVICE.md``).  Advises in
   a group consult the pre-group partition — the trade a batching
   middleware actually makes;
@@ -329,7 +329,7 @@ async def run_load(
     ingest_batch:
         When > 1, flush jobs in groups of this size with the group's
         advises sent *before* its ingests, so the ingests land
-        back-to-back in the daemon's writer inbox and coalesce into one
+        back-to-back in the daemon's request queue and coalesce into one
         kernel call per group.  Mutually exclusive with
         ``pipeline_depth > 1`` (it implies pipelined sending at this
         depth).

@@ -1,28 +1,32 @@
 """The asyncio daemon serving the filecule-management protocol.
 
-Concurrency model — one event loop, one writer:
+Concurrency model — one event loop, one writer, no per-request tasks:
 
-* every connection gets a **reader task** (decodes request lines and a
-  **response queue**) and a **writer task** (sends responses back in
-  request order).  The response queue is bounded: when a client pipelines
-  faster than it drains responses, ``put`` blocks the reader, which stops
-  reading the socket, which pushes back through TCP — per-connection
-  backpressure with no explicit window bookkeeping.  The writer coalesces
-  consecutive ready responses into one reused buffer and hands the kernel
-  a single write;
-* requests funnel into one **state actor** task, the state's single
-  writer.  It drains its inbox in batches (up to ``batch_max`` per
-  wakeup), handles each request, and **encodes the response to bytes
-  immediately** — so response dicts never outlive the handling step, and
-  reused state buffers cannot be observed mid-mutation by a later
-  writer.  Ingests have one path: each maximal run of one or more
+* every connection is a :class:`_Connection` protocol.  It splits
+  complete lines out of its buffer, decodes each one and queues it on
+  the server (a line that fails to decode queues its encoded error, so
+  errors keep their place).  At ``pending_per_connection`` unanswered
+  requests, or while its write buffer is over the high-water mark, it
+  stops parsing and pauses reading — per-connection backpressure
+  through TCP;
+* one ``call_soon`` callback, :meth:`FileculeServer._drain`, is the
+  state's single writer.  It takes up to ``batch_max`` requests in
+  arrival order across all connections, **encodes each answer to bytes
+  at once** (so reused state buffers are never observed mid-mutation),
+  writes each connection's answers in one ``transport.write`` and
+  reschedules itself while requests remain.  Each maximal run of
   consecutive plain ingests (no ``rid``, an int ``id``) is one
-  ``ServiceState.ingest_batch`` window.  A state call that raises is
-  never retried: each request it covered gets an ``internal`` error
-  carrying its own id;
+  ``ServiceState.ingest_batch`` window.  A state call or encoding that
+  raises is never retried: each request it covered gets an
+  ``internal`` error carrying its own id.  Any other fault while
+  answering a connection closes that connection only, and the drain
+  always reschedules itself;
+* a client's EOF keeps its connection open until the last accepted
+  request is answered; a line over ``MAX_LINE_BYTES`` is answered
+  ``too-large``, then the connection closes;
 * ``SIGINT``/``SIGTERM`` (and the ``shutdown`` op) trigger a graceful
-  stop: stop accepting, unblock connected readers, let the actor drain
-  every in-flight request, write a final snapshot if configured.
+  stop: stop accepting and reading, answer every accepted request,
+  close the connections, write a final snapshot if configured.
 
 For multi-process deployments (:mod:`repro.service.cluster`), the server
 accepts ``reuse_port=True`` (each worker binds its own ``SO_REUSEPORT``
@@ -55,6 +59,7 @@ set.
 from __future__ import annotations
 
 import asyncio
+import collections
 import contextlib
 import json
 import os
@@ -86,8 +91,6 @@ from repro.service.state import SnapshotError
 
 slog = get_logger("repro.service")
 
-_STOP = object()  # sentinel closing a connection's response queue
-
 
 def _batch_bucket(n: int) -> str:
     """Power-of-two bucket label for the writer-batch-size histogram."""
@@ -98,8 +101,6 @@ def _batch_bucket(n: int) -> str:
     hi = 1 << (n - 1).bit_length()
     return f"{hi // 2 + 1}-{hi}"
 
-#: Stop coalescing responses into one write beyond this many bytes.
-WRITE_COALESCE_BYTES = 256 * 1024
 
 #: True when the platform can load-balance accepts across processes.
 HAS_REUSEPORT = hasattr(socket_module, "SO_REUSEPORT")
@@ -117,10 +118,10 @@ class FileculeServer:
         Bind address; ``port=0`` picks an ephemeral port (exposed as
         :attr:`port` after :meth:`start`).
     batch_max:
-        Maximum requests the state actor handles per wakeup.
+        Maximum requests one drain of the request queue handles.
     pending_per_connection:
-        Bound on a connection's unsent responses before its reader stops
-        accepting new requests (per-connection backpressure window).
+        Bound on a connection's unanswered requests before the server
+        stops reading from it (per-connection backpressure window).
     snapshot_path, snapshot_interval:
         When both are set, the hard state is snapshotted every
         ``snapshot_interval`` seconds and once more on shutdown.
@@ -228,9 +229,11 @@ class FileculeServer:
         self._server: asyncio.AbstractServer | None = None
         self._stop_event: asyncio.Event | None = None
         self._background: list[asyncio.Task] = []
-        self._connections: set[asyncio.Task] = set()
-        self._inbox: asyncio.Queue | None = None
-        self._actor_task: asyncio.Task | None = None
+        self._connections: set[_Connection] = set()
+        # (connection, decoded request or pre-encoded error, enqueue time)
+        self._pending: collections.deque = collections.deque()
+        self._drain_scheduled = False
+        self._loop: asyncio.AbstractEventLoop | None = None
         # Interned-op dispatch: one dict hit replaces the if/elif chain
         # (ops are interned by decode_request, so lookup is by identity).
         self._ops = {
@@ -248,7 +251,7 @@ class FileculeServer:
         }
 
     # ------------------------------------------------------------------
-    # request handling (runs on the state actor)
+    # request handling (runs in the drain)
     # ------------------------------------------------------------------
     def _op_ping(self, request: dict) -> dict:
         return {"pong": True, "jobs_observed": self.state.jobs_observed}
@@ -299,19 +302,16 @@ class FileculeServer:
         return {"stopping": True}
 
     def _handle(self, request: dict) -> dict:
-        op = request["op"]
         request_id = request["id"]
         rid = request.get("rid")
         try:
-            result = self._ops[op](request)
+            result = self._ops[request["op"]](request)
         except ProtocolError as exc:
             self.metrics.inc("errors")
             return error_response(request_id, exc.code, exc.message, rid=rid)
         except SnapshotError as exc:
             self.metrics.inc("errors")
             return error_response(request_id, "snapshot-error", str(exc), rid=rid)
-        except Exception as exc:  # noqa: BLE001 — fault barrier
-            return self._internal_errors(exc, op, [request])[0]
         return ok_response(request_id, result, rid=rid)
 
     def _internal_errors(
@@ -426,8 +426,8 @@ class FileculeServer:
             payload["worker"] = self.worker_index
         return payload
 
-    def _ingest_run(self, run: list) -> None:
-        """Handle one run of plain ingest requests (one or more).
+    def _ingest_run(self, run: list) -> list[bytes]:
+        """Answer one run of plain ingest requests (one or more).
 
         One ``ingest_batch`` state call for the whole run, under one
         ``op.ingest`` span carrying ``jobs``; per-request receipts render
@@ -441,7 +441,7 @@ class FileculeServer:
             span_fields["jobs"] = n_jobs
             try:
                 receipts = self.state.ingest_batch(
-                    [(r["files"], r["sizes"], r["site"]) for r, _, _ in run]
+                    [(r["files"], r["sizes"], r["site"]) for _, r, _ in run]
                 )
                 datas = [
                     INGEST_OK_TEMPLATE
@@ -452,14 +452,14 @@ class FileculeServer:
                         receipt["n_classes"],
                         receipt["site_hits"],
                     )
-                    for (r, _, _), receipt in zip(run, receipts)
+                    for (_, r, _), receipt in zip(run, receipts)
                 ]
                 span_fields["ok"] = True
             except Exception as exc:  # noqa: BLE001 — fault barrier
                 datas = [
                     encode_response(response)
                     for response in self._internal_errors(
-                        exc, "ingest", [r for r, _, _ in run]
+                        exc, "ingest", [r for _, r, _ in run]
                     )
                 ]
                 span_fields["ok"] = False
@@ -480,48 +480,10 @@ class FileculeServer:
                 jobs=n_jobs,
                 duration_ms=round((t1 - t0) * 1e3, 3),
             )
-        for (_, future, _), data in zip(run, datas):
-            if not future.done():
-                future.set_result(data)
+        return datas
 
-    async def _actor(self, inbox: asyncio.Queue) -> None:
-        """The state's single writer: drain the inbox in wakeup batches.
-
-        Each run of plain ingests goes to :meth:`_ingest_run`; every
-        other request (including an ingest with a ``rid`` or a non-int
-        ``id``, which the state serves as a one-job window) goes to
-        :meth:`_handle_one`, in queue order.
-        """
-        metrics = self.metrics
-        while True:
-            batch = [await inbox.get()]
-            while len(batch) < self.batch_max:
-                try:
-                    batch.append(inbox.get_nowait())
-                except asyncio.QueueEmpty:
-                    break
-            metrics.inc("batches")  # mean batch size = requests/batches
-            metrics.set_gauge("actor_queue_depth", inbox.qsize())
-            n = len(batch)
-            i = 0
-            while i < n:
-                # A maximal run of consecutive plain ingests is one
-                # ingest_batch window.  Only *consecutive* requests join
-                # a run: an interleaved read must observe exactly the
-                # ingests queued before it, so it breaks the run.
-                j = i
-                while j < n and _plain_ingest(batch[j][0]):
-                    j += 1
-                if j > i:
-                    self._ingest_run(batch[i:j])
-                    i = j
-                else:
-                    self._handle_one(*batch[i])
-                    i += 1
-            # Yield so connection writers interleave with the next batch.
-            await asyncio.sleep(0)
-
-    def _handle_one(self, request: dict, future, t_enqueued: float) -> None:
+    def _handle_one(self, request: dict, t_enqueued: float) -> bytes:
+        """Answer one request that is not part of an ingest run."""
         metrics = self.metrics
         perf_counter = time.perf_counter
         op = request["op"]
@@ -530,29 +492,27 @@ class FileculeServer:
         with obstrace.span(
             f"op.{op}", recorder=self.spans, rid=rid
         ) as span_fields:
-            if op == "filecule_of" and rid is None and type(request["id"]) is int:
-                # Hot path for untraced plain-int-id lookups: serve the
-                # state's memoized, already encoded payload — no
-                # response dict, no json.dumps.
-                try:
+            try:
+                if op == "filecule_of" and rid is None and type(request["id"]) is int:
+                    # Hot path for untraced plain-int-id lookups: serve
+                    # the state's memoized, already encoded payload — no
+                    # response dict, no json.dumps.
                     data = RESULT_OK_TEMPLATE % (
                         request["id"],
                         self.state.filecule_of_json(request["file"]),
                     )
-                    span_fields["ok"] = True
-                except Exception as exc:  # noqa: BLE001 — fault barrier
-                    data = encode_response(
-                        self._internal_errors(exc, op, [request])[0]
-                    )
-                    span_fields["ok"] = False
-            else:
-                response = self._handle(request)
-                span_fields["ok"] = response["ok"]
-                # Encode on the actor: the response (and anything
-                # the state lent it) is serialized before the
-                # next request can mutate state, and the writer
-                # only ever sees bytes.
-                data = encode_response(response)
+                    ok = True
+                else:
+                    response = self._handle(request)
+                    ok = response["ok"]
+                    # Encode now: the response (and anything the state
+                    # lent it) is serialized before the next request can
+                    # mutate state.
+                    data = encode_response(response)
+            except Exception as exc:  # noqa: BLE001 — fault barrier
+                data = encode_response(self._internal_errors(exc, op, [request])[0])
+                ok = False
+            span_fields["ok"] = ok
         t1 = perf_counter()
         metrics.inc("requests")
         metrics.observe(f"op.{op}", t1 - t0)
@@ -566,123 +526,69 @@ class FileculeServer:
                 duration_ms=round((t1 - t0) * 1e3, 3),
                 queue_wait_ms=round((t0 - t_enqueued) * 1e3, 3),
             )
-        if not future.done():
-            future.set_result(data)
+        return data
 
-    # ------------------------------------------------------------------
-    # connection plumbing
-    # ------------------------------------------------------------------
-    async def _write_responses(
-        self, outbox: asyncio.Queue, writer: asyncio.StreamWriter
-    ) -> None:
-        # Coalesce consecutive *ready* responses into one reused buffer →
-        # one transport write per wakeup instead of one per response.
-        buffer = bytearray()
-        pending = None
-        while True:
-            item = pending if pending is not None else await outbox.get()
-            pending = None
-            if item is _STOP:
-                return
-            del buffer[:]
-            buffer += await item
-            closing = False
-            while len(buffer) < WRITE_COALESCE_BYTES:
-                try:
-                    nxt = outbox.get_nowait()
-                except asyncio.QueueEmpty:
-                    break
-                if nxt is _STOP:
-                    closing = True
-                    break
-                if not nxt.done():
-                    # Not ready: flush what we have, resume with it next.
-                    pending = nxt
-                    break
-                buffer += nxt.result()
-            self.metrics.inc("writes")
-            writer.write(bytes(buffer))
-            await writer.drain()  # client-side backpressure
-            if closing:
-                return
+    def _enqueue(self, conn: "_Connection", item) -> None:
+        """Queue a decoded request (or a pre-encoded error) for the drain."""
+        conn.unanswered += 1
+        self._pending.append((conn, item, time.perf_counter()))
+        if not self._drain_scheduled:
+            self._drain_scheduled = True
+            self._loop.call_soon(self._drain)
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self.metrics.inc("connections")
-        loop = asyncio.get_running_loop()
-        outbox: asyncio.Queue = asyncio.Queue(maxsize=self.pending_per_connection)
-        writer_task = asyncio.create_task(self._write_responses(outbox, writer))
-        inbox = self._inbox
+    def _drain(self) -> None:
+        """The state's single writer: answer up to ``batch_max`` requests,
+        and reschedule while more wait."""
+        pending = self._pending
         try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except ValueError:
-                    # line exceeded the stream limit (MAX_LINE_BYTES)
-                    future = loop.create_future()
-                    future.set_result(
-                        encode_response(
-                            error_response(
-                                None,
-                                "too-large",
-                                f"request line exceeds {MAX_LINE_BYTES} bytes",
-                            )
-                        )
-                    )
-                    await outbox.put(future)
-                    break
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                future = loop.create_future()
-                try:
-                    request = decode_request(line)
-                except ProtocolError as exc:
-                    self.metrics.inc("errors")
-                    # Echo the request id when the line was at least valid
-                    # JSON, so a pipelining client can pair the error with
-                    # its request instead of declaring the stream broken.
-                    future.set_result(
-                        encode_response(
-                            error_response(
-                                _salvage_id(line), exc.code, exc.message
-                            )
-                        )
-                    )
-                    await outbox.put(future)
-                    continue
-                # Hand to the actor first so the future always resolves,
-                # then to the outbox.  The inbox is unbounded, so
-                # put_nowait never fails and skips the coroutine overhead
-                # of an await.  The outbox is the backpressure point:
-                # blocks when the client has pending_per_connection
-                # unanswered requests.
-                inbox.put_nowait((request, future, time.perf_counter()))
-                if outbox.full():
-                    await outbox.put(future)
-                else:
-                    outbox.put_nowait(future)
-        except ConnectionError:
-            pass
-        finally:
-            try:
-                outbox.put_nowait(_STOP)
-            except asyncio.QueueFull:
-                writer_task.cancel()
-            with contextlib.suppress(asyncio.CancelledError, ConnectionError):
-                await writer_task
-            writer.close()
-            with contextlib.suppress(ConnectionError):
-                await writer.wait_closed()
+            self._answer(
+                [pending.popleft() for _ in range(min(len(pending), self.batch_max))]
+            )
+        finally:  # a fault must never leave the drain unscheduled
+            if pending:
+                self._loop.call_soon(self._drain)
+            else:
+                self._drain_scheduled = False
 
-    def _track_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.create_task(self._handle_connection(reader, writer))
-        self._connections.add(task)
-        task.add_done_callback(self._connections.discard)
+    def _answer(self, batch: list) -> None:
+        """Answer one drain's ``(connection, item, t_enqueued)`` entries.
+
+        Each run of plain ingests goes to :meth:`_ingest_run`; every
+        other request (including an ingest with a ``rid`` or a non-int
+        ``id``, which the state serves as a one-job window) goes to
+        :meth:`_handle_one`, and a pre-encoded error passes through.
+        """
+        if any(type(item) is dict for _, item, _ in batch):
+            self.metrics.inc("batches")  # mean batch size = requests/batches
+            self.metrics.set_gauge("actor_queue_depth", len(self._pending))
+        answers: dict[_Connection, list[bytes]] = {}
+        n = len(batch)
+        i = 0
+        while i < n:
+            # A maximal run of consecutive plain ingests is one
+            # ingest_batch window.  Only *consecutive* requests join a
+            # run: an interleaved read must observe exactly the ingests
+            # queued before it, so it breaks the run.
+            j = i
+            while j < n and _plain_ingest(batch[j][1]):
+                j += 1
+            if j > i:
+                datas = self._ingest_run(batch[i:j])
+            else:
+                _, item, t_enqueued = batch[i]
+                j = i + 1
+                datas = [
+                    item if type(item) is bytes else self._handle_one(item, t_enqueued)
+                ]
+            for (conn, _, _), data in zip(batch[i:j], datas):
+                answers.setdefault(conn, []).append(data)
+            i = j
+        for conn, datas in answers.items():
+            try:
+                conn.answer(datas)
+            except Exception:  # noqa: BLE001 — a fault closes only its connection
+                slog.error("connection-fault", error=traceback.format_exc())
+                conn.transport.abort()
 
     # ------------------------------------------------------------------
     # HTTP admin endpoint (optional)
@@ -815,9 +721,8 @@ class FileculeServer:
         """Bind and start serving; returns once the socket is listening."""
         if self._server is not None:
             raise RuntimeError("server already started")
-        self._inbox = asyncio.Queue()
+        self._loop = asyncio.get_running_loop()
         self._stop_event = asyncio.Event()
-        self._actor_task = asyncio.create_task(self._actor(self._inbox))
         if self.snapshot_path and self.snapshot_interval:
             self._background.append(asyncio.create_task(self._periodic_snapshot()))
         if self.log_interval:
@@ -828,17 +733,14 @@ class FileculeServer:
             self.sample_once()
             self._background.append(asyncio.create_task(self._periodic_sample()))
         if self._listen_sock is not None:
-            self._server = await asyncio.start_server(
-                self._track_connection,
-                sock=self._listen_sock,
-                limit=MAX_LINE_BYTES,
+            self._server = await self._loop.create_server(
+                lambda: _Connection(self), sock=self._listen_sock
             )
         else:
-            self._server = await asyncio.start_server(
-                self._track_connection,
+            self._server = await self._loop.create_server(
+                lambda: _Connection(self),
                 self.host,
                 self.port,
-                limit=MAX_LINE_BYTES,
                 **({"reuse_port": True} if self.reuse_port else {}),
             )
         self.port = self._server.sockets[0].getsockname()[1]
@@ -858,28 +760,29 @@ class FileculeServer:
         )
 
     async def stop(self) -> None:
-        """Graceful shutdown: drain in-flight work, snapshot, release."""
+        """Graceful shutdown: stop accepting and reading, answer every
+        accepted request, close the connections, snapshot, release."""
         if self._server is None:
             return
         self._server.close()
-        await self._server.wait_closed()
         if self._metrics_server is not None:
             self._metrics_server.close()
+        connections = list(self._connections)
+        for conn in connections:
+            conn.finish()
+        while self._pending:  # the drain reschedules itself until empty
+            await asyncio.sleep(0)
+        # Each connection closes after its last answer is flushed.  Only
+        # then wait for the listeners: from Python 3.12 on, wait_closed()
+        # also waits for every open connection.
+        await asyncio.gather(*(conn.closed for conn in connections))
+        await self._server.wait_closed()
+        if self._metrics_server is not None:
             await self._metrics_server.wait_closed()
             self._metrics_server = None
-        # Unblock connected readers so their tasks can finish cleanly.
-        for task in list(self._connections):
-            task.cancel()
-        await asyncio.gather(*self._connections, return_exceptions=True)
-        # Let the actor answer everything already accepted.
-        while not self._inbox.empty():
-            await asyncio.sleep(0)
-        self._actor_task.cancel()
         for task in self._background:
             task.cancel()
-        await asyncio.gather(
-            self._actor_task, *self._background, return_exceptions=True
-        )
+        await asyncio.gather(*self._background, return_exceptions=True)
         if self.snapshot_path:
             try:
                 receipt = self.state.snapshot(self.snapshot_path)
@@ -909,7 +812,6 @@ class FileculeServer:
             except OSError as exc:
                 slog.error("health-log-failed", error=str(exc))
         self._server = None
-        self._actor_task = None
         self._background.clear()
         slog.info("stopped", **self.metrics.snapshot())
 
@@ -949,14 +851,129 @@ class FileculeServer:
         asyncio.run(self.serve_forever())
 
 
-def _plain_ingest(request: dict) -> bool:
+class _Connection(asyncio.Protocol):
+    """One client connection: request lines in, answer bytes out (see
+    the module docstring); :meth:`answer` writes each drain's answers."""
+
+    def __init__(self, server: FileculeServer) -> None:
+        self.server = server
+        self.transport: asyncio.Transport | None = None
+        self.buffer = bytearray()
+        self.scanned = 0  # buffer[:scanned] holds no newline
+        self.unanswered = 0
+        self.eof = False  # the client half-closed: answer, then close
+        self.done = False  # accept no more requests: close once answered
+        self.write_paused = False
+        self.closed = server._loop.create_future()
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self.server._connections.add(self)
+        self.server.metrics.inc("connections")
+
+    def connection_lost(self, exc) -> None:
+        # Requests already queued are still handled; only their writes
+        # are skipped.
+        self.server._connections.discard(self)
+        self.done = True
+        self.closed.set_result(None)
+
+    def data_received(self, data: bytes) -> None:
+        self.buffer += data
+        self._parse()
+
+    def eof_received(self) -> bool:
+        self.eof = True
+        self._parse()
+        return True  # keep the transport open until the answers are out
+
+    def pause_writing(self) -> None:
+        self.write_paused = True
+        self._parse()
+
+    def resume_writing(self) -> None:
+        self.write_paused = False
+        self._parse()
+
+    def finish(self) -> None:
+        """Accept nothing more; close once every queued request is answered."""
+        self.done = True
+        self._parse()
+
+    def answer(self, datas: list[bytes]) -> None:
+        self.unanswered -= len(datas)
+        if not self.transport.is_closing():
+            self.server.metrics.inc("writes")
+            self.transport.write(b"".join(datas))
+        self._parse()
+
+    def _parse(self) -> None:
+        """Queue the buffer's complete lines, up to the window; then
+        pause, resume or close the transport as the state requires."""
+        server = self.server
+        buffer = self.buffer
+        window = server.pending_per_connection
+        start = 0
+        scanned = self.scanned
+        while not (self.done or self.write_paused) and self.unanswered < window:
+            newline = buffer.find(b"\n", max(start, scanned))
+            end = newline + 1 if newline >= 0 else len(buffer)
+            if end - start > MAX_LINE_BYTES + (newline >= 0):
+                # Answered in order, then the connection closes.
+                server._enqueue(self, _TOO_LARGE)
+                self.done = True
+                start = len(buffer)
+                break
+            if newline < 0 and not (self.eof and end > start):
+                scanned = end  # an incomplete line (at EOF, the last is whole)
+                break
+            line = bytes(buffer[start:end])
+            start = end
+            if not line.isspace():
+                try:
+                    item = decode_request(line)
+                except ProtocolError as exc:
+                    server.metrics.inc("errors")
+                    # Echo the id of a line that was at least valid JSON,
+                    # so a pipelining client can pair the error with it.
+                    item = encode_response(
+                        error_response(_salvage_id(line), exc.code, exc.message)
+                    )
+                except (ValueError, RecursionError) as exc:
+                    # json.loads past its limits (an int literal over the
+                    # digit limit, nesting past the recursion limit).
+                    server.metrics.inc("errors")
+                    item = encode_response(
+                        error_response(None, "bad-request", f"invalid JSON: {exc}")
+                    )
+                server._enqueue(self, item)
+        del buffer[:start]
+        self.scanned = max(scanned - start, 0)
+        if (self.done or self.eof and not buffer) and not self.unanswered:
+            self.transport.close()
+            return
+        # Never resume after EOF: a re-added reader would see EOF again.
+        if self.done or self.eof or self.write_paused or self.unanswered >= window:
+            self.transport.pause_reading()
+        else:
+            self.transport.resume_reading()
+
+
+_TOO_LARGE = encode_response(
+    error_response(None, "too-large", f"request line exceeds {MAX_LINE_BYTES} bytes")
+)
+
+
+def _plain_ingest(request) -> bool:
     """An ingest that can join a run: no ``rid`` and an int ``id``.
 
     A run shares one span, so a traced ingest is handled on its own;
-    the receipt template renders the id with ``%d``.
+    the receipt template renders the id with ``%d``.  A queued
+    pre-encoded error (bytes) is never one.
     """
     return (
-        request["op"] == "ingest"
+        type(request) is dict
+        and request["op"] == "ingest"
         and request.get("rid") is None
         and type(request["id"]) is int
     )
@@ -979,7 +996,7 @@ def _salvage_id(line: bytes | str):
     """Best-effort request id from a line that failed validation."""
     try:
         obj = json.loads(line)
-    except (ValueError, UnicodeDecodeError):
+    except (ValueError, RecursionError):
         return None
     if isinstance(obj, dict):
         request_id = obj.get("id")

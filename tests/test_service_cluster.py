@@ -13,7 +13,10 @@ snapshot.
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -200,3 +203,51 @@ class TestCrashRecovery:
                     break
                 time.sleep(0.05)
             assert stopped
+
+
+class TestStopSignalDuringStart:
+    @pytest.mark.parametrize(
+        "sig", [signal.SIGINT, signal.SIGTERM], ids=["SIGINT", "SIGTERM"]
+    )
+    def test_group_signal_while_workers_build_state_is_a_clean_stop(
+        self, tmp_path, sig
+    ):
+        """A terminal's Ctrl-C, or a service manager's SIGTERM, reaches
+        the whole process group: workers still building their state die
+        of it, and ``serve --workers`` treats that as the stop it was
+        asked for — exit 0, no traceback — not as a failed start."""
+        src = Path(__file__).resolve().parent.parent / "src"
+        script = f"""
+import sys, time
+sys.path.insert(0, {str(src)!r})
+from pathlib import Path
+from repro.service import cluster
+from repro.service.__main__ import main
+
+def slow_build(config, index, restore):
+    Path({str(tmp_path)!r}, f"building.{{index}}").touch()
+    time.sleep(60)
+
+cluster._build_state = slow_build
+sys.exit(main(["serve", "--workers", "2", "--port", "0"]))
+"""
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script],
+            stderr=subprocess.PIPE,
+            text=True,
+            start_new_session=True,  # its own process group to signal
+        )
+        try:
+            deadline = time.monotonic() + 30
+            while len(list(tmp_path.glob("building.*"))) < 2:
+                assert time.monotonic() < deadline, "workers never started"
+                assert proc.poll() is None, proc.stderr.read()
+                time.sleep(0.02)
+            os.killpg(proc.pid, sig)
+            _, err = proc.communicate(timeout=30)
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+        assert proc.returncode == 0, err
+        assert "Traceback" not in err

@@ -402,6 +402,93 @@ class TestInternalErrorBarrier:
         assert metrics.get("errors") == 5
         assert metrics.get("ingest_batch_jobs", jobs="2") == 1
 
+    def test_unencodable_result_answers_internal_and_serving_continues(self):
+        """The barrier covers encoding: a result json cannot encode gets
+        an ``internal`` error with its own id, the pipelined request
+        behind it is answered, and the server still stops."""
+
+        class _AdviseReturnsASet(ServiceState):
+            def advise(self, files, site=0):
+                return {"files": set(files)}
+
+        async def scenario():
+            server = FileculeServer(_AdviseReturnsASet())
+            await server.start()
+            try:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port
+                )
+                writer.write(
+                    encode_request("advise", 1, files=[1, 2])
+                    + encode_request("ping", 2)
+                )
+                responses = [
+                    json.loads(await asyncio.wait_for(reader.readline(), 5))
+                    for _ in range(2)
+                ]
+                writer.close()
+                await writer.wait_closed()
+            finally:
+                await asyncio.wait_for(server.stop(), 5)
+            return responses, server.metrics.get("errors")
+
+        responses, errors = run(scenario())
+        assert responses[0]["id"] == 1 and responses[0]["ok"] is False
+        assert responses[0]["error"]["code"] == "internal"
+        assert "TypeError" in responses[0]["error"]["message"]
+        assert responses[1]["id"] == 2 and responses[1]["ok"] is True
+        assert errors == 1
+
+
+class TestGracefulStop:
+    def test_idle_client_does_not_hold_up_stop(self):
+        async def scenario():
+            server = FileculeServer(ServiceState())
+            await server.start()
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            try:
+                writer.write(encode_request("ping", 1))
+                await asyncio.wait_for(reader.readline(), 5)
+                await asyncio.wait_for(server.stop(), 5)
+                return await asyncio.wait_for(reader.read(), 5)
+            finally:
+                writer.close()
+
+        assert run(scenario()) == b""
+
+    def test_unread_pipelined_ingests_are_answered_before_eof(self):
+        n = 50
+
+        async def scenario():
+            # One request per drain, so most are still queued at stop().
+            server = FileculeServer(ServiceState(), batch_max=1)
+            await server.start()
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            try:
+                writer.write(
+                    b"".join(
+                        encode_request("ingest", i, files=[i, i + 1])
+                        for i in range(n)
+                    )
+                )
+                while not server.metrics.get("requests"):
+                    await asyncio.sleep(0)
+                await asyncio.wait_for(server.stop(), 5)
+                answers = [
+                    json.loads(await asyncio.wait_for(reader.readline(), 5))
+                    for _ in range(n)
+                ]
+                tail = await asyncio.wait_for(reader.read(), 5)
+            finally:
+                writer.close()
+            return answers, tail, server.state.jobs_observed
+
+        answers, tail, jobs_observed = run(asyncio.wait_for(scenario(), 30))
+        assert [a["id"] for a in answers] == list(range(n))
+        assert all(a["ok"] for a in answers)
+        assert tail == b""
+        assert jobs_observed == n
+
 
 class TestCliSmoke:
     def test_main_serve_and_loadgen_threads(self, tmp_path):
@@ -498,4 +585,30 @@ class TestCliSmoke:
         err = capsys.readouterr().err
         assert rc == 2
         assert str(path) in err
+        assert "Traceback" not in err
+
+    def test_cluster_restore_of_bad_snapshot_exits_2(self, tmp_path, capfd):
+        """A worker that cannot restore its snapshot stops the cluster,
+        which exits 2 with one line naming that worker's file."""
+        from repro.service.__main__ import main
+
+        base = tmp_path / "S"
+        bad = tmp_path / "S.w0"
+        bad.write_text(json.dumps({"format": "bogus"}) + "\n")
+        rc = main(
+            [
+                "serve",
+                "--workers",
+                "2",
+                "--port",
+                "0",
+                "--snapshot",
+                str(base),
+                "--restore",
+            ]
+        )
+        err = capfd.readouterr().err
+        assert rc == 2
+        (line,) = [line for line in err.splitlines() if str(bad) in line]
+        assert line.startswith(f"cannot restore {bad}: ")
         assert "Traceback" not in err
