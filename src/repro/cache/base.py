@@ -205,11 +205,48 @@ class ReplacementPolicy(ABC):
     def begin_job(self, file_ids, now: float) -> None:
         """Hook: a job is about to request exactly ``file_ids`` at ``now``.
 
-        The simulator announces each job's full input set before replaying
-        its per-file requests.  Bundle-aware policies (Otoo et al.'s
+        The simulator, :meth:`request_window` and the SAM stations
+        announce each job's input set before its per-file requests.  Bundle-aware policies (Otoo et al.'s
         file-bundle caching, learned-group prefetchers) need this; plain
         policies ignore it.
         """
+
+    def request_window(
+        self,
+        flat: list[int],
+        offsets: list[int],
+        sizes: list[int],
+        nows: list[float],
+    ) -> tuple[list[int], tuple[int, int, int, int, int, int]]:
+        """Serve a window of jobs, one access at a time.
+
+        Job ``j`` requests ``flat[offsets[j]:offsets[j + 1]]`` (sizes
+        aligned in ``sizes``) at clock ``nows[j]``: :meth:`begin_job`,
+        then :meth:`request` per file.  Returns ``(per-job hits,
+        (requests, hits, bytes_requested, bytes_hit, bytes_fetched,
+        bypasses))``, the totals :meth:`CacheMetrics.record` would fold.
+        This is the reference an override must match.
+        """
+        begin_job = self.begin_job
+        request = self.request
+        job_hits: list[int] = []
+        bytes_requested = bytes_hit = bytes_fetched = bypasses = 0
+        for lo, hi, now in zip(offsets, offsets[1:], nows):
+            files = flat[lo:hi]
+            begin_job(files, now)
+            hits = 0
+            for f, size in zip(files, sizes[lo:hi]):
+                outcome = request(f, size, now)
+                bytes_requested += size
+                if outcome.hit:
+                    hits += 1
+                    bytes_hit += size
+                else:
+                    bytes_fetched += outcome.bytes_fetched
+                    bypasses += outcome.bypassed
+            job_hits.append(hits)
+        totals = (bytes_requested, bytes_hit, bytes_fetched, bypasses)
+        return job_hits, (offsets[-1] - offsets[0], sum(job_hits), *totals)
 
     @abstractmethod
     def request(self, file_id: int, size: int, now: float) -> RequestOutcome:

@@ -52,12 +52,14 @@ class FileBundleCache(ReplacementPolicy):
         return file_id in self._sizes
 
     def begin_job(self, file_ids, now: float) -> None:
-        files = np.asarray(file_ids, dtype=np.int64)
-        if len(files) == 0:
+        if len(file_ids) == 0:
             self._current_utility = 0.0
             self._bundle_entry = None
             return
-        signature = files.tobytes()
+        try:
+            signature = np.asarray(file_ids, dtype=np.int64).tobytes()
+        except OverflowError:  # a wire id past int64 keys by value
+            signature = tuple(file_ids)
         entry = self._bundles.get(signature)
         if entry is None:
             entry = self._bundles[signature] = [0, 0]

@@ -5,11 +5,12 @@
 state is a :class:`~repro.cache.batch.Residency` with file ids as groups: the
 ``OrderedDict`` and :meth:`~repro.cache.batch.Residency.replay` step the batch
 kernel falls back to, as unbounded wire ids rule out the compiled loop's dense
-state.  Its payoff is :meth:`request_window`: every service ingest hands it a
-window of deduped job segments as plain lists in CSR shape and gets back
-per-job hit counts plus aggregate outcome totals, folded from the replay codes
-with list operations (``count``, ``compress``, ``filter``) instead of one
-:meth:`request` call per access, so a one-job window pays no numpy dispatch.
+state.  Its payoff is :meth:`request_window`, the one override of the base
+class's per-access reference: every service ingest hands it a window of
+deduped job segments as plain lists in CSR shape and gets back per-job hit
+counts plus aggregate outcome totals, folded from the replay codes with list
+operations (``count``, ``compress``, ``filter``), so a one-job window pays no
+numpy dispatch.
 
 The per-access :meth:`request` replays a single file on the same state;
 it is how :func:`~repro.engine.replay.simulate` drives the advisor as an
@@ -66,19 +67,19 @@ class BatchedFileCache(ReplacementPolicy):
         return RequestOutcome(hit=False, bytes_fetched=size)
 
     def request_window(
-        self, flat: list[int], offsets: list[int], sizes: list[int]
+        self,
+        flat: list[int],
+        offsets: list[int],
+        sizes: list[int],
+        nows: list[float],
     ) -> tuple[list[int], tuple[int, int, int, int, int, int]]:
-        """Process a window of deduped job segments in access order.
+        """:meth:`ReplacementPolicy.request_window` on the residency loop.
 
-        ``flat``/``offsets`` are the CSR-shaped unique file ids of the
-        window's jobs; ``sizes`` the aligned request sizes, all plain
-        lists.  Returns ``(per-job hit counts, (requests, hits,
-        bytes_requested, bytes_hit, bytes_fetched, bypasses))`` — the
-        exact outcome aggregates :meth:`request` called per access would
-        produce.
-
-        Each job replays with its own ``{file: size}`` dict, since a
-        later job in the window may carry a refined size for a file.
+        Same arguments and result as the per-access reference; ``nows``
+        is unused, as LRU and FIFO read neither the clock nor
+        :meth:`begin_job`.  Each job replays with its own ``{file:
+        size}`` dict, since a later job in the window may carry a
+        refined size for a file.
         """
         replay = self._state.replay
         before = self._state.used
@@ -110,7 +111,8 @@ def batched_policy_for(spec) -> "BatchedFileCache | None":
     :class:`~repro.registry.spec.BoundSpec`) names a plain ``file-lru``
     or ``file-fifo`` with no parameter overrides — the two policies
     whose semantics the kernel replicates bit-for-bit — else ``None``
-    (callers keep the registry-built policy and the per-access path).
+    (callers build the registry's policy, whose ``request_window`` is the
+    per-access reference).
     """
     if getattr(spec, "params", ()):
         return None

@@ -98,16 +98,19 @@ class Station:
 
     def run_project(self, file_ids: np.ndarray) -> float:
         """Execute one project's data phase now; returns the data stall
-        in seconds (time until the last input byte is on site)."""
+        in seconds (time until the last input byte is on site).  The
+        cache's ``begin_job`` gets the inputs it will be asked for."""
         start = self._sim.now
         done = start
         self.metrics.projects += 1
-        for f in np.asarray(file_ids, dtype=np.int64):
-            f = int(f)
+        files = np.asarray(file_ids, dtype=np.int64).tolist()
+        pinned = [self._catalog.has_replica(f, self.site) for f in files]
+        self.cache.begin_job([f for f, here in zip(files, pinned) if not here], start)
+        for f, here in zip(files, pinned):
             size = int(self._sizes[f])
             self.metrics.requests += 1
             self.metrics.bytes_requested += size
-            if self._catalog.has_replica(f, self.site):
+            if here:
                 self.metrics.bytes_pinned += size
                 continue
             outcome = self.cache.request(f, size, start)

@@ -50,10 +50,9 @@ from repro.service.aggregate import (
     worker_ports,
 )
 from repro.service.client import ServiceClient
-from repro.service.cluster import ClusterConfig, run_cluster
+from repro.service.cluster import ClusterConfig, build_server, run_cluster
 from repro.service.loadgen import jobs_from_trace, run_load_procs, run_load_sync
-from repro.service.server import FileculeServer
-from repro.service.state import ServiceState, SnapshotError
+from repro.service.state import SnapshotError
 from repro.util.units import parse_size
 from repro.workload.calibration import (
     default_config,
@@ -84,62 +83,42 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     sample_every = args.sample_every
     if args.health and sample_every is None:
         sample_every = 1.0
-    if args.workers > 1:
-        return run_cluster(
-            ClusterConfig(
-                host=args.host,
-                port=args.port,
-                workers=args.workers,
-                policy=args.policy,
-                capacity_bytes=args.capacity,
-                default_size=args.default_size,
-                decay_half_life=args.decay_half_life,
-                snapshot_path=args.snapshot,
-                snapshot_interval=args.snapshot_interval,
-                log_interval=args.log_interval,
-                metrics_port=args.metrics_port,
-                span_log_path=args.span_log,
-                slow_op_seconds=args.slow_op_ms / 1e3,
-                restore=args.restore,
-                sample_interval=sample_every,
-                health=args.health,
-                health_log_path=args.health_log,
-            )
-        )
-
-    if args.restore and Path(args.snapshot).exists():
-        try:
-            state = ServiceState.restore(args.snapshot)
-        except SnapshotError as exc:
-            print(f"cannot restore {args.snapshot}: {exc}", file=sys.stderr)
-            return 2
-        print(
-            f"restored {state.stats()['jobs_observed']} jobs / "
-            f"{state.stats()['n_classes']} classes from {args.snapshot}"
-        )
-    else:
-        if args.restore:
-            print(f"no snapshot at {args.snapshot}; starting fresh")
-        state = ServiceState(
-            policy=args.policy,
-            capacity_bytes=args.capacity,
-            default_size=args.default_size,
-            decay_half_life=args.decay_half_life,
-        )
-    server = FileculeServer(
-        state,
+    config = ClusterConfig(
         host=args.host,
         port=args.port,
+        workers=args.workers,
+        policy=args.policy,
+        capacity_bytes=args.capacity,
+        default_size=args.default_size,
+        decay_half_life=args.decay_half_life,
         snapshot_path=args.snapshot,
         snapshot_interval=args.snapshot_interval,
         log_interval=args.log_interval,
         metrics_port=args.metrics_port,
         span_log_path=args.span_log,
         slow_op_seconds=args.slow_op_ms / 1e3,
+        restore=args.restore,
         sample_interval=sample_every,
         health=args.health,
         health_log_path=args.health_log,
     )
+    if args.workers > 1:
+        return run_cluster(config)
+
+    restoring = args.restore and Path(args.snapshot).exists()
+    if args.restore and not restoring:
+        print(f"no snapshot at {args.snapshot}; starting fresh")
+    try:
+        server = build_server(config, None, args.restore)
+    except SnapshotError as exc:
+        print(f"cannot restore {args.snapshot}: {exc}", file=sys.stderr)
+        return 2
+    if restoring:
+        stats = server.state.stats()
+        print(
+            f"restored {stats['jobs_observed']} jobs / "
+            f"{stats['n_classes']} classes from {args.snapshot}"
+        )
     server.run()
     return 0
 

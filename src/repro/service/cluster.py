@@ -83,14 +83,14 @@ class ClusterConfig:
     restore: bool = False
     max_restarts: int = 5
 
-    def worker_snapshot_path(self, index: int) -> str | None:
-        if self.snapshot_path is None:
-            return None
+    def worker_snapshot_path(self, index: int | None) -> str | None:
+        if self.snapshot_path is None or index is None:
+            return self.snapshot_path
         return f"{self.snapshot_path}.w{index}"
 
-    def worker_metrics_port(self, index: int) -> int | None:
-        if self.metrics_port is None:
-            return None
+    def worker_metrics_port(self, index: int | None) -> int | None:
+        if self.metrics_port is None or index is None:
+            return self.metrics_port
         return self.metrics_port + index
 
 
@@ -127,7 +127,7 @@ def pick_free_port_block(host: str, count: int, attempts: int = 20) -> int:
     raise RuntimeError(f"no free block of {count} ports found on {host}")
 
 
-def _build_state(config: ClusterConfig, index: int, restore: bool):
+def _build_state(config: ClusterConfig, index: int | None, restore: bool):
     snap = config.worker_snapshot_path(index)
     if restore and snap is not None and os.path.exists(snap):
         return ServiceState.restore(snap)
@@ -136,6 +136,44 @@ def _build_state(config: ClusterConfig, index: int, restore: bool):
         capacity_bytes=config.capacity_bytes,
         default_size=config.default_size,
         decay_half_life=config.decay_half_life,
+    )
+
+
+def build_server(
+    config: ClusterConfig,
+    index: int | None,
+    restore: bool,
+    *,
+    port: int | None = None,
+    sock: socket.socket | None = None,
+) -> FileculeServer:
+    """One daemon's state (restored from its snapshot when ``restore``
+    is set and the file exists, else fresh) and server, from ``config``.
+
+    ``index`` is the worker being built, None for the single-process
+    daemon: only a worker gets ``.w<index>`` paths, admin port
+    ``metrics_port + index`` and, without an inherited ``sock``,
+    ``SO_REUSEPORT``.
+    """
+    suffix = "" if index is None else f".w{index}"
+    return FileculeServer(
+        _build_state(config, index, restore),
+        host=config.host,
+        port=config.port if port is None else port,
+        snapshot_path=config.worker_snapshot_path(index),
+        snapshot_interval=config.snapshot_interval,
+        log_interval=config.log_interval,
+        metrics_port=config.worker_metrics_port(index),
+        span_log_path=config.span_log_path and config.span_log_path + suffix,
+        sample_interval=config.sample_interval,
+        series_capacity=config.series_capacity,
+        health=config.health,
+        health_log_path=config.health_log_path
+        and config.health_log_path + suffix,
+        slow_op_seconds=config.slow_op_seconds,
+        reuse_port=index is not None and sock is None,
+        sock=sock,
+        worker_index=index,
     )
 
 
@@ -153,35 +191,11 @@ def _worker_main(
     for sig in (signal.SIGINT, signal.SIGTERM):
         signal.signal(sig, signal.SIG_DFL)
     try:
-        state = _build_state(config, index, restore)
+        server = build_server(config, index, restore, port=port, sock=sock)
     except SnapshotError as exc:  # reported instead of becoming ready
         snap = config.worker_snapshot_path(index)
         ready_queue.put({"error": f"cannot restore {snap}: {exc}"})
         raise SystemExit(2) from None
-    span_log = (
-        f"{config.span_log_path}.w{index}" if config.span_log_path else None
-    )
-    health_log = (
-        f"{config.health_log_path}.w{index}" if config.health_log_path else None
-    )
-    server = FileculeServer(
-        state,
-        host=config.host,
-        port=port,
-        snapshot_path=config.worker_snapshot_path(index),
-        snapshot_interval=config.snapshot_interval,
-        log_interval=config.log_interval,
-        metrics_port=config.worker_metrics_port(index),
-        span_log_path=span_log,
-        sample_interval=config.sample_interval,
-        series_capacity=config.series_capacity,
-        health=config.health,
-        health_log_path=health_log,
-        slow_op_seconds=config.slow_op_seconds,
-        reuse_port=sock is None,
-        sock=sock,
-        worker_index=index,
-    )
 
     def report_ready(srv: FileculeServer) -> None:
         ready_queue.put(
@@ -459,6 +473,7 @@ __all__ = [
     "ClusterConfig",
     "ClusterServer",
     "WorkerHandle",
+    "build_server",
     "pick_free_port",
     "pick_free_port_block",
     "run_cluster",

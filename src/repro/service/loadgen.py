@@ -130,8 +130,8 @@ class LoadReport:
     def writer_batching(self) -> dict | None:
         """The daemon's effective writer-batch-size histogram, if polled.
 
-        Extracted from the final ``stats`` snapshot: the actor counts
-        every fast-path ingest batch it executes in the labeled counter
+        Extracted from the final ``stats`` snapshot: the drain counts
+        every ingest window it executes in the labeled counter
         ``ingest_batch_jobs{jobs=...}`` (power-of-two size buckets), so
         this reports what coalescing *actually* achieved server-side —
         which client-side knobs like ``ingest_batch`` only influence.
@@ -484,7 +484,7 @@ async def run_load(
             in_flight: list[tuple[str, int]] = []
             if group_ingests:
                 # Advises first, then the ingests back-to-back: the
-                # actor sees an unbroken ingest run it can coalesce.
+                # drain sees an unbroken ingest run it can coalesce.
                 for k in batch:
                     if advise_every and k % advise_every == 0:
                         in_flight.append(

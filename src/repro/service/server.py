@@ -15,8 +15,8 @@ Concurrency model — one event loop, one writer, no per-request tasks:
   at once** (so reused state buffers are never observed mid-mutation),
   writes each connection's answers in one ``transport.write`` and
   reschedules itself while requests remain.  Each maximal run of
-  consecutive plain ingests (no ``rid``, an int ``id``) is one
-  ``ServiceState.ingest_batch`` window.  A state call or encoding that
+  consecutive ingests without a ``rid`` is one ``ingest_batch`` window,
+  a traced ingest a window of its own.  A state call or encoding that
   raises is never retried: each request it covered gets an
   ``internal`` error carrying its own id.  Any other fault while
   answering a connection closes that connection only, and the drain
@@ -109,6 +109,9 @@ HAS_REUSEPORT = hasattr(socket_module, "SO_REUSEPORT")
 class FileculeServer:
     """Serve a service state over newline-delimited JSON TCP.
 
+    Every ingest is answered through :meth:`_ingest_run` and every
+    snapshot is written through :meth:`_write_snapshot`.
+
     Parameters
     ----------
     state:
@@ -123,8 +126,8 @@ class FileculeServer:
         Bound on a connection's unanswered requests before the server
         stops reading from it (per-connection backpressure window).
     snapshot_path, snapshot_interval:
-        When both are set, the hard state is snapshotted every
-        ``snapshot_interval`` seconds and once more on shutdown.
+        The hard state is snapshotted to ``snapshot_path`` on shutdown
+        and, with ``snapshot_interval``, every that many seconds.
     log_interval:
         Seconds between periodic metrics log lines (None disables).
     metrics_port:
@@ -238,7 +241,6 @@ class FileculeServer:
         # (ops are interned by decode_request, so lookup is by identity).
         self._ops = {
             "ping": self._op_ping,
-            "ingest": self._op_ingest,
             "filecule_of": self._op_filecule_of,
             "advise": self._op_advise,
             "stats": self._op_stats,
@@ -255,11 +257,6 @@ class FileculeServer:
     # ------------------------------------------------------------------
     def _op_ping(self, request: dict) -> dict:
         return {"pong": True, "jobs_observed": self.state.jobs_observed}
-
-    def _op_ingest(self, request: dict) -> dict:
-        return self.state.ingest(
-            request["files"], request["sizes"], request["site"]
-        )
 
     def _op_filecule_of(self, request: dict) -> dict:
         return self.state.filecule_of(request["file"])
@@ -294,7 +291,7 @@ class FileculeServer:
                 "bad-request",
                 "no 'path' given and the server has no snapshot path",
             )
-        return self.state.snapshot(path)
+        return self._write_snapshot(path)
 
     def _op_shutdown(self, request: dict) -> dict:
         assert self._stop_event is not None
@@ -427,17 +424,19 @@ class FileculeServer:
         return payload
 
     def _ingest_run(self, run: list) -> list[bytes]:
-        """Answer one run of plain ingest requests (one or more).
+        """Answer one run of ingest requests (the only ingest path).
 
         One ``ingest_batch`` state call for the whole run, under one
-        ``op.ingest`` span carrying ``jobs``; per-request receipts render
-        through the wire template individually and in order, so clients
+        ``op.ingest`` span carrying ``jobs`` and the ``rid`` of a traced
+        run of one; receipts are encoded per request and in order (an
+        int ``id`` without ``rid`` through the wire template), so clients
         cannot tell how their requests were grouped.
         """
         metrics = self.metrics
         n_jobs = len(run)
+        rid = run[0][1].get("rid")
         t0 = time.perf_counter()
-        with obstrace.span("op.ingest", recorder=self.spans) as span_fields:
+        with obstrace.span("op.ingest", recorder=self.spans, rid=rid) as span_fields:
             span_fields["jobs"] = n_jobs
             try:
                 receipts = self.state.ingest_batch(
@@ -452,6 +451,8 @@ class FileculeServer:
                         receipt["n_classes"],
                         receipt["site_hits"],
                     )
+                    if type(r["id"]) is int and rid is None
+                    else encode_response(ok_response(r["id"], receipt, rid=rid))
                     for (_, r, _), receipt in zip(run, receipts)
                 ]
                 span_fields["ok"] = True
@@ -477,13 +478,14 @@ class FileculeServer:
             slog.warning(
                 "slow-op",
                 op="ingest",
+                rid=rid,
                 jobs=n_jobs,
                 duration_ms=round((t1 - t0) * 1e3, 3),
             )
         return datas
 
     def _handle_one(self, request: dict, t_enqueued: float) -> bytes:
-        """Answer one request that is not part of an ingest run."""
+        """Answer one request that is not an ingest."""
         metrics = self.metrics
         perf_counter = time.perf_counter
         op = request["op"]
@@ -553,9 +555,8 @@ class FileculeServer:
     def _answer(self, batch: list) -> None:
         """Answer one drain's ``(connection, item, t_enqueued)`` entries.
 
-        Each run of plain ingests goes to :meth:`_ingest_run`; every
-        other request (including an ingest with a ``rid`` or a non-int
-        ``id``, which the state serves as a one-job window) goes to
+        Every ingest goes to :meth:`_ingest_run`, in a run of plain
+        ingests or, with a ``rid``, alone; every other request goes to
         :meth:`_handle_one`, and a pre-encoded error passes through.
         """
         if any(type(item) is dict for _, item, _ in batch):
@@ -568,18 +569,19 @@ class FileculeServer:
             # A maximal run of consecutive plain ingests is one
             # ingest_batch window.  Only *consecutive* requests join a
             # run: an interleaved read must observe exactly the ingests
-            # queued before it, so it breaks the run.
-            j = i
-            while j < n and _plain_ingest(batch[j][1]):
-                j += 1
-            if j > i:
-                datas = self._ingest_run(batch[i:j])
+            # queued before it, so it breaks the run.  A traced ingest
+            # keeps its own span, so it is a run of one.
+            _, item, t_enqueued = batch[i]
+            j = i + 1
+            if type(item) is bytes:
+                datas = [item]
+            elif item["op"] != "ingest":
+                datas = [self._handle_one(item, t_enqueued)]
             else:
-                _, item, t_enqueued = batch[i]
-                j = i + 1
-                datas = [
-                    item if type(item) is bytes else self._handle_one(item, t_enqueued)
-                ]
+                if item.get("rid") is None:
+                    while j < n and _plain_ingest(batch[j][1]):
+                        j += 1
+                datas = self._ingest_run(batch[i:j])
             for (conn, _, _), data in zip(batch[i:j], datas):
                 answers.setdefault(conn, []).append(data)
             i = j
@@ -601,11 +603,9 @@ class FileculeServer:
         if route in ("/metrics", "/"):
             return "200 OK", PROMETHEUS_CONTENT_TYPE, self.expose_metrics().encode()
         if route == "/stats":
-            stats = self.state.stats()
-            stats["server"] = self.metrics.snapshot()
-            return "200 OK", "application/json", _json_bytes(stats)
+            return "200 OK", "application/json", _json_bytes(self._op_stats({}))
         if route == "/partition":
-            return "200 OK", "application/json", _json_bytes(self.state.partition())
+            return "200 OK", "application/json", _json_bytes(self._op_partition({}))
         if route == "/registry":
             # Full-fidelity registry (bucket-exact histograms): what a
             # cross-worker aggregator merges via MetricsRegistry.merge.
@@ -636,15 +636,13 @@ class FileculeServer:
                     _json_bytes({"ok": False, "error": "no snapshot path configured"}),
                 )
             try:
-                receipt = self.state.snapshot(self.snapshot_path)
+                receipt = self._write_snapshot(self.snapshot_path)
             except SnapshotError as exc:
-                self.metrics.inc("snapshot_failures")
                 return (
                     "500 Internal Server Error",
                     "application/json",
                     _json_bytes({"ok": False, "error": str(exc)}),
                 )
-            self.metrics.inc("snapshots")
             return "200 OK", "application/json", _json_bytes({"ok": True, **receipt})
         return "404 Not Found", "text/plain", (
             b"try /metrics /stats /partition /registry /history /spans"
@@ -690,16 +688,25 @@ class FileculeServer:
     # ------------------------------------------------------------------
     # background maintenance
     # ------------------------------------------------------------------
+    def _write_snapshot(self, path: str) -> dict:
+        """Snapshot the state to ``path``, counted in ``snapshots`` or,
+        when it raises :class:`SnapshotError`, ``snapshot_failures``."""
+        try:
+            receipt = self.state.snapshot(path)
+        except SnapshotError:
+            self.metrics.inc("snapshot_failures")
+            raise
+        self.metrics.inc("snapshots")
+        return receipt
+
     async def _periodic_snapshot(self) -> None:
         assert self.snapshot_path is not None and self.snapshot_interval
         while True:
             await asyncio.sleep(self.snapshot_interval)
             try:
-                receipt = self.state.snapshot(self.snapshot_path)
-                self.metrics.inc("snapshots")
+                receipt = self._write_snapshot(self.snapshot_path)
                 slog.info("snapshot-written", **receipt)
             except SnapshotError as exc:
-                self.metrics.inc("snapshot_failures")
                 slog.error("snapshot-failed", error=str(exc))
 
     async def _periodic_log(self) -> None:
@@ -785,7 +792,7 @@ class FileculeServer:
         await asyncio.gather(*self._background, return_exceptions=True)
         if self.snapshot_path:
             try:
-                receipt = self.state.snapshot(self.snapshot_path)
+                receipt = self._write_snapshot(self.snapshot_path)
                 slog.info("final-snapshot-written", **receipt)
             except SnapshotError as exc:
                 slog.error("final-snapshot-failed", error=str(exc))
@@ -965,17 +972,11 @@ _TOO_LARGE = encode_response(
 
 
 def _plain_ingest(request) -> bool:
-    """An ingest that can join a run: no ``rid`` and an int ``id``.
-
-    A run shares one span, so a traced ingest is handled on its own;
-    the receipt template renders the id with ``%d``.  A queued
-    pre-encoded error (bytes) is never one.
-    """
+    """An ingest that can join a run: queued as a request, no ``rid``."""
     return (
         type(request) is dict
         and request["op"] == "ingest"
         and request.get("rid") is None
-        and type(request["id"]) is int
     )
 
 

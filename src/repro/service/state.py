@@ -2,7 +2,7 @@
 
 One :class:`ServiceState` instance is the single source of truth behind a
 running daemon.  It is deliberately synchronous and not thread-safe: the
-server funnels every mutation through a single-writer actor task
+server makes every state call from one drain callback on its event loop
 (:mod:`repro.service.server`), which is what makes the incremental
 partition refinement race-free without locks.
 
@@ -16,10 +16,10 @@ Three concerns live here:
   window of jobs as plain lists, and :meth:`ServiceState.ingest` is a
   window of one;
 * **advice** — one cache advisor per site models that site's cache with a
-  configurable :mod:`repro.cache` policy; ``advise`` turns a job's input
-  set into a filecule-granularity admission/prefetch plan against that
-  model (paper §4: load whole filecules, bypass ones larger than the
-  cache);
+  configurable :mod:`repro.cache` policy, fed each ingest window through
+  its ``request_window``; ``advise`` turns a job's input set into a
+  filecule-granularity admission/prefetch plan against that model
+  (paper §4: load whole filecules, bypass ones larger than the cache);
 * **persistence** — ``snapshot``/``restore`` write the hard state
   (partition + file sizes + counters) as JSONL so a restarted daemon
   resumes without replaying history.  Advisor cache contents are *soft*
@@ -33,6 +33,7 @@ import hashlib
 import json
 import math
 import os
+from functools import partial
 from itertools import repeat
 from pathlib import Path
 from typing import Callable
@@ -109,6 +110,10 @@ class _SiteAdvisor:
 class ServiceState:
     """The daemon's mutable state (single-writer; see module docstring).
 
+    Plain ``file-lru``/``file-fifo`` advisors are
+    :class:`~repro.cache.online.BatchedFileCache` instances; every other
+    policy is registry-built and runs the per-access ``request_window``.
+
     Parameters
     ----------
     policy:
@@ -131,14 +136,6 @@ class ServiceState:
         dissolve into singletons, so a flash crowd's co-access pattern
         stops binding files long after the crowd is gone.  The default
         (``inf``) preserves the exact append-only refinement semantics.
-    ingest_kernel:
-        When True (default) and the advisor policy is a plain
-        ``file-lru``/``file-fifo``, site advisors are built as
-        :class:`~repro.cache.online.BatchedFileCache`, which runs the
-        offline batch kernel's residency loop, so every
-        :meth:`ingest_batch` window takes its windowed path.  Disable
-        to force the registry-built policies and the per-access advisor
-        walk.
     """
 
     def __init__(
@@ -147,7 +144,6 @@ class ServiceState:
         capacity_bytes: int = 1 * TB,
         default_size: int = 1,
         decay_half_life: float = math.inf,
-        ingest_kernel: bool = True,
     ) -> None:
         self._policy_spec = _parse_advisor_policy(policy)
         if capacity_bytes <= 0:
@@ -158,9 +154,9 @@ class ServiceState:
         self.capacity_bytes = int(capacity_bytes)
         self.default_size = int(default_size)
         self.decay_half_life = float(decay_half_life)
-        self.ingest_kernel = bool(ingest_kernel)
-        self._batched_policy = (
-            batched_policy_for(self._policy_spec) if self.ingest_kernel else None
+        # A site's cache model: the residency loop for plain LRU/FIFO.
+        self._new_policy = batched_policy_for(self._policy_spec) or partial(
+            registry.build, self._policy_spec
         )
         self._ident = IncrementalFileculeIdentifier(
             half_life=self.decay_half_life
@@ -188,12 +184,9 @@ class ServiceState:
     def _advisor(self, site: int) -> _SiteAdvisor:
         advisor = self._advisors.get(site)
         if advisor is None:
-            factory = self._batched_policy
             advisor = _SiteAdvisor(
                 f"{self.policy_name}@site{site}",
-                factory(self.capacity_bytes)
-                if factory is not None
-                else registry.build(self._policy_spec, self.capacity_bytes),
+                self._new_policy(self.capacity_bytes),
             )
             self._advisors[site] = advisor
         return advisor
@@ -238,11 +231,10 @@ class ServiceState:
         partition refinement goes through
         :meth:`~repro.core.incremental.IncrementalFileculeIdentifier.observe_jobs_batch`,
         which equals ``observe_job`` per job, and advisor accounting
-        through one ``request_window`` per site when the policy has
-        one, else the per-access walk; the size catalog, advisor
-        caches, metrics and read-cache invalidation end as they would
-        job by job.  The server's actor calls this with each wakeup's
-        run of queued ingest requests.
+        through one ``request_window`` per site, each job at its own
+        clock; the size catalog, advisor caches, metrics and read-cache
+        invalidation end as they would job by job.  The server's drain
+        calls this with each run of queued ingest requests.
         """
         n = len(batch)
         if n == 0:
@@ -269,13 +261,11 @@ class ServiceState:
         clock0 = self._clock
         job_seq0 = self._ident.n_jobs_observed
         counts: list[tuple[int, int]] = []
-        # Decay time is the post-tick clock the advisors see (at
-        # half_life=inf the value is irrelevant).
+        # Each job ticks the clock once; decay time is the post-tick
+        # clock the advisors see (at half_life=inf it is irrelevant).
+        nows = [clock0 + i for i in range(1, n + 1)]
         affected = self._ident.observe_jobs_batch(
-            flat,
-            offsets,
-            now=[clock0 + i for i in range(1, n + 1)],
-            job_counts=counts,
+            flat, offsets, now=nows, job_counts=counts
         )
         self._clock = clock0 + n
         if self._filecule_json:
@@ -292,56 +282,22 @@ class ServiceState:
         for i, (_, _, site) in enumerate(batch):
             by_site.setdefault(site, []).append(i)
         for site, idxs in by_site.items():
-            advisor = self._advisor(site)
-            window = getattr(advisor.policy, "request_window", None)
-            if window is not None:
-                if len(idxs) == n:
-                    site_flat, site_offs, site_sizes = flat, offsets, req_sizes
-                else:
-                    site_flat, site_offs, site_sizes = [], [0], []
-                    for i in idxs:
-                        lo, hi = offsets[i], offsets[i + 1]
-                        site_flat += flat[lo:hi]
-                        site_sizes += req_sizes[lo:hi]
-                        site_offs.append(len(site_flat))
-                job_hits, totals = window(site_flat, site_offs, site_sizes)
-                advisor.metrics.record_totals(*totals)
-                for i, h in zip(idxs, job_hits):
-                    hits_per_job[i] = h
+            if len(idxs) == n:
+                window = flat, offsets, req_sizes, nows
             else:
-                # Policies without a windowed kernel keep the exact
-                # per-access walk, one job at a time on its own clock.
-                policy_request = advisor.policy.request
-                record = advisor.metrics.record_totals
+                site_flat, site_offs, site_sizes = [], [0], []
                 for i in idxs:
-                    clock = clock0 + i + 1.0
-                    hits = 0
-                    bytes_requested = 0
-                    bytes_hit = 0
-                    bytes_fetched = 0
-                    bypasses = 0
                     lo, hi = offsets[i], offsets[i + 1]
-                    for f, size in zip(flat[lo:hi], req_sizes[lo:hi]):
-                        outcome = policy_request(f, size, clock)
-                        bytes_requested += size
-                        if outcome.hit:
-                            hits += 1
-                            bytes_hit += size
-                        else:
-                            fetched = outcome.bytes_fetched
-                            if fetched:
-                                bytes_fetched += fetched
-                            if outcome.bypassed:
-                                bypasses += 1
-                    record(
-                        hi - lo,
-                        hits,
-                        bytes_requested,
-                        bytes_hit,
-                        bytes_fetched,
-                        bypasses,
-                    )
-                    hits_per_job[i] = hits
+                    site_flat += flat[lo:hi]
+                    site_sizes += req_sizes[lo:hi]
+                    site_offs.append(len(site_flat))
+                site_nows = [nows[i] for i in idxs]
+                window = site_flat, site_offs, site_sizes, site_nows
+            advisor = self._advisor(site)
+            job_hits, totals = advisor.policy.request_window(*window)
+            advisor.metrics.record_totals(*totals)
+            for i, h in zip(idxs, job_hits):
+                hits_per_job[i] = h
         return [
             {
                 "job_seq": job_seq0 + i + 1,

@@ -73,6 +73,24 @@ class TestSimulatorDriving:
         assert holder[0].calls[-1] == ("req", 0, 123.0)
 
 
+class TestRequestWindow:
+    def test_begin_job_then_requests_at_each_jobs_clock(self):
+        policy = RecordingPolicy(100)
+        job_hits, totals = policy.request_window(
+            [3, 4, 5], [0, 2, 2, 3], [10, 20, 30], [1.0, 2.0, 3.0]
+        )
+        assert policy.calls == [
+            ("job", (3, 4), 1.0),
+            ("req", 3, 1.0),
+            ("req", 4, 1.0),
+            ("job", (), 2.0),
+            ("job", (5,), 3.0),
+            ("req", 5, 3.0),
+        ]
+        assert job_hits == [0, 0, 0]
+        assert totals == (3, 0, 60, 0, 60, 0)
+
+
 class TestCapacityGuards:
     def test_overcharge_detected(self):
         class BrokenPolicy(ReplacementPolicy):

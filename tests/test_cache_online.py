@@ -23,7 +23,8 @@ def window(cache, jobs, sizes_by_file):
     for job in jobs:
         offsets.append(offsets[-1] + len(job))
     sizes = [sizes_by_file[f] for f in flat]
-    return cache.request_window(flat, offsets, sizes)
+    nows = [float(j) for j in range(1, len(jobs) + 1)]
+    return cache.request_window(flat, offsets, sizes, nows)
 
 
 class TestRequestWindow:

@@ -9,7 +9,9 @@ streams:
 * :class:`~repro.cache.online.BatchedFileCache` is bit-identical to the
   dict-backed :class:`~repro.cache.lru.FileLRU` /
   :class:`~repro.cache.fifo.FileFIFO` — per access outcome by outcome,
-  and per window through ``request_window``'s aggregate totals.
+  and per window through ``request_window``'s aggregate totals, which
+  the base class's per-access ``request_window`` on those two policies
+  must also reproduce.
 """
 
 import math
@@ -17,6 +19,7 @@ import math
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from repro.cache.base import ReplacementPolicy
 from repro.cache.fifo import FileFIFO
 from repro.cache.lru import FileLRU
 from repro.cache.online import BatchedFileCache
@@ -200,11 +203,23 @@ class TestBatchedFileCache:
         got = BatchedFileCache(capacity, touch_on_hit=touch_on_hit)
         flat, offsets = columnar([[f for f, _ in job] for job in window])
         seg_sizes = [size for job in window for _, size in job]
+        nows = [float(j) for j in range(1, len(window) + 1)]
         job_hits, totals = got.request_window(
-            flat.tolist(), offsets.tolist(), seg_sizes
+            flat.tolist(), offsets.tolist(), seg_sizes, nows
         )
         assert job_hits == want_hits
         assert list(totals) == want
         assert got.used_bytes == ref.used_bytes
         for f in range(N_FILES):
             assert (f in got) == (f in ref)
+
+        # The base class's per-access window is the same walk.
+        base = (FileLRU if touch_on_hit else FileFIFO)(capacity)
+        base_hits, base_totals = ReplacementPolicy.request_window(
+            base, flat.tolist(), offsets.tolist(), seg_sizes, nows
+        )
+        assert base_hits == want_hits
+        assert list(base_totals) == want
+        assert base.used_bytes == ref.used_bytes
+        for f in range(N_FILES):
+            assert (f in base) == (f in ref)

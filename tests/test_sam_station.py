@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.cache.bundle import FileBundleCache
 from repro.cache.lru import FileLRU
 from repro.cache.filecule_lru import FileculeLRU
 from repro.core.identify import find_filecules
@@ -117,3 +118,32 @@ class TestReplayTrace:
         report = replay_trace(tiny_trace, cache_capacity=10**12)
         traced_jobs = int((tiny_trace.files_per_job > 0).sum())
         assert sum(s.projects for s in report.stations) == traced_jobs
+
+    def test_stations_announce_each_project_to_their_cache(self, tiny_trace):
+        """A bundle-aware cache learns the job from ``begin_job``: each
+        station's cache-hit bytes equal its site's projects replayed in
+        start order through ``begin_job`` + ``request``."""
+        trace = tiny_trace
+        accessed = np.unique(trace.access_files)
+        capacity = int(0.02 * int(trace.file_sizes[accessed].sum()))
+        report = replay_trace(
+            trace,
+            cache_factory=lambda cap, site: FileBundleCache(cap),
+            cache_capacity=capacity,
+        )
+        caches = [FileBundleCache(capacity) for _ in range(trace.n_sites)]
+        want = [0] * trace.n_sites
+        ptr = trace.job_access_ptr
+        for j in np.argsort(trace.job_starts, kind="stable"):
+            files = trace.access_files[ptr[j] : ptr[j + 1]].tolist()
+            if not files:
+                continue
+            site = int(trace.job_sites[j])
+            now = float(trace.job_starts[j])
+            caches[site].begin_job(files, now)
+            for f in files:
+                size = int(trace.file_sizes[f])
+                if caches[site].request(f, size, now).hit:
+                    want[site] += size
+        assert sum(want) > 0
+        assert [s.bytes_cache_hit for s in report.stations] == want

@@ -50,10 +50,10 @@ class ReferenceService:
     """What the service must compute, from reference parts only.
 
     ``observe_job`` gives the partition and the receipts; a
-    registry-built policy per site, fed each job's de-duplicated files
-    one request at a time at clock ``i + 1`` (job ``i`` of the stream),
-    gives the site stats.  ``stats`` has the keys ``state_fingerprint``
-    reads.
+    registry-built policy per site, told each job's de-duplicated files
+    with ``begin_job`` and then fed them one request at a time at clock
+    ``i + 1`` (job ``i`` of the stream), gives the site stats.
+    ``stats`` has the keys ``state_fingerprint`` reads.
     """
 
     def __init__(
@@ -85,7 +85,9 @@ class ReferenceService:
             )
         cache, metrics = self.sites[site]
         hits = 0
-        for f in dict.fromkeys(files):
+        unique = list(dict.fromkeys(files))
+        cache.begin_job(unique, clock)
+        for f in unique:
             size = self.sizes.get(f, self.default_size)
             outcome = cache.request(f, size, clock)
             metrics.record(size, outcome)
@@ -150,21 +152,25 @@ class TestStateIngestBatch:
         assert state_fingerprint(state) == state_fingerprint(ref)
 
     def test_matches_sequential_without_kernel(self):
-        # ingest_kernel=False advisors take the per-access fallback
-        # inside ingest_batch; the receipts must not change.
-        ref, want = replay_sequential(JOBS)
-        state = ServiceState(capacity_bytes=64, ingest_kernel=False)
-        assert state.ingest_batch(JOBS) == want
-        assert state_fingerprint(state) == state_fingerprint(ref)
+        # Advisors without a residency loop take the base class's
+        # per-access request_window inside ingest_batch; the receipts
+        # must not change.
+        for policy in ("gds", "file-bundle", "arc"):
+            ref, want = replay_sequential(JOBS, policy=policy)
+            state = ServiceState(policy=policy, capacity_bytes=64)
+            assert state.ingest_batch(JOBS) == want, policy
+            assert state_fingerprint(state) == state_fingerprint(ref), policy
 
     @pytest.mark.parametrize("fraction", [0.05, 0.2, 0.5])
-    @pytest.mark.parametrize("policy", ["lru", "file-fifo", "gds"])
+    @pytest.mark.parametrize(
+        "policy", ["lru", "file-fifo", "gds", "file-bundle", "arc"]
+    )
     def test_windowed_advisor_matches_reference_on_stream(
         self, small_trace, policy, fraction
     ):
-        # 64-job windows of a generated stream — the windowed advisor
-        # for lru/file-fifo, the per-access walk for gds — against the
-        # registry's policies fed job by job.
+        # 64-job windows of a generated stream — the residency loop for
+        # lru/file-fifo, the base class's per-access window for the
+        # rest — against the registry's policies fed job by job.
         jobs = [
             (job["files"], job["sizes"], job["site"])
             for job in jobs_from_trace(small_trace)
@@ -181,6 +187,16 @@ class TestStateIngestBatch:
 
     def test_empty_batch(self):
         assert ServiceState().ingest_batch([]) == []
+
+    def test_file_id_beyond_int64_with_bundle_advisor(self):
+        # The bundle advisor keys a job's input set by its ids; an id
+        # past int64 must not fail the ingest after the partition took it.
+        jobs = [([2**63, 7], [1, 1], 0), ([7, 2**63], [1, 1], 0)] * 2
+        ref = ReferenceService(policy="file-bundle")
+        want = [ref.ingest(*job) for job in jobs]
+        state = ServiceState(policy="file-bundle")
+        assert state.ingest_batch(jobs) == want
+        assert state_fingerprint(state) == state_fingerprint(ref)
 
     def test_file_id_beyond_any_dense_table(self):
         # File ids are keys, not indices: an id of 2**40 costs one entry

@@ -328,6 +328,26 @@ class TestServerSnapshotIntegration:
         run(_with_server(ServiceState(), scenario))
         assert target.exists()
 
+    def test_every_snapshot_is_counted(self, tmp_path):
+        async def scenario(server):
+            async with await AsyncServiceClient.connect(
+                "127.0.0.1", server.port
+            ) as client:
+                await client.ingest([1, 2])
+                await client.snapshot(str(tmp_path / "op.jsonl"))
+                return server, await client.stats()
+
+        server, stats = run(
+            _with_server(
+                ServiceState(),
+                scenario,
+                snapshot_path=str(tmp_path / "final.jsonl"),
+            )
+        )
+        assert stats["server"]["counters"]["snapshots"] == 1
+        # stop() writes the final snapshot through the same writer.
+        assert server.metrics.get("snapshots") == 2
+
 
 class _FailsOn666(ServiceState):
     """A state whose request handlers raise when asked about file 666."""

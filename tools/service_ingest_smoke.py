@@ -21,8 +21,9 @@ It:
 4. requires the served partition checksum to equal offline
    :func:`~repro.core.identify.find_filecules` over the slice's jobs
    (``trace.subset_jobs``), and the per-site advisor statistics to
-   equal a replay of the slice with the registry's reference advisors
-   (``ingest_kernel=False``, so ``FileLRU``);
+   equal a replay of the slice through the reference advisor: one
+   ``FileLRU`` per site, fed its jobs by the base class's per-access
+   ``request_window``;
 5. writes ``benchmarks/output/service_ingest_smoke.json`` with host
    info and per-phase timings.
 
@@ -45,6 +46,8 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
+from repro.cache.base import CacheMetrics  # noqa: E402
+from repro.cache.lru import FileLRU  # noqa: E402
 from repro.core import find_filecules  # noqa: E402
 from repro.service import FileculeServer, ServiceState, jobs_from_trace  # noqa: E402
 from repro.service.protocol import encode_request  # noqa: E402
@@ -98,6 +101,37 @@ async def _serve_slice(lines: list[bytes], capacity: int) -> tuple[dict, dict, f
     return state.stats(), snapshot, duration
 
 
+def _reference_sites(jobs: list[dict], capacity: int) -> dict:
+    """``stats()["sites"]`` of the slice replayed through one ``FileLRU``
+    per site: each job's deduplicated files, at the sizes the job
+    carries and its stream clock, through the base class's
+    ``request_window``."""
+    windows: dict[int, tuple[list, list, list, list]] = {}
+    for i, job in enumerate(jobs):
+        flat, offsets, sizes, nows = windows.setdefault(
+            job["site"], ([], [0], [], [])
+        )
+        sized = dict(zip(job["files"], job["sizes"]))
+        flat += sized
+        sizes += sized.values()
+        offsets.append(len(flat))
+        nows.append(i + 1.0)
+    sites = {}
+    for site, window in sorted(windows.items()):
+        policy = FileLRU(capacity)
+        metrics = CacheMetrics()
+        metrics.record_totals(*policy.request_window(*window)[1])
+        sites[str(site)] = {
+            "policy": f"lru@site{site}",
+            "requests": metrics.requests,
+            "hits": metrics.hits,
+            "hit_rate": metrics.hit_rate,
+            "byte_miss_rate": metrics.byte_miss_rate,
+            "used_bytes": policy.used_bytes,
+        }
+    return sites
+
+
 def main() -> int:
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
@@ -130,12 +164,7 @@ def main() -> int:
     timings["offline_s"] = round(time.perf_counter() - t3, 3)
 
     t4 = time.perf_counter()
-    reference = ServiceState(
-        policy="lru", capacity_bytes=capacity, ingest_kernel=False
-    )
-    for job in jobs:
-        reference.ingest(job["files"], job["sizes"], job["site"])
-    ref_stats = reference.stats()
+    ref_sites = _reference_sites(jobs, capacity)
     timings["reference_s"] = round(time.perf_counter() - t4, 3)
 
     failures = []
@@ -145,7 +174,7 @@ def main() -> int:
         )
     if stats["partition_checksum"] != offline:
         failures.append("served partition diverged from offline find_filecules")
-    if stats["sites"] != ref_stats["sites"]:
+    if stats["sites"] != ref_sites:
         failures.append(
             "advisor site statistics diverged from the FileLRU replay"
         )
