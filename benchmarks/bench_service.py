@@ -80,6 +80,7 @@ import statistics
 import time
 from pathlib import Path
 
+from repro.cache.base import BYPASS_CODE, HIT_CODE
 from repro.cache.lru import FileLRU
 from repro.core.identify import find_filecules
 from repro.core.incremental import IncrementalFileculeIdentifier
@@ -175,7 +176,15 @@ REQUIRED_INGEST_SPEEDUP = 3.0
 # measured fresh so the speedup ratios are host-drift free
 # ----------------------------------------------------------------------
 class LegacyServiceState(ServiceState):
-    """Pre-shard ``ServiceState`` hot paths, transcribed from c976267."""
+    """Pre-shard ``ServiceState`` hot paths, transcribed from c976267.
+
+    Its advisors are that stack's dict-backed ``FileLRU``; each request's
+    code is folded into the site metrics as it comes back.
+    """
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self._new_policy = FileLRU
 
     def ingest(self, files, sizes=None, site=0):
         if sizes is not None:
@@ -187,9 +196,14 @@ class LegacyServiceState(ServiceState):
         hits = 0
         for f in dict.fromkeys(files):  # de-duplicated, order-preserving
             size = self._size_of(f)
-            outcome = advisor.policy.request(f, size, self._clock)
-            advisor.metrics.record(size, outcome)
-            hits += outcome.hit
+            code = advisor.policy.request(f, size, self._clock)
+            hit = code == HIT_CODE
+            bypassed = code == BYPASS_CODE
+            fetched = size if bypassed else 0 if hit else code
+            advisor.metrics.record_totals(
+                1, hit, size, size if hit else 0, fetched, bypassed
+            )
+            hits += hit
         return {
             "job_seq": self._ident.n_jobs_observed,
             "n_files": self._ident.n_files_observed,
@@ -497,17 +511,16 @@ class _PreBatchIngestState(ServiceState):
         unique = dict.fromkeys(files)
         for f in unique:
             size = size_of(f, default_size)
-            outcome = policy_request(f, size, clock)
+            code = policy_request(f, size, clock)
             bytes_requested += size
-            if outcome.hit:
+            if code == HIT_CODE:
                 hits += 1
                 bytes_hit += size
+            elif code == BYPASS_CODE:
+                bytes_fetched += size
+                bypasses += 1
             else:
-                fetched = outcome.bytes_fetched
-                if fetched:
-                    bytes_fetched += fetched
-                if outcome.bypassed:
-                    bypasses += 1
+                bytes_fetched += code
         advisor.metrics.record_totals(
             len(unique), hits, bytes_requested, bytes_hit, bytes_fetched, bypasses
         )

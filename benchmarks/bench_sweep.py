@@ -5,9 +5,9 @@ the Figure 10 contenders (file-LRU and filecule-LRU) replay a capacity
 grid four ways, and the three batch-capable policies a fifth:
 
 * ``legacy`` — a faithful transcription of the pre-optimization replay
-  (per-access loop with numpy scalar boxing, per-access
-  ``CacheMetrics.record``, and policies that allocate a fresh
-  :class:`~repro.cache.base.RequestOutcome` on every request); measured
+  (per-access loop with numpy scalar boxing, a per-access metrics
+  fold, and policies that allocate a fresh ``RequestOutcome`` on every
+  request, both copied into this file); measured
   at the ``tiny`` tier only — it is a frozen historical reference, not
   a contender;
 * ``serial`` — the per-access fast path
@@ -55,11 +55,13 @@ from __future__ import annotations
 import json
 import os
 import time
+from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from unittest import mock
 
 from repro.cache import native
-from repro.cache.base import CacheMetrics, RequestOutcome
+from repro.cache.base import CacheMetrics
 from repro.cache.fifo import FileFIFO
 from repro.cache.filecule_lru import FileculeLRU
 from repro.cache.lru import FileLRU
@@ -142,8 +144,43 @@ def tier_capacities(kind: str, total_bytes: int) -> list[int]:
 # loop as it stood before the fast path landed (numpy scalar boxing per
 # access, per-access metrics recording), and the two _Legacy* policies
 # restore the original `request` bodies that allocated a RequestOutcome
-# per call.  Keep in sync with nothing — this is a frozen reference.
+# per call.  RequestOutcome and the per-access fold (`_record`, once
+# `CacheMetrics.record`) are copied as they read before request codes
+# replaced them.  Keep in sync with nothing — this is a frozen reference.
 # --------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, slots=True)
+class RequestOutcome:
+    """Result of one file request against a policy.
+
+    ``bytes_fetched`` is what the miss pulled into the cache — for
+    group-granularity policies this exceeds the requested file's size
+    (the whole filecule/group is loaded).  ``bypassed`` marks objects
+    larger than the cache, which are streamed without being cached.
+    """
+
+    hit: bool
+    bytes_fetched: int = 0
+    bypassed: bool = False
+
+
+def _record(self: CacheMetrics, size: int, outcome: RequestOutcome) -> None:
+    # Hot path: one call per access.  Hits read exactly one outcome
+    # attribute; misses skip the (almost always zero-delta) bypass
+    # and fetched updates when they can.  Adding 0 is the identity,
+    # so the counters are bit-identical to the naive form.
+    self.requests += 1
+    self.bytes_requested += size
+    if outcome.hit:
+        self.hits += 1
+        self.bytes_hit += size
+        return
+    fetched = outcome.bytes_fetched
+    if fetched:
+        self.bytes_fetched += fetched
+    if outcome.bypassed:
+        self.bypasses += 1
 
 
 class _LegacyFileLRU(FileLRU):
@@ -195,7 +232,7 @@ def _legacy_simulate(trace: Trace, policy, name: str, capacity: int) -> CacheMet
     starts = trace.job_starts
     access_jobs = trace.access_jobs
     access_files = trace.access_files
-    record = metrics.record
+    record = partial(_record, metrics)
     request = policy.request
     begin_job = policy.begin_job
     ptr = trace.job_access_ptr

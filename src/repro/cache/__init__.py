@@ -22,9 +22,10 @@ Typical use::
 """
 
 from repro.cache.base import (
+    BYPASS_CODE,
+    HIT_CODE,
     CacheMetrics,
     ReplacementPolicy,
-    RequestOutcome,
 )
 from repro.cache.lru import FileLRU
 from repro.cache.fifo import FileFIFO
@@ -40,9 +41,10 @@ from repro.cache.prefetch import GroupPrefetchLRU
 from repro.cache.belady import BeladyMIN, FileculeBeladyMIN, next_use_positions
 
 __all__ = [
+    "BYPASS_CODE",
+    "HIT_CODE",
     "CacheMetrics",
     "ReplacementPolicy",
-    "RequestOutcome",
     "FileLRU",
     "FileFIFO",
     "LargestFirst",

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
-from repro.cache.base import ReplacementPolicy, RequestOutcome
+from repro.cache.base import BYPASS_CODE, HIT_CODE, ReplacementPolicy
 
 
 class _ByteList:
@@ -92,19 +92,19 @@ class AdaptiveReplacementCache(ReplacementPolicy):
         while self.used_bytes + size > self.capacity_bytes:
             self._replace(file_id)
 
-    def request(self, file_id: int, size: int, now: float) -> RequestOutcome:
+    def request(self, file_id: int, size: int, now: float) -> int:
         # case I: hit in T1 or T2 -> promote to T2 MRU
         if file_id in self._t1:
             self._t1.remove(file_id)
             self._t2.add_mru(file_id, size)
-            return RequestOutcome(hit=True)
+            return HIT_CODE
         if file_id in self._t2:
             self._t2.remove(file_id)
             self._t2.add_mru(file_id, size)
-            return RequestOutcome(hit=True)
+            return HIT_CODE
 
         if size > self.capacity_bytes:
-            return RequestOutcome(hit=False, bytes_fetched=size, bypassed=True)
+            return BYPASS_CODE
 
         # case II: ghost hit in B1 -> favour recency (grow p)
         if file_id in self._b1:
@@ -114,7 +114,7 @@ class AdaptiveReplacementCache(ReplacementPolicy):
             self._make_room(size, file_id)
             self._t2.add_mru(file_id, size)
             self._charge(size)
-            return RequestOutcome(hit=False, bytes_fetched=size)
+            return size
 
         # case III: ghost hit in B2 -> favour frequency (shrink p)
         if file_id in self._b2:
@@ -124,10 +124,10 @@ class AdaptiveReplacementCache(ReplacementPolicy):
             self._make_room(size, file_id)
             self._t2.add_mru(file_id, size)
             self._charge(size)
-            return RequestOutcome(hit=False, bytes_fetched=size)
+            return size
 
         # case IV: brand new key -> insert at T1 MRU
         self._make_room(size, file_id)
         self._t1.add_mru(file_id, size)
         self._charge(size)
-        return RequestOutcome(hit=False, bytes_fetched=size)
+        return size

@@ -1,39 +1,32 @@
-"""Replacement-policy interface and metrics accounting.
+"""Replacement-policy interface, request codes and their one fold.
 
-A policy owns its contents and eviction decisions; the simulator only
-feeds it timestamped file requests and aggregates the outcomes into
-:class:`CacheMetrics`.  The *miss rate* (fraction of file requests that
-miss) is the paper's Figure 10 metric; byte-level counters support the
+A policy owns its contents and eviction decisions.  It answers each
+timestamped file request with one int code: :data:`HIT_CODE`,
+:data:`BYPASS_CODE` (the requested file streams through and nothing is
+cached) or, for any other miss, the bytes it admitted (``>= 0``; a
+group-granularity policy admits the whole group).  The same codes come
+out of the residency loop (:mod:`repro.cache.batch`), and
+:func:`replay_windows` folds them into :class:`CacheMetrics` for both
+replay routes.  The *miss rate* (fraction of file requests that miss)
+is the paper's Figure 10 metric; byte-level counters support the
 byte-miss-rate view used by the related file-bundle work (§7).
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import repeat
 
+import numpy as np
 
-@dataclass(frozen=True, slots=True)
-class RequestOutcome:
-    """Result of one file request against a policy.
+#: Request codes; a miss that admits records the admitted bytes (>= 0).
+HIT_CODE = -1
+BYPASS_CODE = -2
 
-    ``bytes_fetched`` is what the miss pulled into the cache — for
-    group-granularity policies this exceeds the requested file's size
-    (the whole filecule/group is loaded).  ``bypassed`` marks objects
-    larger than the cache, which are streamed without being cached.
-    """
-
-    hit: bool
-    bytes_fetched: int = 0
-    bypassed: bool = False
-
-
-#: Shared outcome for plain cache hits.  Frozen dataclass construction
-#: costs several hundred ns (three ``object.__setattr__`` calls); hits
-#: carry no per-request payload, so every policy returns this singleton
-#: instead of allocating.  Policies similarly memoize their miss
-#: outcomes, which are per-file (or per-group) constants.
-HIT = RequestOutcome(hit=True)
+#: Accesses per replay window: bounds the per-window run arrays and code
+#: list, while the per-window numpy calls stay a few ns per access.
+WINDOW = 16384
 
 
 @dataclass(slots=True)
@@ -49,23 +42,6 @@ class CacheMetrics:
     bytes_fetched: int = 0
     bypasses: int = 0
 
-    def record(self, size: int, outcome: RequestOutcome) -> None:
-        # Hot path: one call per access.  Hits read exactly one outcome
-        # attribute; misses skip the (almost always zero-delta) bypass
-        # and fetched updates when they can.  Adding 0 is the identity,
-        # so the counters are bit-identical to the naive form.
-        self.requests += 1
-        self.bytes_requested += size
-        if outcome.hit:
-            self.hits += 1
-            self.bytes_hit += size
-            return
-        fetched = outcome.bytes_fetched
-        if fetched:
-            self.bytes_fetched += fetched
-        if outcome.bypassed:
-            self.bypasses += 1
-
     def record_totals(
         self,
         requests: int,
@@ -75,13 +51,7 @@ class CacheMetrics:
         bytes_fetched: int,
         bypasses: int,
     ) -> None:
-        """Fold pre-aggregated outcome totals in — one call per batch.
-
-        Bit-identical to calling :meth:`record` once per access; lets a
-        caller that already walks the accesses (the service's ingest hot
-        loop) accumulate locals and pay one method call per job instead
-        of one per file.
-        """
+        """Fold the totals of a window of requests in, one call per window."""
         self.requests += requests
         self.hits += hits
         self.bytes_requested += bytes_requested
@@ -132,6 +102,79 @@ class CacheMetrics:
         ]
 
 
+def replay_windows(trace, loop, metrics, checkpoint=None, every=0, hit_out=None):
+    """Replay ``trace`` through ``loop`` in windows, folding its codes.
+
+    ``loop(i, j)`` replays accesses ``[i, j)`` and returns ``(heads,
+    codes, resident)``: the offsets from ``i`` of the first access of
+    each run (``heads[0] == 0``), one request code per run and the
+    bytes resident afterwards.  The head decides its run: a hit run hits
+    throughout; an admitting head misses and fetches its code's bytes,
+    and the rest of its run hits; a bypassed run streams every access's
+    own file and caches nothing.  A per-access loop makes every access
+    its own run.
+
+    Windows hold at most :data:`WINDOW` accesses and are cut at every
+    ``done = k * every < n`` (when ``checkpoint`` is given and ``every
+    > 0``) and at ``done == n``.  At each of those marks ``metrics``
+    holds the totals of the first ``done`` accesses, and then
+    ``checkpoint(done, evicted_bytes)`` gets the cumulative evicted
+    volume, derived as admitted minus resident bytes.  ``hit_out``,
+    when given, is a writable boolean array of length ``n`` in which
+    every hit is set ``True``.
+    """
+    af = trace.access_files
+    n = len(af)
+    csum = trace.access_size_cumsum
+    sizes = trace.file_sizes
+    marks = [n]
+    if checkpoint is not None and every > 0:
+        marks = [*range(every, n, every), n]
+    admitted = resident = 0
+    lo = 0
+    for hi in marks:
+        hits = bytes_hit = fetched = bypasses = 0
+        for i in range(lo, hi, WINDOW):
+            j = min(i + WINDOW, hi)
+            heads, codes, resident = loop(i, j)
+            code = np.asarray(codes, dtype=np.int64)
+            bounds = np.append(heads, j - i)
+            run_len = np.diff(bounds)
+            run_bytes = np.diff(csum[i + bounds])
+            bypass = code == BYPASS_CODE
+            bypass_count = int(run_len[bypass].sum())
+            bypass_bytes = int(run_bytes[bypass].sum())
+            admit = code >= 0
+            admit_heads = heads[admit]
+            admit_bytes = int(code[admit].sum())
+            admitted += admit_bytes
+            # Every access hits except those of bypassed runs and the
+            # heads of admitting runs.
+            hits += j - i - bypass_count - len(admit_heads)
+            bytes_hit += (
+                int(csum[j] - csum[i])
+                - bypass_bytes
+                - int(sizes[af[i + admit_heads]].sum())
+            )
+            fetched += admit_bytes + bypass_bytes
+            bypasses += bypass_count
+            if hit_out is not None:
+                miss = np.repeat(bypass, run_len)
+                miss[admit_heads] = True
+                hit_out[i:j] |= ~miss
+        metrics.record_totals(
+            requests=hi - lo,
+            hits=hits,
+            bytes_requested=int(csum[hi] - csum[lo]),
+            bytes_hit=bytes_hit,
+            bytes_fetched=fetched,
+            bypasses=bypasses,
+        )
+        if checkpoint is not None:
+            checkpoint(hi, admitted - resident)
+        lo = hi
+
+
 class ReplacementPolicy(ABC):
     """Base class: a fixed-capacity object store with pluggable eviction.
 
@@ -142,11 +185,6 @@ class ReplacementPolicy(ABC):
 
     #: Human-readable policy name (class default; instances may override).
     name: str = "policy"
-
-    #: Optional observation hook: called with the byte count of every
-    #: release (eviction) as it happens.  Set by instrumented simulation
-    #: runs (:mod:`repro.obs.instrument`); must never mutate the policy.
-    evict_listener = None
 
     def __init__(self, capacity_bytes: int) -> None:
         if capacity_bytes <= 0:
@@ -171,21 +209,18 @@ class ReplacementPolicy(ABC):
         self.used_bytes -= size
         if self.used_bytes < 0:
             raise RuntimeError(f"{self.name}: negative occupancy")
-        if self.evict_listener is not None:
-            self.evict_listener(size)
 
     def batch_kernel(self, trace, hit_out=None):
         """Optional whole-trace replay kernel for this policy over ``trace``.
 
         Policies whose request semantics reduce to pure group residency
         (see :mod:`repro.cache.batch`: one residency-loop pass over
-        runs of same-group accesses, folded with numpy) return a single-use
-        callable ``kernel(metrics, checkpoint=None, every=0) -> None``
-        (see :meth:`repro.cache.batch.GroupedReplayKernel.__call__`)
-        that replays the *entire* trace and folds outcome totals into
-        the metrics, bit-identically to calling :meth:`request` once
-        per access.  The default is ``None``: no batch implementation,
-        replay per access.
+        runs of same-group accesses) return a single-use callable
+        ``kernel(metrics, checkpoint=None, every=0) -> None`` (see
+        :meth:`repro.cache.batch.GroupedReplayKernel.__call__`) that
+        replays the *entire* trace through :func:`replay_windows`,
+        bit-identically to calling :meth:`request` once per access.  The
+        default is ``None``: no batch implementation, replay per access.
 
         ``hit_out`` is :func:`~repro.engine.replay.simulate`'s
         per-access outcome mask, already checked there: a writable
@@ -197,8 +232,7 @@ class ReplacementPolicy(ABC):
         Implementations must decline (return ``None``) whenever batch
         replay could diverge from per-access replay for this *instance*
         — e.g. the policy already holds entries (kernels assume a fresh
-        cache) or an ``evict_listener`` is attached (kernels do not
-        observe individual evictions).
+        cache).
         """
         return None
 
@@ -217,40 +251,30 @@ class ReplacementPolicy(ABC):
         offsets: list[int],
         sizes: list[int],
         nows: list[float],
-    ) -> tuple[list[int], tuple[int, int, int, int, int, int]]:
-        """Serve a window of jobs, one access at a time.
+    ) -> list[int]:
+        """Serve a window of jobs, one access at a time; one code each.
 
         Job ``j`` requests ``flat[offsets[j]:offsets[j + 1]]`` (sizes
         aligned in ``sizes``) at clock ``nows[j]``: :meth:`begin_job`,
-        then :meth:`request` per file.  Returns ``(per-job hits,
-        (requests, hits, bytes_requested, bytes_hit, bytes_fetched,
-        bypasses))``, the totals :meth:`CacheMetrics.record` would fold.
-        This is the reference an override must match.
+        then :meth:`request` per file.  Returns the request codes in
+        access order.  This is the reference an override must match.
         """
         begin_job = self.begin_job
         request = self.request
-        job_hits: list[int] = []
-        bytes_requested = bytes_hit = bytes_fetched = bypasses = 0
+        codes: list[int] = []
         for lo, hi, now in zip(offsets, offsets[1:], nows):
             files = flat[lo:hi]
             begin_job(files, now)
-            hits = 0
-            for f, size in zip(files, sizes[lo:hi]):
-                outcome = request(f, size, now)
-                bytes_requested += size
-                if outcome.hit:
-                    hits += 1
-                    bytes_hit += size
-                else:
-                    bytes_fetched += outcome.bytes_fetched
-                    bypasses += outcome.bypassed
-            job_hits.append(hits)
-        totals = (bytes_requested, bytes_hit, bytes_fetched, bypasses)
-        return job_hits, (offsets[-1] - offsets[0], sum(job_hits), *totals)
+            codes += map(request, files, sizes[lo:hi], repeat(now))
+        return codes
 
     @abstractmethod
-    def request(self, file_id: int, size: int, now: float) -> RequestOutcome:
-        """Serve one file request, updating contents as needed."""
+    def request(self, file_id: int, size: int, now: float) -> int:
+        """Serve one file request, updating contents as needed.
+
+        Returns :data:`HIT_CODE`, :data:`BYPASS_CODE` or the bytes the
+        miss admitted.
+        """
 
     @abstractmethod
     def __contains__(self, file_id: int) -> bool:

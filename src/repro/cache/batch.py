@@ -10,13 +10,16 @@ step.  It performs exactly the reference policies' operations
 :class:`~repro.cache.filecule_lru.FileculeLRU`): a resident group hits
 and, under LRU, moves to the recent end; a group larger than the cache
 bypasses; any other group evicts from the old end until it fits and is
-inserted.  Each request records one code: :data:`HIT_CODE`,
-:data:`BYPASS_CODE`, or the admitted group's size.
+inserted.  Each request records one request code
+(:data:`~repro.cache.base.HIT_CODE`, :data:`~repro.cache.base.BYPASS_CODE`
+or the admitted group's size), the code every policy's ``request``
+returns.
 
 Two callers share it.  The service's file advisor
 (:class:`~repro.cache.online.BatchedFileCache`) replays one job's files
-at a time.  :class:`GroupedReplayKernel` replays a whole trace, per
-window of at most ``WINDOW`` accesses cut at the progress marks:
+at a time.  :class:`GroupedReplayKernel` replays a whole trace through
+:func:`~repro.cache.base.replay_windows`, the window driver the
+per-access route shares, and supplies its loop:
 
 1. **Runs** (numpy): map the window's accesses to groups and collapse
    adjacent same-group accesses into runs.  A job's files within one
@@ -26,18 +29,16 @@ window of at most ``WINDOW`` accesses cut at the progress marks:
    resident, or too large to cache), so the head decides the run.
 2. **Loop** (compiled loop, :meth:`Residency.replay` fallback): one call
    of ``residency.c`` (:mod:`repro.cache.native`) walks the run heads.
-3. **Fold** (numpy): the codes, run lengths and
-   :attr:`~repro.traces.trace.Trace.access_size_cumsum` give the six
-   :class:`~repro.cache.base.CacheMetrics` counters and the optional
-   hit mask.  A hit run hits throughout; an admitted run's head misses
-   and fetches the whole group while the rest of the run hits; a
-   bypassed run streams every access's own file and caches nothing.
 
-There is one path, with no switch on capacity or hit rate.  The kernel
-is bit-identical to per-access replay on both loops (the test suite
-gates all policies) and never materializes :attr:`Trace.replay_columns`,
-so a batch run keeps paper-scale memory at the numpy columns plus 17
-bytes per catalog group: a resident flag and two recency-list links.
+The driver folds the codes, run lengths and
+:attr:`~repro.traces.trace.Trace.access_size_cumsum` into the six
+:class:`~repro.cache.base.CacheMetrics` counters and the optional hit
+mask.  There is one path, with no switch on capacity or hit rate.  The
+kernel is bit-identical to per-access replay on both loops (the test
+suite gates all policies) and never materializes
+:attr:`Trace.replay_columns`, so a batch run keeps paper-scale memory at
+the numpy columns plus 17 bytes per catalog group: a resident flag and
+two recency-list links.
 """
 
 from __future__ import annotations
@@ -47,16 +48,8 @@ from collections import OrderedDict
 import numpy as np
 
 from repro.cache import native
-from repro.cache.base import CacheMetrics
+from repro.cache.base import BYPASS_CODE, HIT_CODE, CacheMetrics, replay_windows
 from repro.traces.trace import check_ids
-
-#: Accesses per numpy window: bounds the per-window run arrays and code
-#: list, while the per-window numpy calls stay a few ns per access.
-WINDOW = 16384
-
-#: Replay codes; an admitted request records its group's size (>= 0).
-HIT_CODE = -1
-BYPASS_CODE = -2
 
 
 class Residency:
@@ -161,39 +154,29 @@ class GroupedReplayKernel:
     ) -> None:
         """Replay the trace, folding outcome totals into ``metrics``.
 
-        ``checkpoint(done, evicted_bytes)``, when given, is called at
-        every ``done = k * every < n`` (``every > 0``) and once at
-        ``done == n``, after ``metrics`` has been brought up to the
-        totals of the first ``done`` accesses.  Windows are cut at the
-        marks; the cumulative ``evicted_bytes`` is derived as admitted −
-        resident bytes, so the eviction loop counts nothing.  File ids
-        outside ``[0, trace.n_files)`` (checked in ``access_size_cumsum``)
-        and group ids outside ``[0, len(group_sizes))`` raise IndexError.
+        ``checkpoint(done, evicted_bytes)`` and ``every`` are those of
+        :func:`~repro.cache.base.replay_windows`.  File ids outside
+        ``[0, trace.n_files)`` (checked in ``access_size_cumsum``) and
+        group ids outside ``[0, len(group_sizes))`` raise IndexError.
         """
         if self._spent:
             raise RuntimeError("batch kernels are single-use; build a new one")
         self._spent = True
 
-        trace = self._trace
-        af = trace.access_files
-        n = len(af)
-        csum = trace.access_size_cumsum
-        sizes = trace.file_sizes
+        af = self._trace.access_files
         labels = self._labels
         gsizes = self._group_sizes
         n_groups = len(gsizes)
-        state = np.array([-1, -1, 0], dtype=np.int64)  # head, tail, used
         loop = native.residency_loop()
         if loop is None:
             residency = Residency(self._capacity, self._touch)
             size_list = gsizes.tolist()
 
             def replay(groups):
-                codes = residency.replay(groups.tolist(), size_list)
-                state[2] = residency.used
-                return np.array(codes, dtype=np.int64)
+                return residency.replay(groups.tolist(), size_list), residency.used
 
         else:
+            state = np.array([-1, -1, 0], dtype=np.int64)  # head, tail, used
             # Flags and prev/next links; ctypes ignores int64 overflow.
             args = (
                 gsizes, min(self._capacity, 2**63 - 1), self._touch,
@@ -204,66 +187,23 @@ class GroupedReplayKernel:
             def replay(groups):
                 codes = np.empty(len(groups), dtype=np.int64)
                 loop(groups, len(groups), *args, codes)
-                return codes
+                return codes, int(state[2])
 
-        ho = self._hit_out
-        admitted = 0  # bytes ever admitted
+        def runs(i, j):
+            win = af[i:j]
+            if labels is None:
+                groups = win
+            else:
+                groups = labels[win]
+                if groups.min() < 0:
+                    p = int(np.argmax(groups < 0))
+                    raise KeyError(
+                        f"file {int(win[p])} has no filecule; partition "
+                        f"does not match the replayed trace"
+                    )
+            check_ids(groups, n_groups, i, "group")
+            heads = np.flatnonzero(groups[1:] != groups[:-1]) + 1
+            heads = np.concatenate(([0], heads))
+            return (heads, *replay(groups[heads]))
 
-        marks = [n]
-        if checkpoint is not None and every > 0:
-            marks = [*range(every, n, every), n]
-        lo = 0
-        for hi in marks:
-            hits = bytes_hit = fetched = bypasses = 0
-            for i in range(lo, hi, WINDOW):
-                j = min(i + WINDOW, hi)
-                win = af[i:j]
-                if labels is None:
-                    groups = win
-                else:
-                    groups = labels[win]
-                    if groups.min() < 0:
-                        p = int(np.argmax(groups < 0))
-                        raise KeyError(
-                            f"file {int(win[p])} has no filecule; partition "
-                            f"does not match the replayed trace"
-                        )
-                check_ids(groups, n_groups, i, "group")
-                heads = np.flatnonzero(groups[1:] != groups[:-1]) + 1
-                heads = np.concatenate(([0], heads))
-                code = replay(groups[heads])
-                bounds = np.append(heads, j - i)
-                run_len = np.diff(bounds)
-                run_bytes = np.diff(csum[i + bounds])
-                bypass = code == BYPASS_CODE
-                bypass_count = int(run_len[bypass].sum())
-                bypass_bytes = int(run_bytes[bypass].sum())
-                admit = code >= 0
-                admit_heads = heads[admit]
-                admit_bytes = int(code[admit].sum())
-                admitted += admit_bytes
-                # Every access hits except those of bypassed runs and
-                # the heads of admitted runs.
-                hits += j - i - bypass_count - len(admit_heads)
-                bytes_hit += (
-                    int(csum[j] - csum[i])
-                    - bypass_bytes
-                    - int(sizes[win[admit_heads]].sum())
-                )
-                fetched += admit_bytes + bypass_bytes
-                bypasses += bypass_count
-                if ho is not None:
-                    miss = np.repeat(bypass, run_len)
-                    miss[admit_heads] = True
-                    ho[i:j] |= ~miss
-            metrics.record_totals(
-                requests=hi - lo,
-                hits=hits,
-                bytes_requested=int(csum[hi] - csum[lo]),
-                bytes_hit=bytes_hit,
-                bytes_fetched=fetched,
-                bypasses=bypasses,
-            )
-            if checkpoint is not None:
-                checkpoint(hi, admitted - int(state[2]))
-            lo = hi
+        replay_windows(self._trace, runs, metrics, checkpoint, every, self._hit_out)

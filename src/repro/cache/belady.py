@@ -20,7 +20,7 @@ import heapq
 
 import numpy as np
 
-from repro.cache.base import ReplacementPolicy, RequestOutcome
+from repro.cache.base import BYPASS_CODE, HIT_CODE, ReplacementPolicy
 from repro.core.filecule import FileculePartition
 from repro.traces.trace import Trace
 
@@ -81,7 +81,7 @@ class _StreamBoundMIN(ReplacementPolicy):
                 return
         raise RuntimeError("belady: occupancy positive but heap empty")
 
-    def _request_unit(self, unit: int, charge_size: int) -> RequestOutcome:
+    def _request_unit(self, unit: int) -> int:
         if self._pos >= len(self._stream):
             raise RuntimeError(
                 "belady: more requests than the bound stream contains"
@@ -97,26 +97,22 @@ class _StreamBoundMIN(ReplacementPolicy):
         if unit in self._resident:
             self._unit_next[unit] = next_use
             heapq.heappush(self._heap, (-next_use, unit))
-            return RequestOutcome(hit=True)
+            return HIT_CODE
 
         size = int(self._unit_sizes[unit])
         if size > self.capacity_bytes:
-            return RequestOutcome(
-                hit=False, bytes_fetched=charge_size, bypassed=True
-            )
+            return BYPASS_CODE
         if next_use == NEVER:
             # never used again: stream just the requested bytes without
             # caching (MIN would never keep it over anything useful)
-            return RequestOutcome(
-                hit=False, bytes_fetched=charge_size, bypassed=True
-            )
+            return BYPASS_CODE
         while self.used_bytes + size > self.capacity_bytes:
             self._evict_one()
         self._resident[unit] = size
         self._unit_next[unit] = next_use
         heapq.heappush(self._heap, (-next_use, unit))
         self._charge(size)
-        return RequestOutcome(hit=False, bytes_fetched=size)
+        return size
 
 
 class BeladyMIN(_StreamBoundMIN):
@@ -132,8 +128,8 @@ class BeladyMIN(_StreamBoundMIN):
     def __contains__(self, file_id: int) -> bool:
         return self._unit_resident(int(file_id))
 
-    def request(self, file_id: int, size: int, now: float) -> RequestOutcome:
-        return self._request_unit(int(file_id), size)
+    def request(self, file_id: int, size: int, now: float) -> int:
+        return self._request_unit(int(file_id))
 
 
 class FileculeBeladyMIN(_StreamBoundMIN):
@@ -165,11 +161,11 @@ class FileculeBeladyMIN(_StreamBoundMIN):
         label = int(self._labels_by_file[file_id])
         return label >= 0 and self._unit_resident(label)
 
-    def request(self, file_id: int, size: int, now: float) -> RequestOutcome:
+    def request(self, file_id: int, size: int, now: float) -> int:
         label = int(self._labels_by_file[file_id])
         if label < 0:
             raise KeyError(
                 f"file {file_id} has no filecule; partition does not match "
                 f"the replayed trace"
             )
-        return self._request_unit(label, size)
+        return self._request_unit(label)

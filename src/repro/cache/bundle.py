@@ -26,7 +26,7 @@ import heapq
 
 import numpy as np
 
-from repro.cache.base import ReplacementPolicy, RequestOutcome
+from repro.cache.base import BYPASS_CODE, HIT_CODE, ReplacementPolicy
 
 
 class FileBundleCache(ReplacementPolicy):
@@ -99,7 +99,7 @@ class FileBundleCache(ReplacementPolicy):
             utility = 1.0 / max(size, 1)
         return self._inflation + utility
 
-    def request(self, file_id: int, size: int, now: float) -> RequestOutcome:
+    def request(self, file_id: int, size: int, now: float) -> int:
         # grow the bundle's recorded byte size on first encounter
         entry = self._bundle_entry
         if entry is not None and entry[0] == 1:
@@ -108,13 +108,13 @@ class FileBundleCache(ReplacementPolicy):
         if hit:
             self._credit[file_id] = self._fresh_credit(size)
             self._push(file_id)
-            return RequestOutcome(hit=True)
+            return HIT_CODE
         if size > self.capacity_bytes:
-            return RequestOutcome(hit=False, bytes_fetched=size, bypassed=True)
+            return BYPASS_CODE
         while self.used_bytes + size > self.capacity_bytes:
             self._evict_one()
         self._sizes[file_id] = size
         self._credit[file_id] = self._fresh_credit(size)
         self._push(file_id)
         self._charge(size)
-        return RequestOutcome(hit=False, bytes_fetched=size)
+        return size

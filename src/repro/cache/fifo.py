@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
-from repro.cache.base import ReplacementPolicy, RequestOutcome
+from repro.cache.base import BYPASS_CODE, HIT_CODE, ReplacementPolicy
 from repro.cache.batch import GroupedReplayKernel
 
 
@@ -26,7 +26,7 @@ class FileFIFO(ReplacementPolicy):
 
     def batch_kernel(self, trace, hit_out=None):
         """Whole-trace replay: group = file, insertion order (no touch)."""
-        if self._entries or self.used_bytes or self.evict_listener is not None:
+        if self._entries or self.used_bytes:
             return None
         return GroupedReplayKernel(
             trace,
@@ -36,15 +36,15 @@ class FileFIFO(ReplacementPolicy):
             hit_out=hit_out,
         )
 
-    def request(self, file_id: int, size: int, now: float) -> RequestOutcome:
+    def request(self, file_id: int, size: int, now: float) -> int:
         if file_id in self._entries:
             # no reordering: insertion order is eviction order
-            return RequestOutcome(hit=True)
+            return HIT_CODE
         if size > self.capacity_bytes:
-            return RequestOutcome(hit=False, bytes_fetched=size, bypassed=True)
+            return BYPASS_CODE
         while self.used_bytes + size > self.capacity_bytes:
             _, evicted_size = self._entries.popitem(last=False)
             self._release(evicted_size)
         self._entries[file_id] = size
         self._charge(size)
-        return RequestOutcome(hit=False, bytes_fetched=size)
+        return size

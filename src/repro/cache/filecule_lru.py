@@ -18,14 +18,9 @@ from __future__ import annotations
 from collections import OrderedDict
 from functools import cached_property
 
-from repro.cache.base import HIT, ReplacementPolicy, RequestOutcome
+from repro.cache.base import BYPASS_CODE, HIT_CODE, ReplacementPolicy
 from repro.cache.batch import GroupedReplayKernel
 from repro.core.filecule import FileculePartition
-
-#: Shared outcome for the ``intra_job_hits=False`` case: the triggering
-#: job re-requests a member whose bytes are still in flight — a miss
-#: that fetches nothing.
-_IN_FLIGHT = RequestOutcome(hit=False, bytes_fetched=0)
 
 
 class FileculeLRU(ReplacementPolicy):
@@ -74,8 +69,6 @@ class FileculeLRU(ReplacementPolicy):
         self._entries: OrderedDict[int, int] = OrderedDict()  # label -> size
         self._intra_job_hits = intra_job_hits
         self._load_key: dict[int, float] = {}  # label -> loading job's time
-        self._miss_outcomes: dict[int, RequestOutcome] = {}  # label -> miss
-        self._bypass_outcomes: dict[int, RequestOutcome] = {}  # file -> bypass
 
     @cached_property
     def _label_list(self) -> list[int]:
@@ -101,12 +94,7 @@ class FileculeLRU(ReplacementPolicy):
         — with ``False``, outcomes depend on the requesting job's
         timestamp, which the group-residency kernel does not model.
         """
-        if (
-            not self._intra_job_hits
-            or self._entries
-            or self.used_bytes
-            or self.evict_listener is not None
-        ):
+        if not self._intra_job_hits or self._entries or self.used_bytes:
             return None
         return GroupedReplayKernel(
             trace,
@@ -117,7 +105,7 @@ class FileculeLRU(ReplacementPolicy):
             hit_out=hit_out,
         )
 
-    def request(self, file_id: int, size: int, now: float) -> RequestOutcome:
+    def request(self, file_id: int, size: int, now: float) -> int:
         label = self._label_list[file_id]
         if label < 0:
             raise KeyError(
@@ -131,19 +119,14 @@ class FileculeLRU(ReplacementPolicy):
                 not self._intra_job_hits
                 and self._load_key.get(label) == now
             ):
-                # same job that triggered the load: bytes were in flight
-                return _IN_FLIGHT
-            return HIT
+                # The job that triggered the load re-requests a member
+                # whose bytes are still in flight: a miss fetching nothing.
+                return 0
+            return HIT_CODE
         fc_size = self._size_list[label]
         if fc_size > self.capacity_bytes:
             # Whole filecule cannot fit: stream just the requested file.
-            outcome = self._bypass_outcomes.get(file_id)
-            if outcome is None or outcome.bytes_fetched != size:
-                outcome = RequestOutcome(
-                    hit=False, bytes_fetched=size, bypassed=True
-                )
-                self._bypass_outcomes[file_id] = outcome
-            return outcome
+            return BYPASS_CODE
         while self.used_bytes + fc_size > self.capacity_bytes:
             evicted_label, evicted = entries.popitem(last=False)
             self._release(evicted)
@@ -152,8 +135,4 @@ class FileculeLRU(ReplacementPolicy):
         self._charge(fc_size)
         if not self._intra_job_hits:
             self._load_key[label] = now
-        outcome = self._miss_outcomes.get(label)
-        if outcome is None:
-            outcome = RequestOutcome(hit=False, bytes_fetched=fc_size)
-            self._miss_outcomes[label] = outcome
-        return outcome
+        return fc_size

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import heapq
 
-from repro.cache.base import ReplacementPolicy, RequestOutcome
+from repro.cache.base import BYPASS_CODE, HIT_CODE, ReplacementPolicy
 from repro.core.filecule import FileculePartition
 
 
@@ -71,22 +71,22 @@ class _FileculePolicyBase(ReplacementPolicy):
         """Called when a victim is chosen (GDS inflation hook)."""
 
     # ---------------------------------------------------------------------
-    def request(self, file_id: int, size: int, now: float) -> RequestOutcome:
+    def request(self, file_id: int, size: int, now: float) -> int:
         label = self._label_of(file_id)
         if label in self._resident:
             self._priority[label] = self._fresh_priority(label)
             self._push(label)
-            return RequestOutcome(hit=True)
+            return HIT_CODE
         fc_size = int(self._fc_sizes[label])
         if fc_size > self.capacity_bytes:
-            return RequestOutcome(hit=False, bytes_fetched=size, bypassed=True)
+            return BYPASS_CODE
         while self.used_bytes + fc_size > self.capacity_bytes:
             self._evict_one()
         self._resident[label] = fc_size
         self._priority[label] = self._fresh_priority(label)
         self._push(label)
         self._charge(fc_size)
-        return RequestOutcome(hit=False, bytes_fetched=fc_size)
+        return fc_size
 
 
 class FileculeLFU(_FileculePolicyBase):
@@ -102,7 +102,7 @@ class FileculeLFU(_FileculePolicyBase):
         super().__init__(capacity_bytes, partition)
         self._freq: dict[int, int] = {}
 
-    def request(self, file_id: int, size: int, now: float) -> RequestOutcome:
+    def request(self, file_id: int, size: int, now: float) -> int:
         label = self._label_of(file_id)
         self._freq[label] = self._freq.get(label, 0) + 1
         return super().request(file_id, size, now)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 from collections import defaultdict
 
-from repro.cache.base import ReplacementPolicy, RequestOutcome
+from repro.cache.base import BYPASS_CODE, HIT_CODE, ReplacementPolicy
 
 
 class FileLFU(ReplacementPolicy):
@@ -45,16 +45,16 @@ class FileLFU(ReplacementPolicy):
                 return
         raise RuntimeError("lfu: occupancy positive but heap empty")
 
-    def request(self, file_id: int, size: int, now: float) -> RequestOutcome:
+    def request(self, file_id: int, size: int, now: float) -> int:
         self._freq[file_id] += 1
         if file_id in self._sizes:
             self._push(file_id)  # refresh heap position lazily
-            return RequestOutcome(hit=True)
+            return HIT_CODE
         if size > self.capacity_bytes:
-            return RequestOutcome(hit=False, bytes_fetched=size, bypassed=True)
+            return BYPASS_CODE
         while self.used_bytes + size > self.capacity_bytes:
             self._evict_one()
         self._sizes[file_id] = size
         self._push(file_id)
         self._charge(size)
-        return RequestOutcome(hit=False, bytes_fetched=size)
+        return size

@@ -17,7 +17,7 @@ from __future__ import annotations
 import heapq
 from collections.abc import Callable
 
-from repro.cache.base import ReplacementPolicy, RequestOutcome
+from repro.cache.base import BYPASS_CODE, HIT_CODE, ReplacementPolicy
 
 CostFn = Callable[[int, int], float]  # (file_id, size) -> cost
 
@@ -83,20 +83,20 @@ class GreedyDualSize(ReplacementPolicy):
     def _fresh_credit(self, file_id: int, size: int) -> float:
         return self._inflation + self._cost_fn(file_id, size) / max(size, 1)
 
-    def request(self, file_id: int, size: int, now: float) -> RequestOutcome:
+    def request(self, file_id: int, size: int, now: float) -> int:
         if file_id in self._sizes:
             self._credit[file_id] = self._fresh_credit(file_id, size)
             self._push(file_id)
-            return RequestOutcome(hit=True)
+            return HIT_CODE
         if size > self.capacity_bytes:
-            return RequestOutcome(hit=False, bytes_fetched=size, bypassed=True)
+            return BYPASS_CODE
         while self.used_bytes + size > self.capacity_bytes:
             self._evict_one()
         self._sizes[file_id] = size
         self._credit[file_id] = self._fresh_credit(file_id, size)
         self._push(file_id)
         self._charge(size)
-        return RequestOutcome(hit=False, bytes_fetched=size)
+        return size
 
 
 class Landlord(GreedyDualSize):

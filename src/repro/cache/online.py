@@ -7,10 +7,9 @@ state is a :class:`~repro.cache.batch.Residency` with file ids as groups: the
 kernel falls back to, as unbounded wire ids rule out the compiled loop's dense
 state.  Its payoff is :meth:`request_window`, the one override of the base
 class's per-access reference: every service ingest hands it a window of
-deduped job segments as plain lists in CSR shape and gets back per-job hit
-counts plus aggregate outcome totals, folded from the replay codes with list
-operations (``count``, ``compress``, ``filter``), so a one-job window pays no
-numpy dispatch.
+deduped job segments as plain lists in CSR shape and gets back the residency
+loop's request codes, one per access, which
+:meth:`~repro.service.state.ServiceState.ingest_batch` folds.
 
 The per-access :meth:`request` replays a single file on the same state;
 it is how :func:`~repro.engine.replay.simulate` drives the advisor as an
@@ -22,10 +21,8 @@ least-recently-touched (LRU) or insertion (FIFO) order.
 
 from __future__ import annotations
 
-from itertools import compress
-
-from repro.cache.base import HIT, ReplacementPolicy, RequestOutcome
-from repro.cache.batch import BYPASS_CODE, HIT_CODE, Residency
+from repro.cache.base import ReplacementPolicy
+from repro.cache.batch import Residency
 
 
 class BatchedFileCache(ReplacementPolicy):
@@ -46,25 +43,13 @@ class BatchedFileCache(ReplacementPolicy):
         self.touch_on_hit = touch_on_hit
         self._state = Residency(self.capacity_bytes, touch_on_hit)
 
-    def _settle(self, before: int, admitted: int) -> None:
-        """Sync ``used_bytes``; report bytes evicted since ``before``."""
-        used = self._state.used
-        self.used_bytes = used
-        if self.evict_listener is not None and before + admitted > used:
-            self.evict_listener(before + admitted - used)
-
     def __contains__(self, file_id: int) -> bool:
         return file_id in self._state.entries
 
-    def request(self, file_id: int, size: int, now: float) -> RequestOutcome:
-        before = self._state.used
+    def request(self, file_id: int, size: int, now: float) -> int:
         (code,) = self._state.replay((file_id,), {file_id: size})
-        if code == HIT_CODE:
-            return HIT
-        if code == BYPASS_CODE:
-            return RequestOutcome(hit=False, bytes_fetched=size, bypassed=True)
-        self._settle(before, code)
-        return RequestOutcome(hit=False, bytes_fetched=size)
+        self.used_bytes = self._state.used
+        return code
 
     def request_window(
         self,
@@ -72,36 +57,22 @@ class BatchedFileCache(ReplacementPolicy):
         offsets: list[int],
         sizes: list[int],
         nows: list[float],
-    ) -> tuple[list[int], tuple[int, int, int, int, int, int]]:
+    ) -> list[int]:
         """:meth:`ReplacementPolicy.request_window` on the residency loop.
 
-        Same arguments and result as the per-access reference; ``nows``
+        Same arguments and codes as the per-access reference; ``nows``
         is unused, as LRU and FIFO read neither the clock nor
         :meth:`begin_job`.  Each job replays with its own ``{file:
         size}`` dict, since a later job in the window may carry a
         refined size for a file.
         """
         replay = self._state.replay
-        before = self._state.used
         codes: list[int] = []
-        job_hits: list[int] = []
         for lo, hi in zip(offsets, offsets[1:]):
             job = flat[lo:hi]
-            job_codes = replay(job, dict(zip(job, sizes[lo:hi])))
-            job_hits.append(job_codes.count(HIT_CODE))
-            codes += job_codes
-        # An admitted request's code is its size, the only codes >= 0.
-        self._settle(before, sum(filter((0).__le__, codes)))
-        bytes_requested = sum(sizes)
-        bytes_hit = sum(compress(sizes, map(HIT_CODE.__eq__, codes)))
-        return job_hits, (
-            len(codes),
-            sum(job_hits),
-            bytes_requested,
-            bytes_hit,
-            bytes_requested - bytes_hit,
-            codes.count(BYPASS_CODE),
-        )
+            codes += replay(job, dict(zip(job, sizes[lo:hi])))
+        self.used_bytes = self._state.used
+        return codes
 
 
 def batched_policy_for(spec) -> "BatchedFileCache | None":

@@ -16,7 +16,7 @@ from collections import OrderedDict
 
 import numpy as np
 
-from repro.cache.base import ReplacementPolicy, RequestOutcome
+from repro.cache.base import BYPASS_CODE, HIT_CODE, ReplacementPolicy
 
 
 class GroupPrefetchLRU(ReplacementPolicy):
@@ -64,12 +64,12 @@ class GroupPrefetchLRU(ReplacementPolicy):
         self._entries[file_id] = size
         self._charge(size)
 
-    def request(self, file_id: int, size: int, now: float) -> RequestOutcome:
+    def request(self, file_id: int, size: int, now: float) -> int:
         if file_id in self._entries:
             self._entries.move_to_end(file_id)
-            return RequestOutcome(hit=True)
+            return HIT_CODE
         if size > self.capacity_bytes:
-            return RequestOutcome(hit=False, bytes_fetched=size, bypassed=True)
+            return BYPASS_CODE
         self._insert(file_id, size)
         fetched = size
 
@@ -86,4 +86,4 @@ class GroupPrefetchLRU(ReplacementPolicy):
                 self._insert(member, m_size)
                 fetched += m_size
                 budget -= m_size
-        return RequestOutcome(hit=False, bytes_fetched=fetched)
+        return fetched

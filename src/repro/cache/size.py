@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import heapq
 
-from repro.cache.base import ReplacementPolicy, RequestOutcome
+from repro.cache.base import BYPASS_CODE, HIT_CODE, ReplacementPolicy
 
 
 class LargestFirst(ReplacementPolicy):
@@ -38,15 +38,15 @@ class LargestFirst(ReplacementPolicy):
                 return
         raise RuntimeError("largest-first: occupancy positive but heap empty")
 
-    def request(self, file_id: int, size: int, now: float) -> RequestOutcome:
+    def request(self, file_id: int, size: int, now: float) -> int:
         if file_id in self._sizes:
-            return RequestOutcome(hit=True)
+            return HIT_CODE
         if size > self.capacity_bytes:
-            return RequestOutcome(hit=False, bytes_fetched=size, bypassed=True)
+            return BYPASS_CODE
         while self.used_bytes + size > self.capacity_bytes:
             self._evict_one()
         self._sizes[file_id] = size
         heapq.heappush(self._heap, (-size, self._seq, file_id))
         self._seq += 1
         self._charge(size)
-        return RequestOutcome(hit=False, bytes_fetched=size)
+        return size

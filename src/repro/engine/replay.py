@@ -9,27 +9,29 @@ construction.
 
 Each traced job issues its input files at its start time, in job order;
 every policy sees the identical request stream, so miss rates are
-directly comparable.  A run takes one of two routes, instrumented or
-not: the policy's vectorized batch kernel whenever it offers one
-(:meth:`~repro.cache.base.ReplacementPolicy.batch_kernel`), else a
-tight per-job loop — the trace's columns read as plain Python lists
-(:attr:`~repro.traces.trace.Trace.replay_columns`, converted once per
-trace, not per run), per-job values hoisted out of the per-access loop,
-and metrics counters accumulated in locals that are folded into
-:class:`~repro.cache.base.CacheMetrics` at each progress mark and at the
-end.  Instrumentation observes both routes at the same exact progress
-marks (see :mod:`repro.obs.instrument`) without changing either, and
-both routes can record the per-access hit mask (``hit_out``) from
-which a hierarchy cuts the next tier's demand stream.
+directly comparable.  Both routes are one window driver,
+:func:`~repro.cache.base.replay_windows`, which folds request codes into
+:class:`~repro.cache.base.CacheMetrics` and the optional per-access hit
+mask (``hit_out``) from which a hierarchy cuts the next tier's demand
+stream.  Only the loop differs: the policy's batch kernel whenever it
+offers one (:meth:`~repro.cache.base.ReplacementPolicy.batch_kernel`),
+else :meth:`~repro.cache.base.ReplacementPolicy.request` per access,
+every access its own run, reading the trace's columns as plain Python
+lists (:attr:`~repro.traces.trace.Trace.replay_columns`, converted once
+per trace, not per run).  Instrumentation observes both routes at the
+same exact progress marks (see :mod:`repro.obs.instrument`) without
+changing either.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
+from functools import partial
+from itertools import repeat
 
 import numpy as np
 
-from repro.cache.base import CacheMetrics, ReplacementPolicy
+from repro.cache.base import CacheMetrics, ReplacementPolicy, replay_windows
 from repro.obs.instrument import Instrumentation
 from repro.traces.trace import Trace
 
@@ -100,24 +102,21 @@ def simulate(
     metrics = CacheMetrics(
         name=name or policy.name, capacity_bytes=int(capacity)
     )
-    kernel = None if batch is False else policy.batch_kernel(trace, hit_out)
-    if kernel is None and batch:
-        raise ValueError(
-            f"batch=True but policy {metrics.name!r} offers no "
-            f"batch kernel for this trace/configuration"
-        )
+    replay = None if batch is False else policy.batch_kernel(trace, hit_out)
+    if replay is None:
+        if batch:
+            raise ValueError(
+                f"batch=True but policy {metrics.name!r} offers no "
+                f"batch kernel for this trace/configuration"
+            )
+        replay = _per_access(policy, trace, hit_out)
     inst = instrumentation
-    total = trace.n_accesses
+    checkpoint = None
     every = 0
     if inst is not None:
         every = inst.progress_every
+        total = trace.n_accesses
         inst.on_run_start(metrics.name, int(capacity), total)
-    if kernel is not None:
-        # The kernel replays the whole trace without materializing the
-        # per-access list columns.
-        if inst is None:
-            kernel(metrics)
-            return metrics
         evicted = 0
 
         def checkpoint(done: int, evicted_now: int) -> None:
@@ -127,70 +126,37 @@ def simulate(
                 evicted = evicted_now
             inst.on_progress(done, total, metrics)
 
-        kernel(metrics, checkpoint, every)
-        return metrics
+    replay(metrics, checkpoint, every)
+    return metrics
 
+
+def _per_access(policy: ReplacementPolicy, trace: Trace, hit_out):
+    """The per-access route, callable like a batch kernel.
+
+    Its loop serves every access of a window with ``policy.request`` as
+    a run of its own, announcing each non-empty job's files with
+    ``begin_job`` at the job's first access.
+    """
     access_files = trace.access_files
-    ptr_list, files, sizes, starts = trace.replay_columns
+    ptr, files, sizes, starts = trace.replay_columns
     request = policy.request
     begin_job = policy.begin_job
-    # Per-job outer loop (job id and timestamp hoisted out of the access
-    # loop), list columns (no numpy scalar boxing) and local counters
-    # folded into the metrics at each progress mark and at the end.  A
-    # job straddling a mark is split there; ``mark`` is the next one,
-    # or ``total`` when none is left (reported after the loop).  The
-    # access being served is ``start + requests - 1``, where ``start``
-    # is the first access of the current fold window.
-    mark = min(every, total) if every > 0 else total
-    start = 0
-    requests = hits = 0
-    bytes_requested = bytes_hit = bytes_fetched = bypasses = 0
-    if inst is not None:
-        policy.evict_listener = inst.on_evict
-    try:
-        for job in range(trace.n_jobs):
-            lo = ptr_list[job]
-            hi = ptr_list[job + 1]
-            if lo == hi:
-                continue
+    size_of = sizes.__getitem__
+    job = 0
+
+    def loop(i: int, j: int):
+        nonlocal job
+        codes: list[int] = []
+        while i < j:
+            while ptr[job + 1] <= i:
+                job += 1
+            lo, hi = ptr[job], ptr[job + 1]
             now = starts[job]
-            begin_job(access_files[lo:hi], now)
-            while True:
-                cut = mark if mark < hi else hi
-                for f in files[lo:cut]:
-                    size = sizes[f]
-                    outcome = request(f, size, now)
-                    requests += 1
-                    bytes_requested += size
-                    if outcome.hit:
-                        hits += 1
-                        bytes_hit += size
-                        if hit_out is not None:
-                            hit_out[start + requests - 1] = True
-                    else:
-                        fetched = outcome.bytes_fetched
-                        if fetched:
-                            bytes_fetched += fetched
-                        if outcome.bypassed:
-                            bypasses += 1
-                if cut != mark or cut == total:
-                    break
-                metrics.record_totals(
-                    requests, hits, bytes_requested, bytes_hit,
-                    bytes_fetched, bypasses,
-                )
-                requests = hits = 0
-                bytes_requested = bytes_hit = bytes_fetched = bypasses = 0
-                inst.on_progress(mark, total, metrics)
-                start = mark
-                mark = min(mark + every, total)
-                lo = cut
-    finally:
-        if inst is not None:
-            policy.evict_listener = None
-    metrics.record_totals(
-        requests, hits, bytes_requested, bytes_hit, bytes_fetched, bypasses
-    )
-    if inst is not None:
-        inst.on_progress(total, total, metrics)
-    return metrics
+            if i == lo:
+                begin_job(access_files[lo:hi], now)
+            run = files[i : min(hi, j)]
+            codes += map(request, run, map(size_of, run), repeat(now))
+            i += len(run)
+        return np.arange(len(codes)), codes, policy.used_bytes
+
+    return partial(replay_windows, trace, loop, hit_out=hit_out)

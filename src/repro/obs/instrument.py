@@ -41,8 +41,9 @@ class Instrumentation:
     exactly ``done = k * progress_every < total`` (none when
     ``progress_every`` is 0) and once more at ``done == total`` — also
     for a run of zero accesses.  :meth:`on_evict` reports the evicted
-    volume before the checkpoint that covers it, one call per eviction
-    or aggregated per checkpoint (the batch kernels do the latter).
+    volume before the checkpoint that covers it, aggregated per
+    checkpoint on both replay routes (one call per checkpoint that saw
+    evictions, never one per evicted entry).
     """
 
     progress_every: int = 0
@@ -51,7 +52,7 @@ class Instrumentation:
         """A simulation run is starting against a fresh policy."""
 
     def on_evict(self, bytes_evicted: int) -> None:
-        """The policy evicted ``bytes_evicted`` bytes to make room."""
+        """The policy evicted ``bytes_evicted`` bytes since the last report."""
 
     def on_progress(self, done: int, total: int, metrics) -> None:
         """Checkpoint after ``done`` accesses (``metrics``: the run's

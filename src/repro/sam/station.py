@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.cache.base import ReplacementPolicy
+from repro.cache.base import HIT_CODE, ReplacementPolicy
 from repro.sam.catalog import ReplicaCatalog
 from repro.sam.events import Simulation
 from repro.sam.storage import TapeArchive, TransferModel
@@ -113,14 +113,14 @@ class Station:
             if here:
                 self.metrics.bytes_pinned += size
                 continue
-            outcome = self.cache.request(f, size, start)
-            if outcome.hit:
+            code = self.cache.request(f, size, start)
+            if code == HIT_CODE:
                 self.metrics.bytes_cache_hit += size
                 continue
             # group-granularity caches pull the whole group into the
             # cache; the transfer must be priced at those bytes, not just
-            # the requested file's
-            volume = outcome.bytes_fetched if outcome.bytes_fetched > 0 else size
+            # the requested file's (a bypass streams the file itself)
+            volume = code if code > 0 else size
             done = max(done, self._fetch_remote(f, volume))
         stall = done - start
         self.metrics.stall_seconds.append(stall)

@@ -61,7 +61,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
 )
 from repro.service.state import (
-    POLICY_REGISTRY,
     ServiceState,
     SnapshotError,
 )
@@ -101,7 +100,6 @@ __all__ = [
     "PROMETHEUS_CONTENT_TYPE",
     "LatencyHistogram",
     "MetricsRegistry",
-    "POLICY_REGISTRY",
     "ServiceState",
     "SnapshotError",
     "FileculeServer",

@@ -336,22 +336,25 @@ class FileculeServer:
             for r in requests
         ]
 
-    def _set_state_gauges(self, stats: dict) -> None:
-        """Republish live state stats as registry gauges.
+    def _set_state_gauges(self, summary: dict) -> None:
+        """Republish a :meth:`ServiceState.summary` as registry gauges.
 
         Shared by the exposition path and the flight-recorder sampler, so
         both see the same vocabulary (``site_requests``/``site_hits`` are
-        monotone totals the recorder differentiates into rates).
+        monotone totals the recorder differentiates into rates).  The
+        summary leaves out what :meth:`ServiceState.stats` adds by
+        walking every class, so a sample's cost does not grow with the
+        catalog.
         """
-        self.metrics.set_gauge("jobs_observed", stats["jobs_observed"])
-        self.metrics.set_gauge("files_observed", stats["files_observed"])
-        self.metrics.set_gauge("filecule_classes", stats["n_classes"])
+        self.metrics.set_gauge("jobs_observed", summary["jobs_observed"])
+        self.metrics.set_gauge("files_observed", summary["files_observed"])
+        self.metrics.set_gauge("filecule_classes", summary["n_classes"])
         self.metrics.set_gauge("span_buffer_spans", len(self.spans))
         if self.worker_index is not None:
             # Which cluster worker this scrape came from — lets a scraper
             # of base+k ports attribute samples without port arithmetic.
             self.metrics.set_gauge("worker_index", self.worker_index)
-        for site, adv in stats["sites"].items():
+        for site, adv in summary["sites"].items():
             self.metrics.set_gauge("site_hit_rate", adv["hit_rate"], site=site)
             self.metrics.set_gauge(
                 "site_byte_miss_rate", adv["byte_miss_rate"], site=site
@@ -366,7 +369,7 @@ class FileculeServer:
 
     def expose_metrics(self) -> str:
         """Prometheus text exposition: server registry + live state gauges."""
-        self._set_state_gauges(self.state.stats())
+        self._set_state_gauges(self.state.summary())
         return self.metrics.expose()
 
     # ------------------------------------------------------------------
@@ -376,7 +379,7 @@ class FileculeServer:
         """Take one flight-recorder sample (and run detectors if on)."""
         if now is None:
             now = time.monotonic()
-        self._set_state_gauges(self.state.stats())
+        self._set_state_gauges(self.state.summary())
         self.recorder.sample(self.metrics, now)
         if self.health is not None:
             for event in self.health.observe():

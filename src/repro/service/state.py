@@ -34,28 +34,17 @@ import json
 import math
 import os
 from functools import partial
-from itertools import repeat
+from itertools import compress, repeat
 from pathlib import Path
-from typing import Callable
 
 from repro import registry
-from repro.cache.base import CacheMetrics, ReplacementPolicy
+from repro.cache.base import BYPASS_CODE, HIT_CODE, CacheMetrics, ReplacementPolicy
 from repro.cache.online import batched_policy_for
 from repro.core.incremental import IncrementalFileculeIdentifier
 from repro.obs.log import get_logger
 from repro.util.units import TB
 
 slog = get_logger("repro.service.state")
-
-#: Backwards-compatible name → factory view of the advisor-eligible
-#: policies.  The authoritative catalog is :mod:`repro.registry`; this
-#: dict exists because earlier releases exposed it from this module.
-#: Prefer ``registry.service_policy_names()`` / ``registry.build``.
-POLICY_REGISTRY: dict[str, Callable[[int], ReplacementPolicy]] = {
-    name: (lambda capacity, _name=name: registry.build(_name, capacity))
-    for name in registry.service_policy_names()
-}
-
 
 def _parse_advisor_policy(policy: str) -> "registry.BoundSpec":
     """Validate an advisor policy spec: known, and buildable online.
@@ -93,6 +82,28 @@ def partition_checksum(groups) -> str:
     canonical = sorted(sorted(int(f) for f in g) for g in groups)
     payload = json.dumps(canonical, separators=(",", ":")).encode()
     return hashlib.sha256(payload).hexdigest()[:16]
+
+
+def _fold_window(
+    codes: list[int], offsets: list[int], sizes: list[int]
+) -> tuple[list[int], tuple[int, int, int, int, int, int]]:
+    """Fold one advisor window's request codes, one per access.
+
+    Returns the hits of each job (``codes[offsets[j]:offsets[j + 1]]``)
+    and the window's ``(requests, hits, bytes_requested, bytes_hit,
+    bytes_fetched, bypasses)`` for
+    :meth:`~repro.cache.base.CacheMetrics.record_totals`: a miss fetches
+    the bytes its code admitted, a bypass its own requested size.
+    """
+    job_hits = [codes[lo:hi].count(HIT_CODE) for lo, hi in zip(offsets, offsets[1:])]
+    bytes_hit = sum(compress(sizes, map(HIT_CODE.__eq__, codes)))
+    fetched = sum(filter((0).__le__, codes))
+    bypasses = codes.count(BYPASS_CODE)
+    if bypasses:
+        fetched += sum(compress(sizes, map(BYPASS_CODE.__eq__, codes)))
+    return job_hits, (
+        len(codes), sum(job_hits), sum(sizes), bytes_hit, fetched, bypasses
+    )
 
 
 class _SiteAdvisor:
@@ -232,9 +243,11 @@ class ServiceState:
         :meth:`~repro.core.incremental.IncrementalFileculeIdentifier.observe_jobs_batch`,
         which equals ``observe_job`` per job, and advisor accounting
         through one ``request_window`` per site, each job at its own
-        clock; the size catalog, advisor caches, metrics and read-cache
-        invalidation end as they would job by job.  The server's drain
-        calls this with each run of queued ingest requests.
+        clock, whose request codes are folded once into per-job hits and
+        the site's metrics; the size catalog, advisor caches, metrics
+        and read-cache invalidation end as they would job by job.  The
+        server's drain calls this with each run of queued ingest
+        requests.
         """
         n = len(batch)
         if n == 0:
@@ -294,7 +307,8 @@ class ServiceState:
                 site_nows = [nows[i] for i in idxs]
                 window = site_flat, site_offs, site_sizes, site_nows
             advisor = self._advisor(site)
-            job_hits, totals = advisor.policy.request_window(*window)
+            codes = advisor.policy.request_window(*window)
+            job_hits, totals = _fold_window(codes, window[1], window[2])
             advisor.metrics.record_totals(*totals)
             for i, h in zip(idxs, job_hits):
                 hits_per_job[i] = h
@@ -412,23 +426,16 @@ class ServiceState:
             "prefetch_files": prefetch_files,
         }
 
-    def stats(self) -> dict:
-        """Live popularity/partition metrics (the ``stats`` query body)."""
-        top = sorted(
-            (
-                (self._ident.requests_of_class(cid), cid)
-                for cid in self._ident.class_ids()
-            ),
-            reverse=True,
-        )[:10]
+    def summary(self) -> dict:
+        """The partition's counts and the per-site advisor stats.
+
+        :meth:`stats` without the checksum and the top filecules, which
+        walk every class: the view the server's gauges publish.
+        """
         return {
-            "policy": self.policy_name,
-            "capacity_bytes": self.capacity_bytes,
             "jobs_observed": self._ident.n_jobs_observed,
             "files_observed": self._ident.n_files_observed,
             "n_classes": self._ident.n_classes,
-            "partition_checksum": partition_checksum(self._ident.classes()),
-            "top_filecules": [self._class_info(cid) for _, cid in top],
             "sites": {
                 str(site): {
                     "policy": adv.metrics.name,
@@ -440,6 +447,26 @@ class ServiceState:
                 }
                 for site, adv in sorted(self._advisors.items())
             },
+        }
+
+    def stats(self) -> dict:
+        """Live popularity/partition metrics (the ``stats`` query body)."""
+        top = sorted(
+            (
+                (self._ident.requests_of_class(cid), cid)
+                for cid in self._ident.class_ids()
+            ),
+            reverse=True,
+        )[:10]
+        summary = self.summary()
+        sites = summary.pop("sites")
+        return {
+            "policy": self.policy_name,
+            "capacity_bytes": self.capacity_bytes,
+            **summary,
+            "partition_checksum": partition_checksum(self._ident.classes()),
+            "top_filecules": [self._class_info(cid) for _, cid in top],
+            "sites": sites,
         }
 
     def partition(self) -> dict:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cache.arc import AdaptiveReplacementCache
+from repro.cache.base import BYPASS_CODE, HIT_CODE
 from repro.cache.lru import FileLRU
 from repro.cache.simulator import simulate
 from tests.conftest import make_trace
@@ -12,8 +13,8 @@ from tests.conftest import make_trace
 class TestBasics:
     def test_miss_then_hit(self):
         p = AdaptiveReplacementCache(100)
-        assert not p.request(1, 10, 0.0).hit
-        assert p.request(1, 10, 1.0).hit
+        assert p.request(1, 10, 0.0) == 10
+        assert p.request(1, 10, 1.0) == HIT_CODE
         assert 1 in p
 
     def test_hit_promotes_to_t2(self):
@@ -26,7 +27,7 @@ class TestBasics:
     def test_bypass_oversized(self):
         p = AdaptiveReplacementCache(5)
         out = p.request(1, 10, 0.0)
-        assert out.bypassed
+        assert out == BYPASS_CODE
         assert p.used_bytes == 0
 
     def test_occupancy_bounded(self):

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.cache.base import ReplacementPolicy, RequestOutcome
+from repro.cache.base import HIT_CODE, ReplacementPolicy
 from repro.cache.simulator import simulate
+from repro.service.state import _fold_window
 from tests.conftest import make_trace
 
 
@@ -20,9 +21,9 @@ class RecordingPolicy(ReplacementPolicy):
     def begin_job(self, file_ids, now: float) -> None:
         self.calls.append(("job", tuple(int(f) for f in file_ids), now))
 
-    def request(self, file_id: int, size: int, now: float) -> RequestOutcome:
+    def request(self, file_id: int, size: int, now: float) -> int:
         self.calls.append(("req", file_id, now))
-        return RequestOutcome(hit=False, bytes_fetched=size)
+        return size
 
     def __contains__(self, file_id: int) -> bool:
         return False
@@ -76,9 +77,11 @@ class TestSimulatorDriving:
 class TestRequestWindow:
     def test_begin_job_then_requests_at_each_jobs_clock(self):
         policy = RecordingPolicy(100)
-        job_hits, totals = policy.request_window(
+        codes = policy.request_window(
             [3, 4, 5], [0, 2, 2, 3], [10, 20, 30], [1.0, 2.0, 3.0]
         )
+        assert codes == [10, 20, 30]
+        job_hits, totals = _fold_window(codes, [0, 2, 2, 3], [10, 20, 30])
         assert policy.calls == [
             ("job", (3, 4), 1.0),
             ("req", 3, 1.0),
@@ -98,7 +101,7 @@ class TestCapacityGuards:
 
             def request(self, file_id, size, now):
                 self._charge(size)  # never evicts
-                return RequestOutcome(hit=False, bytes_fetched=size)
+                return size
 
             def __contains__(self, file_id):
                 return False
@@ -113,7 +116,7 @@ class TestCapacityGuards:
             name = "leaky"
 
             def request(self, file_id, size, now):  # pragma: no cover
-                return RequestOutcome(hit=True)
+                return HIT_CODE
 
             def __contains__(self, file_id):  # pragma: no cover
                 return False
@@ -127,7 +130,7 @@ class TestCapacityGuards:
             name = "noop"
 
             def request(self, file_id, size, now):  # pragma: no cover
-                return RequestOutcome(hit=True)
+                return HIT_CODE
 
             def __contains__(self, file_id):  # pragma: no cover
                 return False

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.mrc import granularity_mrcs, lru_miss_rate_curve
+from repro.cache.base import BYPASS_CODE
 from repro.cache.belady import (
     NEVER,
     BeladyMIN,
@@ -70,7 +71,7 @@ class TestBeladyMIN:
         t = make_trace([[0], [1]], file_sizes=[1, 1])
         policy = BeladyMIN(10, t)
         out = policy.request(0, 1, 0.0)
-        assert out.bypassed  # 0 never comes back
+        assert out == BYPASS_CODE  # 0 never comes back
         assert policy.used_bytes == 0
 
     def test_contains(self):

@@ -4,6 +4,7 @@ equivalence theorem (conservative filecule-LRU == file-LRU)."""
 import numpy as np
 import pytest
 
+from repro.cache.base import BYPASS_CODE, HIT_CODE
 from repro.cache.filecule_lru import FileculeLRU
 from repro.cache.lru import FileLRU
 from repro.cache.prefetch import GroupPrefetchLRU
@@ -31,14 +32,14 @@ class TestFileculeLoadAndEvict:
     def test_miss_fetches_whole_filecule(self, trace, partition):
         p = FileculeLRU(100, partition)
         outcome = p.request(0, 10, 0.0)
-        assert not outcome.hit
-        assert outcome.bytes_fetched == 20  # files 0 and 1
+        assert outcome != HIT_CODE
+        assert outcome == 20  # a miss admitting files 0 and 1
         assert 1 in p  # sibling loaded too
 
     def test_sibling_hit(self, trace, partition):
         p = FileculeLRU(100, partition)
         p.request(0, 10, 0.0)
-        assert p.request(1, 10, 0.0).hit  # intra-job prefetch hit (default)
+        assert p.request(1, 10, 0.0) == HIT_CODE  # intra-job prefetch hit (default)
 
     def test_eviction_at_filecule_granularity(self, trace, partition):
         p = FileculeLRU(30, partition)
@@ -51,8 +52,8 @@ class TestFileculeLoadAndEvict:
     def test_bypass_oversized_filecule(self, trace, partition):
         p = FileculeLRU(15, partition)  # {0,1} is 20 bytes > 15
         outcome = p.request(0, 10, 0.0)
-        assert not outcome.hit and outcome.bypassed
-        assert outcome.bytes_fetched == 10  # streams only the file
+        assert outcome != HIT_CODE and outcome == BYPASS_CODE
+        # A bypass streams only the requested file's 10 bytes.
         assert p.used_bytes == 0
 
     def test_unpartitioned_file_rejected(self, trace, partition):
@@ -74,14 +75,15 @@ class TestConservativeAccounting:
         p = FileculeLRU(100, partition, intra_job_hits=False)
         first = p.request(0, 10, 0.0)
         second = p.request(1, 10, 0.0)  # same timestamp = same job
-        assert not first.hit and not second.hit
-        assert second.bytes_fetched == 0  # no double fetch
+        assert first != HIT_CODE and second != HIT_CODE
+        assert first == 20
+        assert second == 0  # no double fetch
 
     def test_next_job_hits(self, trace, partition):
         p = FileculeLRU(100, partition, intra_job_hits=False)
         p.request(0, 10, 0.0)
-        assert p.request(0, 10, 5.0).hit
-        assert p.request(1, 10, 5.0).hit
+        assert p.request(0, 10, 5.0) == HIT_CODE
+        assert p.request(1, 10, 5.0) == HIT_CODE
 
     def test_equivalence_theorem(self, small_trace, small_partition):
         """Conservative filecule-LRU has exactly file-LRU's miss rate.
@@ -114,7 +116,7 @@ class TestGroupPrefetchLRU:
         sizes = np.array([10, 10, 10])
         p = GroupPrefetchLRU(100, labels, sizes)
         outcome = p.request(0, 10, 0.0)
-        assert outcome.bytes_fetched == 20
+        assert outcome == 20
         assert 1 in p
 
     def test_prefetch_respects_budget(self):
@@ -122,7 +124,7 @@ class TestGroupPrefetchLRU:
         sizes = np.full(10, 10)
         p = GroupPrefetchLRU(100, labels, sizes, max_prefetch_fraction=0.3)
         outcome = p.request(0, 10, 0.0)
-        assert outcome.bytes_fetched <= 30
+        assert 0 <= outcome <= 30
 
     def test_file_granularity_eviction(self):
         labels = np.array([0, 0, 1])
@@ -138,7 +140,7 @@ class TestGroupPrefetchLRU:
         sizes = np.array([10, 10])
         p = GroupPrefetchLRU(100, labels, sizes)
         outcome = p.request(0, 10, 0.0)
-        assert outcome.bytes_fetched == 10  # nothing to prefetch
+        assert outcome == 10  # nothing to prefetch
 
     def test_bad_fraction(self):
         with pytest.raises(ValueError):

@@ -2,12 +2,13 @@
 
 import pytest
 
-from repro.cache.base import CacheMetrics
+from repro.cache.base import BYPASS_CODE, HIT_CODE, CacheMetrics
 from repro.cache.fifo import FileFIFO
 from repro.cache.frequency import FileLFU
 from repro.cache.gds import GreedyDualSize, Landlord
 from repro.cache.lru import FileLRU
 from repro.cache.size import LargestFirst
+from repro.service.state import _fold_window
 
 ALL_FILE_POLICIES = [FileFIFO, FileLRU, FileLFU, LargestFirst, GreedyDualSize, Landlord]
 
@@ -16,16 +17,16 @@ class TestCommonBehaviour:
     @pytest.mark.parametrize("policy_cls", ALL_FILE_POLICIES)
     def test_miss_then_hit(self, policy_cls):
         p = policy_cls(100)
-        assert not p.request(1, 10, 0.0).hit
-        assert p.request(1, 10, 1.0).hit
+        assert p.request(1, 10, 0.0) == 10
+        assert p.request(1, 10, 1.0) == HIT_CODE
         assert 1 in p
 
     @pytest.mark.parametrize("policy_cls", ALL_FILE_POLICIES)
     def test_bypass_oversized(self, policy_cls):
         p = policy_cls(100)
         outcome = p.request(1, 1000, 0.0)
-        assert not outcome.hit
-        assert outcome.bypassed
+        assert outcome != HIT_CODE
+        assert outcome == BYPASS_CODE
         assert 1 not in p
         assert p.used_bytes == 0
 
@@ -139,8 +140,12 @@ class TestMetricsAccounting:
     def test_counters(self):
         m = CacheMetrics(name="x", capacity_bytes=100)
         p = FileLRU(100)
-        for f, size in [(1, 10), (2, 20), (1, 10)]:
-            m.record(size, p.request(f, size, 0.0))
+        requests = [(1, 10), (2, 20), (1, 10)]
+        codes = [p.request(f, size, 0.0) for f, size in requests]
+        assert codes == [10, 20, HIT_CODE]
+        job_hits, totals = _fold_window(codes, [0, 3], [10, 20, 10])
+        assert job_hits == [1]
+        m.record_totals(*totals)
         assert m.requests == 3
         assert m.hits == 1
         assert m.misses == 2

@@ -8,10 +8,10 @@ streams:
   any half-life, and any snapshot/restore point mid-stream;
 * :class:`~repro.cache.online.BatchedFileCache` is bit-identical to the
   dict-backed :class:`~repro.cache.lru.FileLRU` /
-  :class:`~repro.cache.fifo.FileFIFO` — per access outcome by outcome,
-  and per window through ``request_window``'s aggregate totals, which
-  the base class's per-access ``request_window`` on those two policies
-  must also reproduce.
+  :class:`~repro.cache.fifo.FileFIFO` — per access code by code, and
+  per window through ``request_window``'s codes and their folded
+  totals, which the base class's per-access ``request_window`` on those
+  two policies must also reproduce.
 """
 
 import math
@@ -19,11 +19,12 @@ import math
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.cache.base import ReplacementPolicy
+from repro.cache.base import BYPASS_CODE, HIT_CODE, ReplacementPolicy
 from repro.cache.fifo import FileFIFO
 from repro.cache.lru import FileLRU
 from repro.cache.online import BatchedFileCache
 from repro.core.incremental import IncrementalFileculeIdentifier
+from repro.service.state import _fold_window
 from tests.test_core_incremental_batch import columnar, sequential_replay
 
 N_FILES = 14
@@ -146,10 +147,6 @@ sized_windows = st.lists(
 )
 
 
-def outcome_key(outcome):
-    return (outcome.hit, outcome.bytes_fetched, outcome.bypassed)
-
-
 class TestBatchedFileCache:
     @given(
         dedup_windows,
@@ -169,7 +166,7 @@ class TestBatchedFileCache:
                 clock += 1.0
                 a = ref.request(f, sizes[f], clock)
                 b = got.request(f, sizes[f], clock)
-                assert outcome_key(a) == outcome_key(b)
+                assert a == b
         assert got.used_bytes == ref.used_bytes
         for f in range(N_FILES):
             assert (f in got) == (f in ref)
@@ -184,29 +181,35 @@ class TestBatchedFileCache:
         self, window, capacity, touch_on_hit
     ):
         ref = (FileLRU if touch_on_hit else FileFIFO)(capacity)
-        want_hits, want = [], [0, 0, 0, 0, 0, 0]
+        want_hits, want, want_codes = [], [0, 0, 0, 0, 0, 0], []
         clock = 0.0
         for job in window:
             hits = 0
             for f, size in job:
                 clock += 1.0
-                outcome = ref.request(f, size, clock)
+                code = ref.request(f, size, clock)
+                want_codes.append(code)
+                hit = code == HIT_CODE
+                bypassed = code == BYPASS_CODE
                 want[0] += 1
-                want[1] += outcome.hit
+                want[1] += hit
                 want[2] += size
-                want[3] += size if outcome.hit else 0
-                want[4] += outcome.bytes_fetched
-                want[5] += outcome.bypassed
-                hits += outcome.hit
+                want[3] += size if hit else 0
+                # A miss fetches what it admitted, a bypass its own size.
+                want[4] += size if bypassed else 0 if hit else code
+                want[5] += bypassed
+                hits += hit
             want_hits.append(hits)
 
         got = BatchedFileCache(capacity, touch_on_hit=touch_on_hit)
         flat, offsets = columnar([[f for f, _ in job] for job in window])
         seg_sizes = [size for job in window for _, size in job]
         nows = [float(j) for j in range(1, len(window) + 1)]
-        job_hits, totals = got.request_window(
+        codes = got.request_window(
             flat.tolist(), offsets.tolist(), seg_sizes, nows
         )
+        assert codes == want_codes
+        job_hits, totals = _fold_window(codes, offsets.tolist(), seg_sizes)
         assert job_hits == want_hits
         assert list(totals) == want
         assert got.used_bytes == ref.used_bytes
@@ -215,8 +218,12 @@ class TestBatchedFileCache:
 
         # The base class's per-access window is the same walk.
         base = (FileLRU if touch_on_hit else FileFIFO)(capacity)
-        base_hits, base_totals = ReplacementPolicy.request_window(
+        base_codes = ReplacementPolicy.request_window(
             base, flat.tolist(), offsets.tolist(), seg_sizes, nows
+        )
+        assert base_codes == want_codes
+        base_hits, base_totals = _fold_window(
+            base_codes, offsets.tolist(), seg_sizes
         )
         assert base_hits == want_hits
         assert list(base_totals) == want

@@ -12,16 +12,20 @@ ids and files larger than the cache.  The kernel's per-access hit mask,
 with its runs split at those marks, must equal the per-access loop's,
 with its jobs split and counters reset at the same marks.  Both kernel
 tests draw the kernel's residency loop: the compiled one or the Python
-fallback.
+fallback.  For the policies no kernel serves, the evicted volume each
+checkpoint reports, derived as admitted minus resident bytes, must equal
+the bytes the policy actually released.
 """
 
 from __future__ import annotations
+
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro import registry
-from repro.cache.base import CacheMetrics
+from repro.cache.base import CacheMetrics, ReplacementPolicy
 from repro.core.identify import find_filecules
 from repro.engine import simulate
 from repro.obs.instrument import Instrumentation
@@ -175,3 +179,64 @@ def test_per_access_only_policy_checkpoints(jobs, sizes, capacity, data):
     assert [call[0] for call in calls] == expected_marks(n, every)
     assert all(call[0] == call[1] for call in calls)
     assert metrics == simulate(trace, "gds", capacity)
+
+
+#: Every registry spec without a kernel, plus filecule-LRU's in-flight
+#: accounting, which declines the kernel.
+PER_ACCESS_SPECS = [
+    *(spec.name for spec in registry.list_specs() if not spec.supports_batch),
+    "filecule-lru?intra_job_hits=false",
+]
+
+
+class ReleaseRecorder(Instrumentation):
+    """Records ``(done, evicted so far, released so far)`` per checkpoint,
+    the last summed from the sizes a ``_release`` spy appends."""
+
+    def __init__(self, progress_every: int, released: list[int]) -> None:
+        self.progress_every = progress_every
+        self.released = released
+        self.evicted = 0
+        self.calls: list[tuple[int, int, int]] = []
+
+    def on_evict(self, bytes_evicted: int) -> None:
+        self.evicted += bytes_evicted
+
+    def on_progress(self, done: int, total: int, metrics) -> None:
+        self.calls.append((done, self.evicted, sum(self.released)))
+
+
+@given(
+    jobs=job_lists,
+    sizes=file_sizes,
+    capacity=capacities,
+    spec=st.sampled_from(PER_ACCESS_SPECS),
+    data=st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_per_access_evicted_volume_equals_released_bytes(
+    jobs, sizes, capacity, spec, data
+):
+    trace = make_trace(jobs, n_files=N_FILES, file_sizes=sizes)
+    n = trace.n_accesses
+    every = data.draw(st.integers(min_value=1, max_value=n + 1), label="every")
+    released: list[int] = []
+    release = ReplacementPolicy._release
+
+    def spy(policy, size):
+        released.append(size)
+        release(policy, size)
+
+    recorder = ReleaseRecorder(every, released)
+    with mock.patch.object(ReplacementPolicy, "_release", spy):
+        simulate(
+            trace,
+            spec,
+            capacity,
+            partition=find_filecules(trace),
+            instrumentation=recorder,
+            batch=False,
+        )
+    assert [call[0] for call in recorder.calls] == expected_marks(n, every)
+    for done, evicted, freed in recorder.calls:
+        assert evicted == freed, (done, evicted, freed)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.cache.base import HIT_CODE
 from repro.cache.bundle import FileBundleCache
 from repro.cache.lru import FileLRU
 from repro.cache.filecule_lru import FileculeLRU
@@ -143,7 +144,7 @@ class TestReplayTrace:
             caches[site].begin_job(files, now)
             for f in files:
                 size = int(trace.file_sizes[f])
-                if caches[site].request(f, size, now).hit:
+                if caches[site].request(f, size, now) == HIT_CODE:
                     want[site] += size
         assert sum(want) > 0
         assert [s.bytes_cache_hit for s in report.stations] == want

@@ -12,6 +12,7 @@ import json
 import multiprocessing
 import os
 import time
+from unittest import mock
 
 import pytest
 
@@ -134,6 +135,33 @@ class TestHistoryOp:
         records = [json.loads(line) for line in path.read_text().splitlines()]
         assert records
         assert all(r["detector"] == "hit-rate-divergence" for r in records)
+
+
+class TestSampleCost:
+    def test_samples_and_scrapes_skip_the_partition_checksum(self, tiny_trace):
+        """A sample and a metrics scrape publish the state's counts and
+        per-site stats without hashing the partition: with the checksum
+        made to fail they succeed and publish the same gauges."""
+        state = ServiceState()
+        for job in jobs_from_trace(tiny_trace)[:200]:
+            state.ingest(job["files"], job["sizes"], job["site"])
+
+        def publish():
+            server = FileculeServer(state)
+            server.sample_once(now=0.0)
+            lines = server.expose_metrics().splitlines()
+            untimed = [x for x in lines if not x.startswith("repro_uptime")]
+            return server.metrics.snapshot()["gauges"], untimed
+
+        want = publish()
+        assert want[0]["jobs_observed"] == 200
+        with mock.patch(
+            "repro.service.state.partition_checksum",
+            side_effect=AssertionError("partition hashed"),
+        ):
+            with pytest.raises(AssertionError, match="partition hashed"):
+                state.stats()
+            assert publish() == want
 
 
 class TestSpansOp:

@@ -18,7 +18,7 @@ import math
 import pytest
 
 from repro import registry
-from repro.cache.base import CacheMetrics
+from repro.cache.base import BYPASS_CODE, HIT_CODE, CacheMetrics
 from repro.core.incremental import IncrementalFileculeIdentifier
 from repro.service import (
     AsyncServiceClient,
@@ -89,9 +89,13 @@ class ReferenceService:
         cache.begin_job(unique, clock)
         for f in unique:
             size = self.sizes.get(f, self.default_size)
-            outcome = cache.request(f, size, clock)
-            metrics.record(size, outcome)
-            hits += outcome.hit
+            code = cache.request(f, size, clock)
+            hit = code == HIT_CODE
+            bypassed = code == BYPASS_CODE
+            # A miss fetches what it admitted, a bypass its own size.
+            fetched = size if bypassed else 0 if hit else code
+            metrics.record_totals(1, hit, size, size * hit, fetched, bypassed)
+            hits += hit
         return {
             "job_seq": self.ident.n_jobs_observed,
             "n_files": self.ident.n_files_observed,

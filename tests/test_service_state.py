@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import registry
 from repro.core.identify import find_filecules
 from repro.core.incremental import IncrementalFileculeIdentifier
 from repro.service.state import (
-    POLICY_REGISTRY,
     ServiceState,
     SnapshotError,
     partition_checksum,
@@ -140,7 +140,7 @@ class TestStatsAndConfig:
         assert requests == sorted(requests, reverse=True)
 
     def test_every_registered_policy_constructs_and_serves(self):
-        for name in POLICY_REGISTRY:
+        for name in registry.service_policy_names():
             state = ServiceState(policy=name, capacity_bytes=100)
             state.ingest([1, 2, 3], sizes=[5, 5, 5])
             plan = state.advise([1])

@@ -24,8 +24,12 @@ characterizes — without paying for the full benchmark matrix.  It:
    on the same floor and on metrics equal to the first replay, so
    turning progress on cannot quietly drop the cell to per-access
    replay;
-6. writes ``benchmarks/output/paper_smoke.json`` with host info and
-   per-phase timings.
+6. fails unless the kernel ran its compiled residency loop
+   (:func:`repro.cache.native.residency_loop`): the Python-loop
+   fallback clears the throughput floor, so only this check catches a
+   host that silently lost its build;
+7. writes ``benchmarks/output/paper_smoke.json`` with host info, the
+   residency loop that ran and per-phase timings.
 
 Exit status is non-zero on any failed gate.  Run locally with::
 
@@ -43,6 +47,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro.cache import native  # noqa: E402
 from repro.core import (  # noqa: E402
     FileculeInvariantError,
     assert_partition_valid,
@@ -61,9 +66,10 @@ SEED = 7
 ACCESS_BAND = (11_000_000, 16_000_000)
 
 #: Replay throughput floor for the batch-kernel cell, in accesses per
-#: second.  The measured rate on a single 2020s CPU core is ~1.8M/s;
-#: the floor is set loose enough for slow CI runners but tight enough
-#: that an accidental fall back to per-access replay (~0.7M/s) fails.
+#: second.  On the compiled residency loop the cell runs at ~16M/s, on
+#: the Python-loop fallback at ~1.7M/s (``BENCH_sweep.json``); the
+#: floor catches an accidental fall back to per-access replay
+#: (~0.7M/s), and the residency-loop check catches the fallback.
 MIN_BATCH_ACCESSES_PER_S = 900_000
 
 OUTPUT = REPO_ROOT / "benchmarks" / "output" / "paper_smoke.json"
@@ -148,6 +154,16 @@ def main() -> int:
             f"uninstrumented {metrics}",
             file=sys.stderr,
         )
+    loop = "compiled" if native.residency_loop() is not None else "python"
+    print(f"residency loop: {loop}")
+    if loop != "compiled":
+        ok = False
+        print(
+            "FAIL: the batch kernel ran the Python residency loop; the "
+            "compiled one could not be built (see the native-fallback "
+            "warning)",
+            file=sys.stderr,
+        )
 
     OUTPUT.parent.mkdir(parents=True, exist_ok=True)
     OUTPUT.write_text(
@@ -162,6 +178,7 @@ def main() -> int:
                 "filecules": len(partition),
                 "capacity": capacity,
                 "miss_rate": round(metrics.miss_rate, 6),
+                "residency_loop": loop,
                 "batch_accesses_per_s": round(rate, 1),
                 "instrumented_accesses_per_s": round(instrumented_rate, 1),
                 "floor_accesses_per_s": MIN_BATCH_ACCESSES_PER_S,

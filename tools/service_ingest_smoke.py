@@ -46,7 +46,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
-from repro.cache.base import CacheMetrics  # noqa: E402
+from repro.cache.base import BYPASS_CODE, HIT_CODE, CacheMetrics  # noqa: E402
 from repro.cache.lru import FileLRU  # noqa: E402
 from repro.core import find_filecules  # noqa: E402
 from repro.service import FileculeServer, ServiceState, jobs_from_trace  # noqa: E402
@@ -105,7 +105,8 @@ def _reference_sites(jobs: list[dict], capacity: int) -> dict:
     """``stats()["sites"]`` of the slice replayed through one ``FileLRU``
     per site: each job's deduplicated files, at the sizes the job
     carries and its stream clock, through the base class's
-    ``request_window``."""
+    ``request_window``, whose codes are folded here one access at a
+    time."""
     windows: dict[int, tuple[list, list, list, list]] = {}
     for i, job in enumerate(jobs):
         flat, offsets, sizes, nows = windows.setdefault(
@@ -120,7 +121,11 @@ def _reference_sites(jobs: list[dict], capacity: int) -> dict:
     for site, window in sorted(windows.items()):
         policy = FileLRU(capacity)
         metrics = CacheMetrics()
-        metrics.record_totals(*policy.request_window(*window)[1])
+        for code, size in zip(policy.request_window(*window), window[2]):
+            hit = code == HIT_CODE
+            bypassed = code == BYPASS_CODE
+            fetched = size if bypassed else 0 if hit else code
+            metrics.record_totals(1, hit, size, size * hit, fetched, bypassed)
         sites[str(site)] = {
             "policy": f"lru@site{site}",
             "requests": metrics.requests,
