@@ -1,15 +1,21 @@
-"""Replacement-policy interface, request codes and their one fold.
+"""Replacement-policy interface, request codes, their fold and the one
+replay driver.
 
 A policy owns its contents and eviction decisions.  It answers each
 timestamped file request with one int code: :data:`HIT_CODE`,
 :data:`BYPASS_CODE` (the requested file streams through and nothing is
 cached) or, for any other miss, the bytes it admitted (``>= 0``; a
 group-granularity policy admits the whole group).  The same codes come
-out of the residency loop (:mod:`repro.cache.batch`), and
-:func:`replay_windows` folds them into :class:`CacheMetrics` for both
-replay routes.  The *miss rate* (fraction of file requests that miss)
-is the paper's Figure 10 metric; byte-level counters support the
-byte-miss-rate view used by the related file-bundle work (§7).
+out of :meth:`~repro.cache.batch.Residency.replay`.
+:func:`replay_windows` drives both replay routes window by window and
+folds each window's totals into :class:`CacheMetrics`.  The Python
+loops behind it (the per-access route and the batch kernel's fallback)
+turn their codes into those totals with :func:`fold_runs`, the one
+reference fold; the batch kernel's compiled pass (``residency.c``)
+totals its windows itself and is tested against it.  The *miss rate*
+(fraction of file requests that miss) is the paper's Figure 10 metric;
+byte-level counters support the byte-miss-rate view used by the related
+file-bundle work (§7).
 """
 
 from __future__ import annotations
@@ -25,7 +31,8 @@ HIT_CODE = -1
 BYPASS_CODE = -2
 
 #: Accesses per replay window: bounds the per-window run arrays and code
-#: list, while the per-window numpy calls stay a few ns per access.
+#: lists of the Python loops, while the per-window calls stay a few ns
+#: per access.
 WINDOW = 16384
 
 
@@ -102,31 +109,26 @@ class CacheMetrics:
         ]
 
 
-def replay_windows(trace, loop, metrics, checkpoint=None, every=0, hit_out=None):
-    """Replay ``trace`` through ``loop`` in windows, folding its codes.
+def replay_windows(trace, loop, metrics, checkpoint=None, every=0):
+    """Replay ``trace`` through ``loop`` in windows, folding its totals.
 
-    ``loop(i, j)`` replays accesses ``[i, j)`` and returns ``(heads,
-    codes, resident)``: the offsets from ``i`` of the first access of
-    each run (``heads[0] == 0``), one request code per run and the
-    bytes resident afterwards.  The head decides its run: a hit run hits
-    throughout; an admitting head misses and fetches its code's bytes,
-    and the rest of its run hits; a bypassed run streams every access's
-    own file and caches nothing.  A per-access loop makes every access
-    its own run.
+    ``loop(i, j)`` replays accesses ``[i, j)``, marks their hits in the
+    run's hit mask if it has one, and returns the window's five totals
+    and the bytes resident afterwards: ``(hits, bytes_hit,
+    bytes_fetched, bypasses, bytes_admitted, resident)``.  The compiled
+    pass (:mod:`repro.cache.native`) totals its window itself; the two
+    Python loops, the per-access route and the kernel's fallback, fold
+    their request codes with :func:`fold_runs`.
 
     Windows hold at most :data:`WINDOW` accesses and are cut at every
     ``done = k * every < n`` (when ``checkpoint`` is given and ``every
     > 0``) and at ``done == n``.  At each of those marks ``metrics``
     holds the totals of the first ``done`` accesses, and then
     ``checkpoint(done, evicted_bytes)`` gets the cumulative evicted
-    volume, derived as admitted minus resident bytes.  ``hit_out``,
-    when given, is a writable boolean array of length ``n`` in which
-    every hit is set ``True``.
+    volume, derived as admitted minus resident bytes.
     """
-    af = trace.access_files
-    n = len(af)
+    n = trace.n_accesses
     csum = trace.access_size_cumsum
-    sizes = trace.file_sizes
     marks = [n]
     if checkpoint is not None and every > 0:
         marks = [*range(every, n, every), n]
@@ -135,33 +137,13 @@ def replay_windows(trace, loop, metrics, checkpoint=None, every=0, hit_out=None)
     for hi in marks:
         hits = bytes_hit = fetched = bypasses = 0
         for i in range(lo, hi, WINDOW):
-            j = min(i + WINDOW, hi)
-            heads, codes, resident = loop(i, j)
-            code = np.asarray(codes, dtype=np.int64)
-            bounds = np.append(heads, j - i)
-            run_len = np.diff(bounds)
-            run_bytes = np.diff(csum[i + bounds])
-            bypass = code == BYPASS_CODE
-            bypass_count = int(run_len[bypass].sum())
-            bypass_bytes = int(run_bytes[bypass].sum())
-            admit = code >= 0
-            admit_heads = heads[admit]
-            admit_bytes = int(code[admit].sum())
-            admitted += admit_bytes
-            # Every access hits except those of bypassed runs and the
-            # heads of admitting runs.
-            hits += j - i - bypass_count - len(admit_heads)
-            bytes_hit += (
-                int(csum[j] - csum[i])
-                - bypass_bytes
-                - int(sizes[af[i + admit_heads]].sum())
-            )
-            fetched += admit_bytes + bypass_bytes
-            bypasses += bypass_count
-            if hit_out is not None:
-                miss = np.repeat(bypass, run_len)
-                miss[admit_heads] = True
-                hit_out[i:j] |= ~miss
+            window = loop(i, min(i + WINDOW, hi))
+            hits += window[0]
+            bytes_hit += window[1]
+            fetched += window[2]
+            bypasses += window[3]
+            admitted += window[4]
+            resident = window[5]
         metrics.record_totals(
             requests=hi - lo,
             hits=hits,
@@ -173,6 +155,45 @@ def replay_windows(trace, loop, metrics, checkpoint=None, every=0, hit_out=None)
         if checkpoint is not None:
             checkpoint(hi, admitted - resident)
         lo = hi
+
+
+def fold_runs(trace, i, j, heads, codes, hit_out=None):
+    """The numpy fold of one window's run codes into its five totals.
+
+    Accesses ``[i, j)`` of ``trace`` form runs starting at the offsets
+    ``heads`` from ``i`` (``heads[0] == 0``), with one request code per
+    run.  The head decides its run: a hit run hits throughout; an
+    admitting head misses and fetches its code's bytes, and the rest of
+    its run hits; a bypassed run streams every access's own file and
+    caches nothing.  A per-access loop makes every access its own run.
+    Returns ``(hits, bytes_hit, bytes_fetched, bypasses,
+    bytes_admitted)`` and sets ``hit_out[i + k]`` for every hit ``k``.
+    """
+    csum = trace.access_size_cumsum
+    code = np.asarray(codes, dtype=np.int64)
+    bounds = np.append(heads, j - i)
+    run_len = np.diff(bounds)
+    run_bytes = np.diff(csum[i + bounds])
+    bypass = code == BYPASS_CODE
+    bypass_count = int(run_len[bypass].sum())
+    bypass_bytes = int(run_bytes[bypass].sum())
+    admit = code >= 0
+    admit_heads = heads[admit]
+    admit_bytes = int(code[admit].sum())
+    if hit_out is not None:
+        miss = np.repeat(bypass, run_len)
+        miss[admit_heads] = True
+        hit_out[i:j] |= ~miss
+    # Every access hits except those of bypassed runs and the heads of
+    # admitting runs.
+    head_bytes = trace.file_sizes[trace.access_files[i + admit_heads]]
+    return (
+        j - i - bypass_count - len(admit_heads),
+        int(csum[j] - csum[i]) - bypass_bytes - int(head_bytes.sum()),
+        admit_bytes + bypass_bytes,
+        bypass_count,
+        admit_bytes,
+    )
 
 
 class ReplacementPolicy(ABC):
@@ -214,8 +235,8 @@ class ReplacementPolicy(ABC):
         """Optional whole-trace replay kernel for this policy over ``trace``.
 
         Policies whose request semantics reduce to pure group residency
-        (see :mod:`repro.cache.batch`: one residency-loop pass over
-        runs of same-group accesses) return a single-use callable
+        (see :mod:`repro.cache.batch`: one compiled residency pass per
+        window of accesses) return a single-use callable
         ``kernel(metrics, checkpoint=None, every=0) -> None`` (see
         :meth:`repro.cache.batch.GroupedReplayKernel.__call__`) that
         replays the *entire* trace through :func:`replay_windows`,

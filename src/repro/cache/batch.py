@@ -19,26 +19,34 @@ Two callers share it.  The service's file advisor
 (:class:`~repro.cache.online.BatchedFileCache`) replays one job's files
 at a time.  :class:`GroupedReplayKernel` replays a whole trace through
 :func:`~repro.cache.base.replay_windows`, the window driver the
-per-access route shares, and supplies its loop:
+per-access route shares, and supplies its loop: one call per window of
+the compiled pass in ``residency.c`` (:mod:`repro.cache.native`).  The
+pass walks the window's accesses, maps each to its group, decides it
+against the same residency state and adds its bytes, read from
+:attr:`~repro.traces.trace.Trace.access_size_cumsum`, into the window's
+totals and the optional hit mask.  It collapses no runs: an access after
+its run's head meets the state the head left (the group resident, or
+too large to cache), so replaying it gives the head's outcome.
+
+Without a compiler the kernel runs the same window in Python:
 
 1. **Runs** (numpy): map the window's accesses to groups and collapse
    adjacent same-group accesses into runs.  A job's files within one
    filecule have contiguous ids, so a filecule run covers ~7 accesses
-   at paper scale; in file mode a run is a repeated file id.  Every
-   access after a run's head meets the state the head left (the group
-   resident, or too large to cache), so the head decides the run.
-2. **Loop** (compiled loop, :meth:`Residency.replay` fallback): one call
-   of ``residency.c`` (:mod:`repro.cache.native`) walks the run heads.
+   at paper scale; in file mode a run is a repeated file id.  The head
+   decides the run.
+2. **Loop**: :meth:`Residency.replay` walks the run heads.
+3. **Fold**: :func:`~repro.cache.base.fold_runs`, the numpy fold the
+   per-access route also calls, turns the codes and run lengths into
+   the window's totals and hit mask.
 
-The driver folds the codes, run lengths and
-:attr:`~repro.traces.trace.Trace.access_size_cumsum` into the six
-:class:`~repro.cache.base.CacheMetrics` counters and the optional hit
-mask.  There is one path, with no switch on capacity or hit rate.  The
-kernel is bit-identical to per-access replay on both loops (the test
-suite gates all policies) and never materializes
-:attr:`Trace.replay_columns`, so a batch run keeps paper-scale memory at
-the numpy columns plus 17 bytes per catalog group: a resident flag and
-two recency-list links.
+Both loops check every group id in a window before replaying any of it,
+and refuse a bad one with the same error.  There is one path, with no
+switch on capacity or hit rate.  The kernel is bit-identical to
+per-access replay on both loops (the test suite gates all policies) and
+never materializes :attr:`Trace.replay_columns`, so a batch run keeps
+paper-scale memory at the numpy columns plus 17 bytes per catalog
+group: a resident flag and two recency-list links.
 """
 
 from __future__ import annotations
@@ -48,7 +56,13 @@ from collections import OrderedDict
 import numpy as np
 
 from repro.cache import native
-from repro.cache.base import BYPASS_CODE, HIT_CODE, CacheMetrics, replay_windows
+from repro.cache.base import (
+    BYPASS_CODE,
+    HIT_CODE,
+    CacheMetrics,
+    fold_runs,
+    replay_windows,
+)
 from repro.traces.trace import check_ids
 
 
@@ -127,8 +141,8 @@ class GroupedReplayKernel:
         Optional writable boolean array of length ``trace.n_accesses``
         (:func:`~repro.engine.replay.simulate` checks both).  The kernel
         marks ``hit_out[k] = True`` for every access ``k`` that hits
-        (misses and bypasses are left untouched), folded from the same
-        run codes as the counters, which it does not change.
+        (misses and bypasses are left untouched), from the same outcomes
+        as the counters, which it does not change.
     """
 
     def __init__(
@@ -157,39 +171,29 @@ class GroupedReplayKernel:
         ``checkpoint(done, evicted_bytes)`` and ``every`` are those of
         :func:`~repro.cache.base.replay_windows`.  File ids outside
         ``[0, trace.n_files)`` (checked in ``access_size_cumsum``) and
-        group ids outside ``[0, len(group_sizes))`` raise IndexError.
+        group ids outside ``[0, len(group_sizes))`` raise IndexError, a
+        file without a filecule label KeyError, and a ``hit_out`` of
+        another length ValueError; each before any access is replayed
+        in the window (or, for ``hit_out``, the trace) it concerns.
         """
         if self._spent:
             raise RuntimeError("batch kernels are single-use; build a new one")
         self._spent = True
 
-        af = self._trace.access_files
+        trace = self._trace
+        af = trace.access_files
         labels = self._labels
         gsizes = self._group_sizes
         n_groups = len(gsizes)
-        loop = native.residency_loop()
-        if loop is None:
-            residency = Residency(self._capacity, self._touch)
-            size_list = gsizes.tolist()
-
-            def replay(groups):
-                return residency.replay(groups.tolist(), size_list), residency.used
-
-        else:
-            state = np.array([-1, -1, 0], dtype=np.int64)  # head, tail, used
-            # Flags and prev/next links; ctypes ignores int64 overflow.
-            args = (
-                gsizes, min(self._capacity, 2**63 - 1), self._touch,
-                np.zeros(n_groups, np.uint8), np.empty(n_groups, np.int64),
-                np.empty(n_groups, np.int64), state,
+        hit_out = self._hit_out
+        if hit_out is not None and len(hit_out) != len(af):
+            # The compiled pass writes one flag per access of a window.
+            raise ValueError(
+                f"hit_out length {len(hit_out)} != trace accesses {len(af)}"
             )
 
-            def replay(groups):
-                codes = np.empty(len(groups), dtype=np.int64)
-                loop(groups, len(groups), *args, codes)
-                return codes, int(state[2])
-
-        def runs(i, j):
+        def groups_of(i, j):
+            """Window ``[i, j)``'s group ids; a bad one raises."""
             win = af[i:j]
             if labels is None:
                 groups = win
@@ -202,8 +206,48 @@ class GroupedReplayKernel:
                         f"does not match the replayed trace"
                     )
             check_ids(groups, n_groups, i, "group")
-            heads = np.flatnonzero(groups[1:] != groups[:-1]) + 1
-            heads = np.concatenate(([0], heads))
-            return (heads, *replay(groups[heads]))
+            return groups
 
-        replay_windows(self._trace, runs, metrics, checkpoint, every, self._hit_out)
+        replay = native.residency_loop()
+        if replay is None:
+            residency = Residency(self._capacity, self._touch)
+            size_list = gsizes.tolist()
+
+            def loop(i, j):
+                groups = groups_of(i, j)
+                heads = np.flatnonzero(groups[1:] != groups[:-1]) + 1
+                heads = np.concatenate(([0], heads))
+                codes = residency.replay(groups[heads].tolist(), size_list)
+                totals = fold_runs(trace, i, j, heads, codes, hit_out)
+                return (*totals, residency.used)
+
+        else:
+            af = np.ascontiguousarray(af)
+            csum = trace.access_size_cumsum
+            state = np.array([0, 0, 0, 0, 0, 0, -1, -1], dtype=np.int64)
+            # The capacity is clamped because ctypes wraps an int past
+            # int64; the resident flags and prev/next links are dense
+            # over group ids.
+            args = (
+                labels, 0 if labels is None else len(labels), gsizes, n_groups,
+                min(self._capacity, 2**63 - 1), self._touch,
+                np.zeros(n_groups, np.uint8), np.empty(n_groups, np.int64),
+                np.empty(n_groups, np.int64), state,
+            )
+            # The pass writes the mask in place when it can; a strided or
+            # read-only one takes each window's hits through a buffer.
+            buffered = hit_out is not None and not hit_out.flags.carray
+
+            def loop(i, j):
+                mask = None
+                if hit_out is not None:
+                    mask = np.zeros(j - i, np.bool_) if buffered else hit_out[i:j]
+                bad = replay(af[i:j], csum[i:], j - i, mask, *args)
+                if bad >= 0:
+                    groups_of(i, j)  # raises the fallback's error
+                    raise RuntimeError(f"replay_window refused access {i + bad}")
+                if buffered:
+                    hit_out[i:j] |= mask
+                return state.tolist()[:6]
+
+        replay_windows(trace, loop, metrics, checkpoint, every)

@@ -1,10 +1,12 @@
-"""The batch kernel's compiled residency loop, built on first use.
+"""The batch kernel's compiled replay pass, built on first use.
 
 :func:`residency_loop` compiles ``residency.c`` with ``cc`` (or ``gcc``)
 into ``~/.cache/repro-native``, keyed by a hash of the source and the
-machine, and loads it with :mod:`ctypes`; nothing compiles at import.
-If that fails it logs one ``native-fallback`` warning and returns
-``None``, and the kernel runs :meth:`~repro.cache.batch.Residency.replay`.
+machine, and loads its one function, ``replay_window``, with
+:mod:`ctypes`; nothing compiles at import.  If that fails it logs one
+``native-fallback`` warning and returns ``None``, and the kernel runs
+:meth:`~repro.cache.batch.Residency.replay` and the numpy fold
+(:func:`~repro.cache.base.fold_runs`) instead.
 """
 
 from __future__ import annotations
@@ -43,11 +45,27 @@ def _build(path: Path) -> None:
         tmp.unlink(missing_ok=True)
 
 
+def _array(dtype, flags="C_CONTIGUOUS", optional=False):
+    """The ``argtypes`` entry for a 1-D ``dtype`` array with ``flags``;
+    ``optional`` also lets ``None`` through, as a NULL pointer."""
+    array = np.ctypeslib.ndpointer(dtype, ndim=1, flags=flags)
+    if not optional:
+        return array
+
+    class Optional:
+        @staticmethod
+        def from_param(value):
+            return None if value is None else array.from_param(value)
+
+    return Optional
+
+
 @functools.cache
 def residency_loop():
-    """The compiled ``residency_replay`` (see ``residency.c``), or ``None``.
+    """The compiled ``replay_window`` (see ``residency.c``), or ``None``.
 
-    Arrays of another dtype or layout raise ``ctypes.ArgumentError``.
+    Arrays of another dtype or layout, or a read-only ``hit_out``, raise
+    ``ctypes.ArgumentError``.
     """
     try:
         source = SOURCE.read_bytes()
@@ -55,13 +73,17 @@ def residency_loop():
         path = Path.home() / ".cache" / "repro-native" / f"residency-{key[:16]}.so"
         if not path.is_file():
             _build(path)
-        function = ctypes.CDLL(str(path)).residency_replay
+        function = ctypes.CDLL(str(path)).replay_window
     except (OSError, RuntimeError) as exc:
         get_logger("repro.cache.native").warning("native-fallback", reason=str(exc))
         return None
-    i64 = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
-    u8 = np.ctypeslib.ndpointer(np.uint8, ndim=1, flags="C_CONTIGUOUS")
-    n = ctypes.c_int64
-    function.argtypes = [i64, n, i64, n, ctypes.c_int, u8, i64, i64, i64, i64]
-    function.restype = None
+    writable = "C_CONTIGUOUS,WRITEABLE"
+    i64, out64, n = _array(np.int64), _array(np.int64, writable), ctypes.c_int64
+    function.argtypes = [
+        i64, i64, n, _array(np.bool_, writable, optional=True),  # files .. hit_out
+        _array(np.int64, optional=True), n, i64, n,  # labels .. n_groups
+        n, ctypes.c_int, _array(np.uint8, writable),  # capacity, touch, resident
+        out64, out64, out64,  # prev, next, state
+    ]
+    function.restype = n
     return function

@@ -10,17 +10,19 @@ construction.
 Each traced job issues its input files at its start time, in job order;
 every policy sees the identical request stream, so miss rates are
 directly comparable.  Both routes are one window driver,
-:func:`~repro.cache.base.replay_windows`, which folds request codes into
-:class:`~repro.cache.base.CacheMetrics` and the optional per-access hit
-mask (``hit_out``) from which a hierarchy cuts the next tier's demand
-stream.  Only the loop differs: the policy's batch kernel whenever it
-offers one (:meth:`~repro.cache.base.ReplacementPolicy.batch_kernel`),
-else :meth:`~repro.cache.base.ReplacementPolicy.request` per access,
-every access its own run, reading the trace's columns as plain Python
-lists (:attr:`~repro.traces.trace.Trace.replay_columns`, converted once
-per trace, not per run).  Instrumentation observes both routes at the
-same exact progress marks (see :mod:`repro.obs.instrument`) without
-changing either.
+:func:`~repro.cache.base.replay_windows`, which folds each window's
+totals into :class:`~repro.cache.base.CacheMetrics`; the window's loop
+also marks the optional per-access hit mask (``hit_out``) from which a
+hierarchy cuts the next tier's demand stream.  Only the loop differs:
+the policy's batch kernel whenever it offers one
+(:meth:`~repro.cache.base.ReplacementPolicy.batch_kernel`), else
+:meth:`~repro.cache.base.ReplacementPolicy.request` per access, every
+access its own run, reading the trace's columns as plain Python lists
+(:attr:`~repro.traces.trace.Trace.replay_columns`, converted once per
+trace, not per run) and folding its codes with
+:func:`~repro.cache.base.fold_runs`.  Instrumentation observes both
+routes at the same exact progress marks (see :mod:`repro.obs.instrument`)
+without changing either.
 """
 
 from __future__ import annotations
@@ -31,7 +33,12 @@ from itertools import repeat
 
 import numpy as np
 
-from repro.cache.base import CacheMetrics, ReplacementPolicy, replay_windows
+from repro.cache.base import (
+    CacheMetrics,
+    ReplacementPolicy,
+    fold_runs,
+    replay_windows,
+)
 from repro.obs.instrument import Instrumentation
 from repro.traces.trace import Trace
 
@@ -147,16 +154,18 @@ def _per_access(policy: ReplacementPolicy, trace: Trace, hit_out):
     def loop(i: int, j: int):
         nonlocal job
         codes: list[int] = []
-        while i < j:
-            while ptr[job + 1] <= i:
+        k = i
+        while k < j:
+            while ptr[job + 1] <= k:
                 job += 1
             lo, hi = ptr[job], ptr[job + 1]
             now = starts[job]
-            if i == lo:
+            if k == lo:
                 begin_job(access_files[lo:hi], now)
-            run = files[i : min(hi, j)]
+            run = files[k : min(hi, j)]
             codes += map(request, run, map(size_of, run), repeat(now))
-            i += len(run)
-        return np.arange(len(codes)), codes, policy.used_bytes
+            k += len(run)
+        totals = fold_runs(trace, i, j, np.arange(j - i), codes, hit_out)
+        return (*totals, policy.used_bytes)
 
-    return partial(replay_windows, trace, loop, hit_out=hit_out)
+    return partial(replay_windows, trace, loop)

@@ -35,6 +35,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
+from repro.util.host import usable_cpus
+
 #: Total grid accesses below which a pool is assumed slower than the
 #: serial loop.  Calibrated against the measured fork+shm+pickle fixed
 #: cost of roughly a second against ~1M accesses/s serial replay speed.
@@ -98,8 +100,8 @@ def plan_sweep(
 ) -> SweepPlan:
     """Plan the dispatch of an ``n_cells`` grid under a ``jobs`` ceiling.
 
-    ``cpus`` defaults to :func:`os.cpu_count`; pass it explicitly for
-    deterministic tests.
+    ``cpus`` defaults to :func:`~repro.util.host.usable_cpus`; pass it
+    explicitly for deterministic tests.
     """
     if n_cells < 1:
         raise ValueError(f"need at least one cell, got {n_cells}")
@@ -107,7 +109,7 @@ def plan_sweep(
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     accesses_per_cell = max(0, int(accesses_per_cell))
     if cpus is None:
-        cpus = os.cpu_count() or 1
+        cpus = usable_cpus()
     workers = max(1, min(jobs, n_cells, cpus))
     total = n_cells * accesses_per_cell
 

@@ -13,10 +13,18 @@ import os
 import platform
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS
+    has one (``taskset`` narrows it), else every installed CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def host_info() -> dict:
     """The fields benchmark artifacts record about the machine."""
     return {
-        "cpus": os.cpu_count() or 1,
+        "cpus": usable_cpus(),
         "python": platform.python_version(),
         "platform": platform.platform(),
         "machine": platform.machine(),

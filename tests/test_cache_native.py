@@ -99,13 +99,13 @@ def test_wrong_dtype_is_refused(home):
     """The argument types check each array, so an int32 array raises
     instead of being read as int64."""
     loop = native.residency_loop()
-    groups = np.zeros(2, dtype=np.int32)
+    files = np.zeros(2, dtype=np.int32)
+    csum = np.zeros(3, dtype=np.int64)
     flags = np.zeros(1, dtype=np.uint8)
     links = np.empty(1, dtype=np.int64)
-    state = np.array([-1, -1, 0], dtype=np.int64)
-    codes = np.empty(2, dtype=np.int64)
+    state = np.array([0, 0, 0, 0, 0, 0, -1, -1], dtype=np.int64)
     with pytest.raises(ctypes.ArgumentError):
-        loop(groups, 2, links, 10, 1, flags, links, links, state, codes)
+        loop(files, csum, 2, None, None, 0, links, 1, 10, 1, flags, links, links, state)
 
 
 @pytest.mark.parametrize("policy", ["lru", "fifo", "gds"])

@@ -172,6 +172,49 @@ def test_hit_out_checked_before_either_route(tiny_trace, batch):
         assert not mask.any()
 
 
+@pytest.mark.parametrize("loop", RESIDENCY_LOOPS)
+def test_kernel_refuses_a_hit_out_of_another_length(tiny_trace, loop):
+    """A kernel built directly, without simulate()'s check, refuses a
+    hit mask that does not hold one flag per access before replaying
+    any of them: the compiled pass must not write past it."""
+    n = tiny_trace.n_accesses
+    for mask in (np.zeros(n - 1, dtype=bool), np.zeros(n + 1, dtype=bool)):
+        policy = registry.build("file-lru", 10**9)
+        metrics = CacheMetrics(name="x", capacity_bytes=10**9)
+        with residency_loop_of(loop), pytest.raises(ValueError, match="hit_out"):
+            policy.batch_kernel(tiny_trace, mask)(metrics)
+        assert metrics.requests == 0 and not mask.any()
+
+
+@pytest.mark.parametrize("route", ["compiled", "python", "per-access"])
+@pytest.mark.parametrize("spec", ["file-lru", "filecule-lru"])
+def test_strided_hit_out_marks_the_same_accesses(
+    tiny_trace, tiny_partition, spec, route
+):
+    """A strided hit mask, which simulate() accepts, is marked at the
+    same accesses as a contiguous one, on the kernel's two loops and on
+    the per-access route, and nothing outside the view is written."""
+    n = tiny_trace.n_accesses
+    cap = max(1, tiny_trace.total_bytes() // 20)
+    batch = False if route == "per-access" else None
+    contiguous = np.zeros(n, dtype=bool)
+    backing = np.zeros(2 * n, dtype=bool)
+    strided = backing[::2]
+    with residency_loop_of("python" if route == "python" else "compiled"):
+        for mask in (contiguous, strided):
+            simulate(
+                tiny_trace,
+                spec,
+                cap,
+                partition=tiny_partition,
+                batch=batch,
+                hit_out=mask,
+            )
+    assert contiguous.any() and not contiguous.all()
+    assert strided.tolist() == contiguous.tolist()
+    assert not backing[1::2].any()
+
+
 def test_filecule_lru_without_intra_job_hits_declines(
     tiny_trace, tiny_partition
 ):

@@ -11,6 +11,7 @@ path (same results, same error wrapping, same progress output).
 from __future__ import annotations
 
 import io
+import os
 
 import pytest
 
@@ -28,6 +29,7 @@ from repro.parallel import (
     min_parallel_accesses,
     plan_sweep,
 )
+from repro.util.host import host_info
 
 
 # ----------------------------------------------------------------------
@@ -59,6 +61,19 @@ def test_one_cpu_means_serial():
     plan = plan_sweep(14, 10**9, 8, cpus=1)
     assert not plan.use_parallel
     assert "one worker" in plan.reason
+
+
+def test_default_cpus_follow_the_affinity_mask(monkeypatch):
+    """Under ``taskset -c 0`` on a many-CPU host, the default plan and
+    ``host_info`` count the one CPU the process may run on."""
+    monkeypatch.delenv("REPRO_PARALLEL_FORCE", raising=False)
+    monkeypatch.delenv("REPRO_PARALLEL_MIN_ACCESSES", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    plan = plan_sweep(6, 10**7, 4)
+    assert not plan.use_parallel
+    assert "only one worker available" in plan.reason
+    assert host_info()["cpus"] == 1
 
 
 def test_workers_clamped_to_cells():

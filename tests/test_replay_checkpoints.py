@@ -11,10 +11,12 @@ adversarial traces: 1-byte caches, zero-size files, empty jobs, repeated
 ids and files larger than the cache.  The kernel's per-access hit mask,
 with its runs split at those marks, must equal the per-access loop's,
 with its jobs split and counters reset at the same marks.  Both kernel
-tests draw the kernel's residency loop: the compiled one or the Python
-fallback.  For the policies no kernel serves, the evicted volume each
-checkpoint reports, derived as admitted minus resident bytes, must equal
-the bytes the policy actually released.
+tests draw the kernel's residency loop, the compiled one or the Python
+fallback, and a replay window of 1–5 accesses, so that windows cut runs
+and the loop carries its state across calls.  For the policies no
+kernel serves, the evicted volume each checkpoint reports, derived as
+admitted minus resident bytes, must equal the bytes the policy actually
+released.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro import registry
+from repro.cache import base
 from repro.cache.base import CacheMetrics, ReplacementPolicy
 from repro.core.identify import find_filecules
 from repro.engine import simulate
@@ -47,6 +50,12 @@ job_lists = st.lists(
 capacities = st.one_of(st.just(1), st.integers(min_value=1, max_value=30))
 kernel_specs = st.sampled_from(["file-lru", "file-fifo", "filecule-lru"])
 residency_loops = st.sampled_from(RESIDENCY_LOOPS)
+windows = st.integers(min_value=1, max_value=5)
+
+
+def window_of(size: int):
+    """Context in which replay windows hold at most ``size`` accesses."""
+    return mock.patch.object(base, "WINDOW", size)
 
 
 class Recorder(Instrumentation):
@@ -98,22 +107,23 @@ def _replay(trace, spec, capacity, every, batch):
     capacity=capacities,
     spec=kernel_specs,
     loop=residency_loops,
+    window=windows,
     data=st.data(),
 )
 @settings(max_examples=300, deadline=None)
 def test_kernel_and_per_access_checkpoints_agree(
-    jobs, sizes, capacity, spec, loop, data
+    jobs, sizes, capacity, spec, loop, window, data
 ):
     trace = make_trace(jobs, n_files=N_FILES, file_sizes=sizes)
     n = trace.n_accesses
     every = data.draw(st.integers(min_value=1, max_value=n + 1), label="every")
-    with residency_loop_of(loop):
+    with residency_loop_of(loop), window_of(window):
         kernel, kernel_calls = _replay(trace, spec, capacity, every, None)
     serial, serial_calls = _replay(trace, spec, capacity, every, False)
     assert kernel_calls == serial_calls
     assert [call[0] for call in kernel_calls] == expected_marks(n, every)
     assert all(call[0] == call[1] for call in kernel_calls)
-    with residency_loop_of(loop):
+    with residency_loop_of(loop), window_of(window):
         plain = simulate(
             trace, spec, capacity, partition=find_filecules(trace)
         )
@@ -126,11 +136,12 @@ def test_kernel_and_per_access_checkpoints_agree(
     capacity=capacities,
     spec=kernel_specs,
     loop=residency_loops,
+    window=windows,
     data=st.data(),
 )
 @settings(max_examples=300, deadline=None)
 def test_kernel_hit_mask_matches_per_access(
-    jobs, sizes, capacity, spec, loop, data
+    jobs, sizes, capacity, spec, loop, window, data
 ):
     """The kernel, run under a checkpoint so runs split at the marks,
     marks exactly the accesses the per-access loop records as hits when
@@ -145,7 +156,7 @@ def test_kernel_hit_mask_matches_per_access(
     kernel_metrics = CacheMetrics(name=str(bound), capacity_bytes=capacity)
     marks: list[int] = []
     policy = registry.build(bound, capacity, trace=trace, partition=partition)
-    with residency_loop_of(loop):
+    with residency_loop_of(loop), window_of(window):
         policy.batch_kernel(trace, kernel_mask)(
             kernel_metrics, lambda done, evicted: marks.append(done), every
         )
