@@ -1,1 +1,2 @@
-"""Benchmark harness: one module per paper table/figure."""
+"""Benchmark harness: every experiment in one parametrized module, plus the
+sweep, service and hierarchy engine benchmarks."""

@@ -23,11 +23,8 @@ from repro.experiments.base import (
 def render_policy_catalog() -> str:
     """The registry's policy catalog as an aligned monospace table."""
     from repro import registry
+    from repro.util.specs import render_value
     from repro.util.tables import render_table
-
-    def fmt(value: object) -> str:
-        # Spec wire format: booleans render as parse() accepts them.
-        return str(value).lower() if isinstance(value, bool) else str(value)
 
     rows = []
     for spec in registry.list_specs():
@@ -37,7 +34,8 @@ def render_policy_catalog() -> str:
                 ",".join(spec.flags) or "-",
                 (
                     "&".join(
-                        f"{k}={fmt(v)}" for k, v in sorted(spec.defaults.items())
+                        f"{k}={render_value(v)}"
+                        for k, v in sorted(spec.defaults.items())
                     )
                     or "-"
                 ),

@@ -33,7 +33,6 @@ from repro.parallel.plan import (
     DEFAULT_MIN_ACCESSES,
     MIN_CHUNK_ACCESSES,
     SweepPlan,
-    min_parallel_accesses,
     plan_sweep,
 )
 from repro.parallel.runner import SweepCellError, parallel_sweep
@@ -52,7 +51,6 @@ __all__ = [
     "MIN_CHUNK_ACCESSES",
     "SweepCellError",
     "SweepPlan",
-    "min_parallel_accesses",
     "parallel_sweep",
     "plan_sweep",
     "SEGMENT_PREFIX",

@@ -17,17 +17,12 @@ each.  :func:`repro.parallel.cells.map_trace_cells` — the fan-out behind
 to the serial loop (the ``--jobs`` flag is a ceiling, never a demand to
 go slower), and the ``sweep --dry-run`` CLI prints it.
 
-Environment knobs (read at call time, so tests and operators can
-override without re-importing):
-
-``REPRO_PARALLEL_MIN_ACCESSES``
-    Minimum total replayed accesses (cells × accesses per cell) worth a
-    pool.  Default :data:`DEFAULT_MIN_ACCESSES`.
-``REPRO_PARALLEL_FORCE``
-    ``1``/``true`` forces ``use_parallel`` for any ``jobs > 1`` request,
-    bypassing the threshold and the worker-count check.  A testing and
-    benchmarking knob — it is how the equivalence suite exercises the
-    pool on small traces and how the crossover itself gets measured.
+One environment knob, read at call time so tests and operators can
+override it without re-importing: ``REPRO_PARALLEL_FORCE`` set to
+``1``/``true`` forces ``use_parallel`` for any ``jobs > 1`` request,
+bypassing the threshold and the worker-count check.  A testing and
+benchmarking knob — it is how the equivalence suite exercises the pool
+on small traces and how the crossover itself gets measured.
 """
 
 from __future__ import annotations
@@ -36,6 +31,7 @@ import os
 from dataclasses import dataclass
 
 from repro.util.host import usable_cpus
+from repro.util.specs import TRUE_SPELLINGS
 
 #: Total grid accesses below which a pool is assumed slower than the
 #: serial loop.  Calibrated against the measured fork+shm+pickle fixed
@@ -46,9 +42,6 @@ DEFAULT_MIN_ACCESSES = 4_000_000
 #: than this are batched together so the per-task dispatch overhead
 #: (pickle round trip, pool bookkeeping) stays amortized.
 MIN_CHUNK_ACCESSES = 262_144
-
-_TRUE = frozenset(("1", "true", "yes", "on"))
-
 
 @dataclass(frozen=True)
 class SweepPlan:
@@ -72,23 +65,10 @@ class SweepPlan:
     reason: str
 
 
-def min_parallel_accesses() -> int:
-    """The parallel threshold, honoring ``REPRO_PARALLEL_MIN_ACCESSES``."""
-    raw = os.environ.get("REPRO_PARALLEL_MIN_ACCESSES")
-    if raw is None or not raw.strip():
-        return DEFAULT_MIN_ACCESSES
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_PARALLEL_MIN_ACCESSES must be an integer, got {raw!r}"
-        ) from None
-    return max(0, value)
-
-
 def parallel_forced() -> bool:
     """Whether ``REPRO_PARALLEL_FORCE`` demands the pool regardless."""
-    return os.environ.get("REPRO_PARALLEL_FORCE", "").strip().lower() in _TRUE
+    value = os.environ.get("REPRO_PARALLEL_FORCE", "")
+    return value.strip().lower() in TRUE_SPELLINGS
 
 
 def plan_sweep(
@@ -137,12 +117,12 @@ def plan_sweep(
             f"serial loop"
         )
     else:
-        threshold = min_parallel_accesses()
-        if total < threshold:
+        if total < DEFAULT_MIN_ACCESSES:
             use_parallel = False
             reason = (
                 f"grid too small ({total:,} accesses < "
-                f"{threshold:,} threshold); pool setup would dominate"
+                f"{DEFAULT_MIN_ACCESSES:,} threshold); pool setup would "
+                f"dominate"
             )
         else:
             use_parallel = True

@@ -12,7 +12,8 @@ so policy selection is *data*, not code:
   service's per-site cache advisors from the same names;
 * ``repro-experiments list-policies`` prints the whole catalog.
 
-Spec strings use a URL-query-ish syntax::
+Spec strings use the URL-query-ish syntax of :mod:`repro.util.specs`,
+which :mod:`repro.scenario` shares::
 
     >>> from repro import registry
     >>> bound = registry.parse("filecule-lru?intra_job_hits=false")

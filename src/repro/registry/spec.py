@@ -14,6 +14,8 @@ everywhere a policy can be chosen (``repro-serve --advisor-policy``,
 ``sweep`` policy tables, parallel worker dispatch), and
 ``parse(str(bound)) == bound`` is guaranteed (and property-tested): the
 string is the canonical wire format that crosses process boundaries.
+The format itself — rendering, coercion, aliases, parsing and default
+merging — is :mod:`repro.util.specs`, shared with scenario specs.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from dataclasses import dataclass, field
 from collections.abc import Callable, Mapping
 
 from repro.cache.base import ReplacementPolicy
+from repro.util.specs import Catalog, Selection
 
 #: Ordered capability-flag names, as exposed by :attr:`PolicySpec.flags`.
 #: New flags are appended, never reordered — consumers index by name but
@@ -87,33 +90,13 @@ class PolicySpec:
 
 
 @dataclass(frozen=True)
-class BoundSpec:
-    """A picklable (name, explicit-params) policy selection.
+class BoundSpec(Selection):
+    """A picklable (name, explicit-params) policy or placement selection.
 
     ``params`` holds only the caller's overrides (sorted by key);
     defaults stay implicit so two ways of spelling the same choice
     compare equal and render the same string.
     """
-
-    name: str
-    params: tuple[tuple[str, object], ...] = ()
-
-    def __str__(self) -> str:
-        if not self.params:
-            return self.name
-        query = "&".join(f"{k}={_format_value(v)}" for k, v in self.params)
-        return f"{self.name}?{query}"
-
-
-# ----------------------------------------------------------------------
-# registry storage
-# ----------------------------------------------------------------------
-
-_SPECS: dict[str, PolicySpec] = {}
-_ALIASES: dict[str, str] = {}  # alias -> canonical name
-
-#: Set once :func:`_ensure_placements` has imported the placement table.
-_PLACEMENTS_LOADED = False
 
 
 def _ensure_placements() -> None:
@@ -123,39 +106,41 @@ def _ensure_placements() -> None:
     upcall: the placement *implementations* live in the replication
     layer above this one, so the registry pulls them in only when a
     placement name is actually asked for — importing ``repro.registry``
-    alone never drags in the replication stack.
+    alone never drags in the replication stack.  The catalog runs it at
+    most once: on the first lookup of an unregistered name, or from the
+    placement listings.
     """
-    global _PLACEMENTS_LOADED
-    if _PLACEMENTS_LOADED:
-        return
-    _PLACEMENTS_LOADED = True  # set first: the import re-enters via deco
     import repro.replication  # noqa: F401  (registration side effect)
+
+
+#: Policies and placements share one namespace and one wire format.
+_CATALOG: Catalog[PolicySpec, BoundSpec] = Catalog(
+    kind="policy",
+    plural="specs",
+    selection=BoundSpec,
+    unknown_error=UnknownPolicyError,
+    spec_error=PolicySpecError,
+    loader=_ensure_placements,
+)
 
 
 def _register(
     name: str,
     *,
-    summary: str,
     defaults: Mapping[str, object] | None,
     aliases: tuple[str, ...],
-    **flags,
+    **fields,
 ) -> Callable:
     def deco(factory: Callable):
-        if name in _SPECS or name in _ALIASES:
-            raise ValueError(f"duplicate policy spec name {name!r}")
-        spec = PolicySpec(
-            name=name,
-            factory=factory,
-            summary=summary,
-            defaults=dict(defaults or {}),
-            aliases=tuple(aliases),
-            **flags,
+        _CATALOG.register(
+            PolicySpec(
+                name=name,
+                factory=factory,
+                defaults=dict(defaults or {}),
+                aliases=tuple(aliases),
+                **fields,
+            )
         )
-        _SPECS[name] = spec
-        for alias in spec.aliases:
-            if alias in _SPECS or alias in _ALIASES:
-                raise ValueError(f"duplicate policy alias {alias!r}")
-            _ALIASES[alias] = name
         return factory
 
     return deco
@@ -214,59 +199,32 @@ def register_placement(
 
 def list_specs() -> list[PolicySpec]:
     """Every registered cache-policy spec, sorted by canonical name."""
-    return [
-        _SPECS[name]
-        for name in sorted(_SPECS)
-        if not _SPECS[name].is_placement
-    ]
+    return _CATALOG.entries(lambda spec: not spec.is_placement)
 
 
 def list_placement_specs() -> list[PolicySpec]:
     """Every registered placement spec, sorted by canonical name."""
-    _ensure_placements()
-    return [
-        _SPECS[name] for name in sorted(_SPECS) if _SPECS[name].is_placement
-    ]
+    _CATALOG.load()
+    return _CATALOG.entries(lambda spec: spec.is_placement)
 
 
 def policy_names(*, include_aliases: bool = False) -> list[str]:
-    names = [n for n, s in _SPECS.items() if not s.is_placement]
-    if include_aliases:
-        names.extend(
-            a for a, c in _ALIASES.items() if not _SPECS[c].is_placement
-        )
-    return sorted(names)
+    return _CATALOG.names(
+        include_aliases=include_aliases, where=lambda spec: not spec.is_placement
+    )
 
 
 def placement_names(*, include_aliases: bool = False) -> list[str]:
     """Registered placement names (canonical, optionally with aliases)."""
-    _ensure_placements()
-    names = [n for n, s in _SPECS.items() if s.is_placement]
-    if include_aliases:
-        names.extend(a for a, c in _ALIASES.items() if _SPECS[c].is_placement)
-    return sorted(names)
+    _CATALOG.load()
+    return _CATALOG.names(
+        include_aliases=include_aliases, where=lambda spec: spec.is_placement
+    )
 
 
 def get_spec(name: str) -> PolicySpec:
     """Look a spec up by canonical name or alias (policy or placement)."""
-    canonical = _ALIASES.get(name, name)
-    try:
-        return _SPECS[canonical]
-    except KeyError:
-        pass
-    # The name may belong to the lazily-registered placement table.
-    _ensure_placements()
-    canonical = _ALIASES.get(name, name)
-    try:
-        return _SPECS[canonical]
-    except KeyError:
-        known = sorted(
-            policy_names(include_aliases=True)
-            + placement_names(include_aliases=True)
-        )
-        raise UnknownPolicyError(
-            f"unknown policy {name!r}; known specs: {', '.join(known)}"
-        ) from None
+    return _CATALOG.get(name)
 
 
 def service_policy_names(*, include_aliases: bool = True) -> list[str]:
@@ -281,50 +239,6 @@ def service_policy_names(*, include_aliases: bool = True) -> list[str]:
     return sorted(names)
 
 
-# ----------------------------------------------------------------------
-# parse / format
-# ----------------------------------------------------------------------
-
-_TRUE = frozenset(("1", "true", "yes", "on"))
-_FALSE = frozenset(("0", "false", "no", "off"))
-
-
-def _format_value(value: object) -> str:
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    return str(value)
-
-
-def _coerce_value(spec: PolicySpec, key: str, raw: str) -> object:
-    try:
-        default = spec.defaults[key]
-    except KeyError:
-        valid = ", ".join(sorted(spec.defaults)) or "<none>"
-        raise PolicySpecError(
-            f"policy {spec.name!r} has no parameter {key!r}; "
-            f"valid parameters: {valid}"
-        ) from None
-    try:
-        if isinstance(default, bool):
-            lowered = raw.lower()
-            if lowered in _TRUE:
-                return True
-            if lowered in _FALSE:
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
-        if isinstance(default, int):
-            return int(raw)
-        if isinstance(default, float):
-            return float(raw)
-        return raw
-    except ValueError as exc:
-        raise PolicySpecError(
-            f"bad value for {spec.name}?{key}: {exc}"
-        ) from None
-
-
 def parse(text: str | BoundSpec) -> BoundSpec:
     """Parse ``"name?param=value&..."`` into a canonical :class:`BoundSpec`.
 
@@ -333,29 +247,7 @@ def parse(text: str | BoundSpec) -> BoundSpec:
     ``parse`` is a canonicalizer and ``parse(str(spec)) == spec`` holds
     for every parseable spec.
     """
-    if isinstance(text, BoundSpec):
-        get_spec(text.name)  # validate
-        return text
-    name, _, query = text.strip().partition("?")
-    spec = get_spec(name)
-    params: dict[str, object] = {}
-    if query:
-        for part in query.split("&"):
-            if not part:
-                continue
-            key, sep, raw = part.partition("=")
-            if not sep:
-                raise PolicySpecError(
-                    f"malformed spec {text!r}: expected param=value, "
-                    f"got {part!r}"
-                )
-            params[key] = _coerce_value(spec, key, raw)
-    return BoundSpec(name=spec.name, params=tuple(sorted(params.items())))
-
-
-# ----------------------------------------------------------------------
-# build
-# ----------------------------------------------------------------------
+    return _CATALOG.parse(text)
 
 
 def build(
@@ -379,7 +271,7 @@ def build(
             f"{policy_spec.name!r} is a replication placement, not a "
             f"cache policy; build it with build_placement(...)"
         )
-    merged = _merge_params(policy_spec, bound, params)
+    merged = _CATALOG.bound_params(bound, params)
     if policy_spec.needs_filecules and partition is None:
         raise PolicyResourceError(
             f"policy {policy_spec.name!r} needs a filecule partition; "
@@ -395,20 +287,6 @@ def build(
     )
 
 
-def _merge_params(policy_spec: PolicySpec, bound: BoundSpec, params: dict) -> dict:
-    merged = dict(policy_spec.defaults)
-    merged.update(bound.params)
-    for key, value in params.items():
-        if key not in policy_spec.defaults:
-            valid = ", ".join(sorted(policy_spec.defaults)) or "<none>"
-            raise PolicySpecError(
-                f"policy {policy_spec.name!r} has no parameter {key!r}; "
-                f"valid parameters: {valid}"
-            )
-        merged[key] = value
-    return merged
-
-
 def build_placement(spec: str | BoundSpec, *, hierarchy=None, **params):
     """Construct a fresh replication placement strategy from a spec.
 
@@ -421,7 +299,6 @@ def build_placement(spec: str | BoundSpec, *, hierarchy=None, **params):
     :func:`build`), mirroring :func:`build`'s guard in the other
     direction.
     """
-    _ensure_placements()
     bound = parse(spec)
     placement_spec = get_spec(bound.name)
     if not placement_spec.is_placement:
@@ -429,7 +306,7 @@ def build_placement(spec: str | BoundSpec, *, hierarchy=None, **params):
             f"{placement_spec.name!r} is a cache policy, not a "
             f"replication placement; build it with build(...)"
         )
-    merged = _merge_params(placement_spec, bound, params)
+    merged = _CATALOG.bound_params(bound, params)
     if placement_spec.needs_hierarchy:
         if hierarchy is None:
             raise PolicyResourceError(

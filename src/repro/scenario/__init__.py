@@ -8,9 +8,10 @@ filecule structure is *not* a fixed point (see ``docs/SCENARIOS.md``).
 
 Three public surfaces:
 
-* **specs** — ``"name?param=value"`` wire strings (the
-  :mod:`repro.registry` convention) parsed by :func:`parse_scenario`,
-  stacked with ``+`` / :func:`compose` into a :class:`Composition`;
+* **specs** — ``"name?param=value"`` wire strings (the format of
+  :mod:`repro.util.specs`, shared with :mod:`repro.registry`) parsed by
+  :func:`parse_scenario`, stacked with ``+`` / :func:`compose` into a
+  :class:`Composition`;
 * **offline** — ``composition.apply(trace, seed)`` rewrites a trace;
 * **streaming** — :func:`scenario_job_stream` feeds the transformed
   world to the service load generator as lazy job events.

@@ -4,22 +4,25 @@ A :class:`TransformSpec` describes one registered scenario transform —
 its canonical name, the transform function, and the tunable parameters
 with their defaults.  A :class:`ScenarioSpec` is the *picklable
 selection* of one: canonical name plus explicit parameter overrides,
-with the same URL-query-ish ``"name?param=value&other=value"`` wire
-format as :mod:`repro.registry` policy specs, and the same canonicalizer
-guarantee: ``parse_scenario(str(spec)) == spec`` for every representable
-spec (property-tested).  Transforms stack with ``+``:
-``"popularity-drift?strength=0.8+flash-crowd?boost=0.5"`` parses into a
-:class:`~repro.scenario.compose.Composition` applied left to right.
+with the URL-query-ish ``"name?param=value&other=value"`` wire format
+of :mod:`repro.util.specs`, which :mod:`repro.registry` policy specs use
+too, and its canonicalizer guarantee: ``parse_scenario(str(spec)) ==
+spec`` for every representable spec (property-tested).  Transforms stack
+with ``+``: ``"popularity-drift?strength=0.8+flash-crowd?boost=0.5"``
+parses into a :class:`~repro.scenario.compose.Composition` applied left
+to right.
 
-The coercion rules mirror the registry's: each default's Python type
-drives string-value coercion, booleans accept ``1/true/yes/on`` and
-``0/false/no/off``, and unknown parameters are rejected at parse time.
+Each default's Python type drives string-value coercion, booleans
+accept ``1/true/yes/on`` and ``0/false/no/off``, floats must be finite,
+and unknown parameters are rejected at parse time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from collections.abc import Callable, Mapping
+
+from repro.util.specs import Catalog, Selection
 
 
 class UnknownScenarioError(ValueError):
@@ -53,7 +56,7 @@ class TransformSpec:
 
 
 @dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(Selection):
     """A picklable (name, explicit-params) scenario selection.
 
     ``params`` holds only the caller's overrides (sorted by key);
@@ -61,22 +64,14 @@ class ScenarioSpec:
     compare equal and render the same string.
     """
 
-    name: str
-    params: tuple[tuple[str, object], ...] = ()
 
-    def __str__(self) -> str:
-        if not self.params:
-            return self.name
-        query = "&".join(f"{k}={_format_value(v)}" for k, v in self.params)
-        return f"{self.name}?{query}"
-
-
-# ----------------------------------------------------------------------
-# registry storage
-# ----------------------------------------------------------------------
-
-_TRANSFORMS: dict[str, TransformSpec] = {}
-_ALIASES: dict[str, str] = {}  # alias -> canonical name
+_CATALOG: Catalog[TransformSpec, ScenarioSpec] = Catalog(
+    kind="scenario",
+    plural="scenarios",
+    selection=ScenarioSpec,
+    unknown_error=UnknownScenarioError,
+    spec_error=ScenarioSpecError,
+)
 
 
 def register_scenario(
@@ -90,21 +85,16 @@ def register_scenario(
     """Decorator registering a transform function under ``name``."""
 
     def deco(fn: Callable) -> Callable:
-        if name in _TRANSFORMS or name in _ALIASES:
-            raise ValueError(f"duplicate scenario name {name!r}")
-        spec = TransformSpec(
-            name=name,
-            fn=fn,
-            summary=summary,
-            defaults=dict(defaults or {}),
-            aliases=tuple(aliases),
-            window=window,
+        _CATALOG.register(
+            TransformSpec(
+                name=name,
+                fn=fn,
+                summary=summary,
+                defaults=dict(defaults or {}),
+                aliases=tuple(aliases),
+                window=window,
+            )
         )
-        _TRANSFORMS[name] = spec
-        for alias in spec.aliases:
-            if alias in _TRANSFORMS or alias in _ALIASES:
-                raise ValueError(f"duplicate scenario alias {alias!r}")
-            _ALIASES[alias] = name
         return fn
 
     return deco
@@ -112,74 +102,16 @@ def register_scenario(
 
 def list_transforms() -> list[TransformSpec]:
     """Every registered transform spec, sorted by canonical name."""
-    return [_TRANSFORMS[name] for name in sorted(_TRANSFORMS)]
+    return _CATALOG.entries()
 
 
 def scenario_names(*, include_aliases: bool = False) -> list[str]:
-    names = list(_TRANSFORMS)
-    if include_aliases:
-        names.extend(_ALIASES)
-    return sorted(names)
+    return _CATALOG.names(include_aliases=include_aliases)
 
 
 def get_transform(name: str) -> TransformSpec:
     """Look a transform up by canonical name or alias."""
-    canonical = _ALIASES.get(name, name)
-    try:
-        return _TRANSFORMS[canonical]
-    except KeyError:
-        raise UnknownScenarioError(
-            f"unknown scenario {name!r}; known scenarios: "
-            f"{', '.join(scenario_names(include_aliases=True))}"
-        ) from None
-
-
-# ----------------------------------------------------------------------
-# parse / format
-# ----------------------------------------------------------------------
-
-_TRUE = frozenset(("1", "true", "yes", "on"))
-_FALSE = frozenset(("0", "false", "no", "off"))
-
-
-def _format_value(value: object) -> str:
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, float):
-        # "+" is the composition separator, so canonical rendering must
-        # never produce one: 1e+16 round-trips as 1e16.
-        return repr(value).replace("e+", "e")
-    return str(value)
-
-
-def _coerce_value(spec: TransformSpec, key: str, raw: str) -> object:
-    try:
-        default = spec.defaults[key]
-    except KeyError:
-        valid = ", ".join(sorted(spec.defaults)) or "<none>"
-        raise ScenarioSpecError(
-            f"scenario {spec.name!r} has no parameter {key!r}; "
-            f"valid parameters: {valid}"
-        ) from None
-    try:
-        if isinstance(default, bool):
-            lowered = raw.lower()
-            if lowered in _TRUE:
-                return True
-            if lowered in _FALSE:
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
-        if isinstance(default, int):
-            return int(raw)
-        if isinstance(default, float):
-            return float(raw)
-        return raw
-    except ValueError as exc:
-        raise ScenarioSpecError(
-            f"bad value for {spec.name}?{key}: {exc}"
-        ) from None
+    return _CATALOG.get(name)
 
 
 def parse_scenario(text: str | ScenarioSpec) -> ScenarioSpec:
@@ -191,43 +123,16 @@ def parse_scenario(text: str | ScenarioSpec) -> ScenarioSpec:
     ``parse_scenario(str(spec)) == spec`` holds for every parseable
     spec, matching the :mod:`repro.registry` convention.
     """
-    if isinstance(text, ScenarioSpec):
-        get_transform(text.name)  # validate
-        return text
-    name, _, query = text.strip().partition("?")
-    if "+" in text:
+    if isinstance(text, str) and "+" in text:
         raise ScenarioSpecError(
             f"{text!r} is a composition; parse it with parse_composition"
         )
-    spec = get_transform(name)
-    params: dict[str, object] = {}
-    if query:
-        for part in query.split("&"):
-            if not part:
-                continue
-            key, sep, raw = part.partition("=")
-            if not sep:
-                raise ScenarioSpecError(
-                    f"malformed scenario spec {text!r}: expected "
-                    f"param=value, got {part!r}"
-                )
-            params[key] = _coerce_value(spec, key, raw)
-    return ScenarioSpec(name=spec.name, params=tuple(sorted(params.items())))
+    return _CATALOG.parse(text)
 
 
 def bound_params(spec: ScenarioSpec) -> dict[str, object]:
     """The spec's full parameter dict: registered defaults + overrides."""
-    transform = get_transform(spec.name)
-    merged = dict(transform.defaults)
-    for key, value in spec.params:
-        if key not in transform.defaults:
-            valid = ", ".join(sorted(transform.defaults)) or "<none>"
-            raise ScenarioSpecError(
-                f"scenario {spec.name!r} has no parameter {key!r}; "
-                f"valid parameters: {valid}"
-            )
-        merged[key] = value
-    return merged
+    return _CATALOG.bound_params(spec)
 
 
 def injection_window(spec) -> tuple[float, float] | None:

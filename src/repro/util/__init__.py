@@ -1,4 +1,5 @@
-"""Shared utilities: byte units, seeded RNG plumbing, ASCII rendering.
+"""Shared utilities: byte units, seeded RNG plumbing, ASCII rendering,
+and the ``name?param=value`` spec wire format (:mod:`repro.util.specs`).
 
 These helpers are deliberately dependency-light; every other subpackage of
 :mod:`repro` builds on them.  Nothing in here knows about traces, filecules

@@ -106,8 +106,13 @@ class TestSpecModel:
 
 
 _names = st.from_regex(r"[A-Za-z][A-Za-z0-9_-]{0,11}", fullmatch=True)
-_policies = st.sampled_from(
-    ["file-lru", "filecule-lru", "fifo", "lru", "file-lfu"]
+_policies = st.one_of(
+    st.sampled_from(["file-lru", "filecule-lru", "fifo", "lru", "file-lfu"]),
+    # A parameterized policy: its float renders inside the tier, so a
+    # large one (1e16) must not put an exponent's '+' in the wire string.
+    st.floats(allow_nan=False, allow_infinity=False).map(
+        lambda v: f"working-set-prefetch?max_prefetch_fraction={v!r}"
+    ),
 )
 _caps = st.one_of(
     st.integers(min_value=1, max_value=10**18).map(TierCapacity),

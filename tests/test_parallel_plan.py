@@ -3,7 +3,7 @@
 :func:`repro.parallel.plan_sweep` decides whether a grid is worth a
 process pool and how cells batch into worker chunks; ``sweep(jobs=N)``
 consults it so ``--jobs`` is a ceiling, never a demand to go slower.
-These tests pin the decision table, the env knobs, the chunk
+These tests pin the decision table, the env knob, the chunk
 arithmetic, and that the fallback is observably equivalent to the pool
 path (same results, same error wrapping, same progress output).
 """
@@ -26,7 +26,6 @@ from repro.parallel import (
     DEFAULT_MIN_ACCESSES,
     MIN_CHUNK_ACCESSES,
     SweepCellError,
-    min_parallel_accesses,
     plan_sweep,
 )
 from repro.util.host import host_info
@@ -67,7 +66,6 @@ def test_default_cpus_follow_the_affinity_mask(monkeypatch):
     """Under ``taskset -c 0`` on a many-CPU host, the default plan and
     ``host_info`` count the one CPU the process may run on."""
     monkeypatch.delenv("REPRO_PARALLEL_FORCE", raising=False)
-    monkeypatch.delenv("REPRO_PARALLEL_MIN_ACCESSES", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     plan = plan_sweep(6, 10**7, 4)
@@ -120,21 +118,8 @@ def test_chunks_cover_all_cells():
 
 
 # ----------------------------------------------------------------------
-# env knobs
+# env knob
 # ----------------------------------------------------------------------
-
-
-def test_min_accesses_env_override(monkeypatch):
-    monkeypatch.setenv("REPRO_PARALLEL_MIN_ACCESSES", "10")
-    assert min_parallel_accesses() == 10
-    plan = plan_sweep(14, 5_000, 4, cpus=8)
-    assert plan.use_parallel
-
-
-def test_min_accesses_env_rejects_garbage(monkeypatch):
-    monkeypatch.setenv("REPRO_PARALLEL_MIN_ACCESSES", "soon")
-    with pytest.raises(ValueError, match="REPRO_PARALLEL_MIN_ACCESSES"):
-        min_parallel_accesses()
 
 
 def test_force_env_overrides_everything(monkeypatch):

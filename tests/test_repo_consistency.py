@@ -18,28 +18,41 @@ NON_EXPERIMENT_BENCHMARKS = {"service", "sweep", "hierarchy"}
 
 
 class TestBenchmarkCoverage:
+    """``benchmarks/bench_experiments.py`` runs every registered
+    experiment through one test parametrized by experiment id."""
+
     def test_every_experiment_has_a_benchmark(self):
-        missing = [
-            eid
-            for eid in all_experiment_ids()
-            if not (REPO / "benchmarks" / f"bench_{eid}.py").exists()
+        from benchmarks import bench_experiments
+
+        (mark,) = [
+            m
+            for m in bench_experiments.test_experiment.pytestmark
+            if m.name == "parametrize"
         ]
+        missing = sorted(set(all_experiment_ids()) - set(mark.args[1]))
         assert not missing, f"experiments without benchmarks: {missing}"
 
     def test_every_benchmark_has_an_experiment(self):
-        ids = set(all_experiment_ids())
         stray = [
             p.name
             for p in (REPO / "benchmarks").glob("bench_*.py")
-            if p.stem.removeprefix("bench_") not in ids
-            and p.stem.removeprefix("bench_") not in NON_EXPERIMENT_BENCHMARKS
+            if p.stem.removeprefix("bench_")
+            not in NON_EXPERIMENT_BENCHMARKS | {"experiments"}
         ]
         assert not stray, f"benchmarks without experiments: {stray}"
 
-    def test_benchmarks_reference_their_experiment(self):
+    def test_benchmarks_reference_their_experiment(self, monkeypatch):
+        from benchmarks import bench_experiments
+
+        ran = []
+        monkeypatch.setattr(
+            bench_experiments,
+            "run_and_report",
+            lambda benchmark, ctx, archive, eid: ran.append(eid),
+        )
         for eid in all_experiment_ids():
-            text = (REPO / "benchmarks" / f"bench_{eid}.py").read_text()
-            assert f'"{eid}"' in text
+            bench_experiments.test_experiment(None, None, None, eid)
+        assert ran == all_experiment_ids()
 
 
 class TestDocumentationCoverage:

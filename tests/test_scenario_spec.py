@@ -4,6 +4,8 @@ composition round-trips — including the hypothesis-tested
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -117,6 +119,22 @@ class TestParse:
     def test_bad_value(self):
         with pytest.raises(ScenarioSpecError, match="bad value"):
             parse_scenario("popularity-drift?strength=lots")
+
+    @pytest.mark.parametrize(
+        "text, fragment",
+        [
+            ("flash-crowd?at=nan", "bad value for flash-crowd?at:"),
+            ("flash-crowd?at=-inf", "bad value for flash-crowd?at:"),
+            (
+                "popularity-drift?strength=inf",
+                "bad value for popularity-drift?strength:",
+            ),
+            ("stationary+crowd?at=nan", "bad value for flash-crowd?at:"),
+        ],
+    )
+    def test_non_finite_float_refused(self, text, fragment):
+        with pytest.raises(ScenarioSpecError, match=re.escape(fragment)):
+            parse_composition(text)
 
     def test_composition_string_rejected(self):
         with pytest.raises(ScenarioSpecError, match="parse_composition"):
