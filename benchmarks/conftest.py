@@ -5,26 +5,24 @@ shared default-scale workload (5% of DZero scale, seed 7 — the same
 context `python -m repro.experiments all` uses), times it, prints the
 rendered rows, and archives them under ``benchmarks/output/``.
 
-Set ``REPRO_BENCH_SCALE=small`` (or ``tiny``) to run the harness on a
-smaller workload.
+The scale is fixed: the experiments' calibration checks are tuned to
+the default workload, and ``run_and_report`` asserts every check.
 """
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 
 import pytest
 
 from repro.experiments.base import get_context, run_experiment
 
-SCALE = os.environ.get("REPRO_BENCH_SCALE", "default")
 OUTPUT_DIR = Path(__file__).parent / "output"
 
 
 @pytest.fixture(scope="session")
 def ctx():
-    return get_context(SCALE)
+    return get_context("default")
 
 
 @pytest.fixture(scope="session")

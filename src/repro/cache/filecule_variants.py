@@ -9,33 +9,27 @@ nothing per filecule, like :class:`~repro.cache.FileculeLRU`.
 
 from __future__ import annotations
 
-import heapq
-
-from repro.cache.base import BYPASS_CODE, HIT_CODE, ReplacementPolicy
+from repro.cache.heap import HeapCache
 from repro.core.filecule import FileculePartition
 
 
-class _FileculePolicyBase(ReplacementPolicy):
-    """Shared machinery: label resolution, whole-filecule load/evict via
-    a lazy min-heap over per-filecule priorities."""
+class _FileculePolicyBase(HeapCache):
+    """Shared machinery: a request names its file's filecule, which is
+    loaded and evicted whole by the heap core."""
 
     def __init__(self, capacity_bytes: int, partition: FileculePartition) -> None:
         super().__init__(capacity_bytes)
-        self._partition = partition
-        self._labels = partition.labels
-        self._fc_sizes = partition.sizes_bytes
-        self._resident: dict[int, int] = {}  # label -> size
-        self._priority: dict[int, float] = {}
-        self._entry_seq: dict[int, int] = {}
-        self._heap: list[tuple[float, int, int]] = []
-        self._seq = 0
+        # request() runs once per access; plain lists avoid boxing a
+        # numpy scalar per lookup, as in FileculeLRU
+        self._label_list: list[int] = partition.labels.tolist()
+        self._size_list: list[int] = partition.sizes_bytes.tolist()
 
     def __contains__(self, file_id: int) -> bool:
-        label = int(self._labels[file_id])
+        label = self._label_list[file_id]
         return label >= 0 and label in self._resident
 
     def _label_of(self, file_id: int) -> int:
-        label = int(self._labels[file_id])
+        label = self._label_list[file_id]
         if label < 0:
             raise KeyError(
                 f"file {file_id} has no filecule; partition does not match "
@@ -43,50 +37,9 @@ class _FileculePolicyBase(ReplacementPolicy):
             )
         return label
 
-    def _push(self, label: int) -> None:
-        heapq.heappush(self._heap, (self._priority[label], self._seq, label))
-        self._entry_seq[label] = self._seq
-        self._seq += 1
-
-    def _evict_one(self) -> None:
-        while self._heap:
-            priority, seq, label = heapq.heappop(self._heap)
-            if (
-                label in self._resident
-                and self._priority.get(label) == priority
-                and self._entry_seq.get(label) == seq
-            ):
-                self._on_evict(label, priority)
-                self._release(self._resident.pop(label))
-                del self._priority[label]
-                del self._entry_seq[label]
-                return
-        raise RuntimeError(f"{self.name}: occupancy positive but heap empty")
-
-    # subclass hooks -----------------------------------------------------
-    def _fresh_priority(self, label: int) -> float:
-        raise NotImplementedError
-
-    def _on_evict(self, label: int, priority: float) -> None:
-        """Called when a victim is chosen (GDS inflation hook)."""
-
-    # ---------------------------------------------------------------------
     def request(self, file_id: int, size: int, now: float) -> int:
         label = self._label_of(file_id)
-        if label in self._resident:
-            self._priority[label] = self._fresh_priority(label)
-            self._push(label)
-            return HIT_CODE
-        fc_size = int(self._fc_sizes[label])
-        if fc_size > self.capacity_bytes:
-            return BYPASS_CODE
-        while self.used_bytes + fc_size > self.capacity_bytes:
-            self._evict_one()
-        self._resident[label] = fc_size
-        self._priority[label] = self._fresh_priority(label)
-        self._push(label)
-        self._charge(fc_size)
-        return fc_size
+        return HeapCache.request(self, label, self._size_list[label], now)
 
 
 class FileculeLFU(_FileculePolicyBase):
@@ -105,10 +58,10 @@ class FileculeLFU(_FileculePolicyBase):
     def request(self, file_id: int, size: int, now: float) -> int:
         label = self._label_of(file_id)
         self._freq[label] = self._freq.get(label, 0) + 1
-        return super().request(file_id, size, now)
+        return HeapCache.request(self, label, self._size_list[label], now)
 
-    def _fresh_priority(self, label: int) -> float:
-        return float(self._freq.get(label, 0))
+    def _priority(self, label: int, size: int) -> float:
+        return float(self._freq[label])
 
 
 class FileculeGDS(_FileculePolicyBase):
@@ -135,16 +88,14 @@ class FileculeGDS(_FileculePolicyBase):
             raise ValueError(
                 f"cost_mode must be 'uniform' or 'files', got {cost_mode!r}"
             )
-        self._cost_mode = cost_mode
         self._inflation = 0.0
-        self._n_files = partition.files_per_filecule
+        costs = partition.files_per_filecule.astype(float)
+        if cost_mode == "uniform":
+            costs[:] = 1.0
+        self._costs: list[float] = costs.tolist()  # label -> miss cost
 
-    def _fresh_priority(self, label: int) -> float:
-        if self._cost_mode == "uniform":
-            cost = 1.0
-        else:
-            cost = float(self._n_files[label])
-        return self._inflation + cost / max(int(self._fc_sizes[label]), 1)
+    def _priority(self, label: int, size: int) -> float:
+        return self._inflation + self._costs[label] / max(size, 1)
 
     def _on_evict(self, label: int, priority: float) -> None:
         self._inflation = priority

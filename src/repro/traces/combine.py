@@ -71,6 +71,7 @@ def _same_catalog(a: Trace, b: Trace) -> bool:
         a.n_files == b.n_files
         and np.array_equal(a.file_sizes, b.file_sizes)
         and np.array_equal(a.file_tiers, b.file_tiers)
+        and np.array_equal(a.file_datasets, b.file_datasets)
         and a.n_users == b.n_users
         and np.array_equal(a.user_domains, b.user_domains)
         and np.array_equal(a.node_sites, b.node_sites)

@@ -29,6 +29,19 @@ from typing import Generic, TypeVar
 TRUE_SPELLINGS = frozenset(("1", "true", "yes", "on"))
 FALSE_SPELLINGS = frozenset(("0", "false", "no", "off"))
 
+#: Characters that delimit spec strings: the query (``? & =``),
+#: scenario compositions and hierarchy tiers (``+ @ ^``) and spec lists
+#: (``,``).  A string value holding one has no spelling.
+DELIMITERS = frozenset("?&=+@^,")
+
+
+def _plain_text(text: str) -> str:
+    """``text`` itself, or :class:`ValueError` if it holds a delimiter."""
+    held = "".join(sorted(DELIMITERS.intersection(text)))
+    if held:
+        raise ValueError(f"holds the delimiter(s) {held!r}: {text!r}")
+    return text
+
 
 def render_value(value: object) -> str:
     """``value``'s canonical spelling on the wire.
@@ -36,7 +49,8 @@ def render_value(value: object) -> str:
     Booleans render as ``true``/``false``; a float as its shortest
     round-tripping ``repr`` with the exponent's ``+`` dropped (``1e16``,
     which :func:`float` reads back unchanged); anything else with
-    ``str``.  A non-finite float raises :class:`ValueError`.
+    ``str``.  A non-finite float, or a string holding one of the
+    :data:`DELIMITERS`, raises :class:`ValueError`.
     """
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -44,6 +58,8 @@ def render_value(value: object) -> str:
         if not math.isfinite(value):
             raise ValueError(f"not a finite number: {value!r}")
         return repr(float(value)).replace("e+", "e")
+    if isinstance(value, str):
+        return _plain_text(value)
     return str(value)
 
 
@@ -51,7 +67,8 @@ def coerce_value(default: object, raw: str) -> object:
     """Read the wire text ``raw`` as a value of ``default``'s type.
 
     Raises :class:`ValueError` for text that type cannot take,
-    including ``nan`` and ``inf`` for a float.
+    including ``nan`` and ``inf`` for a float and, for a string, text
+    holding one of the :data:`DELIMITERS`.
     """
     if isinstance(default, bool):
         lowered = raw.lower()
@@ -67,7 +84,7 @@ def coerce_value(default: object, raw: str) -> object:
         if not math.isfinite(value):
             raise ValueError(f"not a finite number: {raw!r}")
         return value
-    return raw
+    return _plain_text(raw)
 
 
 @dataclass(frozen=True)

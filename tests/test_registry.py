@@ -185,6 +185,14 @@ class TestParse:
         ):
             registry.parse(f"working-set-prefetch?max_prefetch_fraction={raw}")
 
+    @pytest.mark.parametrize("raw", ["a+b", "a@b", "a^b", "a,b", "a?b", "a=b"])
+    def test_string_value_holding_a_delimiter_refused(self, raw):
+        with pytest.raises(
+            PolicySpecError,
+            match=re.escape("bad value for filecule-gds?cost_mode:"),
+        ):
+            registry.parse(f"filecule-gds?cost_mode={raw}")
+
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_parse_of_str_is_idempotent(self, data):

@@ -7,6 +7,7 @@ from repro.core.identify import find_filecules
 from repro.core.partial import is_coarsening_of
 from repro.traces.combine import concat_traces, shift_time, subsample_jobs
 from repro.traces.filters import split_epochs
+from repro.traces.trace import Trace
 from tests.conftest import make_trace
 
 
@@ -88,11 +89,20 @@ class TestConcatTraces:
         combined = concat_traces([classic_trace])
         assert combined.n_jobs == classic_trace.n_jobs
 
-    def test_mismatched_catalogs_rejected(self):
-        a = make_trace([[0]], n_files=2)
-        b = make_trace([[0]], n_files=3)
-        with pytest.raises(ValueError, match="identical"):
-            concat_traces([a, b])
+    def test_mismatched_catalogs_rejected(self, tiny_trace):
+        columns = {
+            name: getattr(tiny_trace, name)
+            for name in Trace.__slots__
+            if name != "__dict__"
+        }
+        columns["file_datasets"] = tiny_trace.file_datasets + 1
+        relabelled = Trace(**columns)
+        for a, b in (
+            (make_trace([[0]], n_files=2), make_trace([[0]], n_files=3)),
+            (tiny_trace, relabelled),
+        ):
+            with pytest.raises(ValueError, match="identical"):
+                concat_traces([a, b])
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):

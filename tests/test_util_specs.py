@@ -52,6 +52,18 @@ def test_non_finite_float_has_no_spelling(value):
         coerce_value(0.5, repr(value))
 
 
+@pytest.mark.parametrize("delimiter", sorted("?&=+@^,"))
+def test_string_holding_a_delimiter_has_no_spelling(delimiter):
+    text = f"a{delimiter}b"
+    with pytest.raises(ValueError, match="holds the delimiter"):
+        render_value(text)
+    with pytest.raises(ValueError, match="holds the delimiter"):
+        str(Selection("thing", (("x", text),)))
+    with pytest.raises(ValueError, match="holds the delimiter"):
+        coerce_value("files", text)
+    assert render_value("a-b_c.d") == coerce_value("files", "a-b_c.d")
+
+
 def test_duplicate_name_or_alias_refused():
     catalog = _catalog()
     catalog.register(_Entry("a", aliases=("b",)))
