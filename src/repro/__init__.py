@@ -44,7 +44,7 @@ from repro.core import (
     find_filecules,
 )
 
-__version__ = "1.24.0"
+__version__ = "1.25.0"
 
 __all__ = [
     "Trace",

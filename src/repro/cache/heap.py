@@ -11,6 +11,11 @@ policy supplies :meth:`~HeapCache._priority` and
 
 A refreshed key is pushed again rather than moved: an entry that is
 not the latest push of a resident key is dropped when it surfaces.
+Only a hit leaves an entry stale, so a hit that finds the heap holding
+at least twice as many entries as resident keys, plus 64, first
+rebuilds it from its live entries: a cache that rarely evicts does not
+keep one entry per access, and a miss pays nothing for the bound.  A
+stale entry is never evicted, so the rebuild changes no outcome.
 Equal priorities evict the key pushed least recently.
 """
 
@@ -46,12 +51,15 @@ class HeapCache(ReplacementPolicy):
     def request(self, key: int, size: int, now: float) -> int:
         resident = self._resident
         live = self._live
+        heap = self._heap
         if key in resident:
             code = HIT_CODE
+            if len(heap) >= 2 * len(live) + 64:
+                heap[:] = [e for e in heap if live.get(e[2]) == e[1]]
+                heapq.heapify(heap)
         elif size > self.capacity_bytes:
             return BYPASS_CODE
         else:
-            heap = self._heap
             while self.used_bytes + size > self.capacity_bytes:
                 try:
                     priority, push, victim = heapq.heappop(heap)
@@ -68,5 +76,5 @@ class HeapCache(ReplacementPolicy):
             code = size
         push = self._pushes = self._pushes + 1
         live[key] = push
-        heapq.heappush(self._heap, (self._priority(key, size), push, key))
+        heapq.heappush(heap, (self._priority(key, size), push, key))
         return code

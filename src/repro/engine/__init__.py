@@ -6,7 +6,7 @@ serve every consumer in the repository — the serial simulator façade
 (:mod:`repro.parallel`), the online service's benchmarks, and all
 sweep-backed experiment drivers.  Policies are selected declaratively
 through :mod:`repro.registry` spec strings wherever possible, so the
-grid definition is plain picklable data: :func:`resolve_policies` turns
+grid definition is plain data: :func:`resolve_policies` turns
 a ``policies`` argument into one ``{display name: BoundSpec | factory}``
 table, and :func:`simulate` accepts either kind of entry.
 

@@ -9,9 +9,8 @@ picklable form used by every experiment driver) as well as legacy
 ``name -> factory`` mappings, normalized by :func:`resolve_policies`
 into one table that every cell hands to :func:`simulate`.  With
 ``jobs=N`` the grid's cells fan out through
-:func:`repro.parallel.map_trace_cells` with the trace shipped zero-copy
-through shared memory, and the result is guaranteed identical to the
-serial path.
+:func:`repro.parallel.map_trace_cells` to forked workers that inherit
+the trace, and the result is guaranteed identical to the serial path.
 """
 
 from __future__ import annotations
@@ -142,16 +141,17 @@ def sweep(
     ``jobs > 1`` runs the grid through
     :func:`repro.parallel.parallel_sweep`: each (policy, capacity) cell
     is one cell of :func:`repro.parallel.map_trace_cells`, replaying the
-    identical immutable trace in a worker process (columns shared via
-    :mod:`multiprocessing.shared_memory`, reconstructed once per worker),
-    and the per-cell metrics are merged into a :class:`SweepResult`
-    identical to the serial one.  ``jobs`` is a ceiling — grids too
-    small to amortize a pool, or hosts with one usable CPU, run the same
-    cells serially.  Custom hooks cannot cross process boundaries, so
-    only ``None``, :class:`~repro.obs.instrument.SimStats` (merged from
-    the cells), :class:`~repro.obs.instrument.ProgressReporter` (each
-    cell's checkpoints replayed into a copy of it) and combinations of
-    those are supported in parallel mode.
+    identical immutable trace in a forked worker process (which inherits
+    the trace from the parent's memory), and the per-cell metrics are
+    merged into a :class:`SweepResult` identical to the serial one.
+    ``jobs`` is a ceiling — grids too small to amortize a pool, hosts
+    with one usable CPU and platforms without the ``fork`` start method
+    run the same cells serially.  Custom hooks cannot cross process
+    boundaries, so only ``None``,
+    :class:`~repro.obs.instrument.SimStats` (merged from the cells),
+    :class:`~repro.obs.instrument.ProgressReporter` (each cell's
+    checkpoints replayed into a copy of it) and combinations of those
+    are supported in parallel mode.
 
     ``batch`` is forwarded to :func:`~repro.engine.replay.simulate` for
     every cell, serial or parallel.

@@ -15,8 +15,8 @@ replaying it:
 * :func:`fold_hierarchy_metrics` — per-tier byte hit rate, origin
   offload, and inter-tier link traffic as shared
   :class:`~repro.obs.metrics.MetricsRegistry` counters;
-* :func:`hierarchy_sweep` — many hierarchies over one shared-memory
-  trace, with ``jobs=N`` fan-out.
+* :func:`hierarchy_sweep` — many hierarchies over one trace, with
+  ``jobs=N`` fan-out to forked workers.
 
 See ``docs/HIERARCHY.md`` for the model, the wire grammar, and the
 Figure-10-at-hierarchy-scale results.

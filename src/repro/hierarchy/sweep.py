@@ -5,11 +5,10 @@ still beat file granularity when the cache is a *stack* of tiers? —
 is a grid of independent hierarchy replays over one immutable trace,
 the same embarrassing parallelism as the flat sweep.
 :func:`hierarchy_sweep` fans it out through the generic
-:func:`repro.parallel.map_trace_cells` machinery: the trace travels
-zero-copy through shared memory, each cell ships as its canonical wire
-string (plain picklable data, spawn-safe), and grids below the
-measured parallel crossover run on the serial loop with identical
-results.
+:func:`repro.parallel.map_trace_cells` machinery: forked workers
+inherit the trace, each cell ships as its canonical wire string, and
+grids below the measured parallel crossover run on the serial loop
+with identical results.
 """
 
 from __future__ import annotations
@@ -27,10 +26,9 @@ __all__ = ["hierarchy_sweep"]
 def _hierarchy_cell(trace: Trace, resources, payload: str) -> HierarchyResult:
     """One sweep cell: replay the shared trace through one hierarchy.
 
-    Module-level so it dispatches by reference under any start method;
-    ``payload`` is the hierarchy's canonical wire string and
-    ``resources`` the (partition, batch, total_bytes) shared by every
-    cell.
+    Module-level so chunks dispatch to it by reference; ``payload`` is
+    the hierarchy's canonical wire string and ``resources`` the
+    (partition, batch, total_bytes) shared by every cell.
     """
     partition, batch, total_bytes = resources
     return simulate_hierarchy(

@@ -1,4 +1,4 @@
-"""Process-parallel grids over one trace, with shared-memory transport.
+"""Process-parallel grids over one trace, in forked workers.
 
 ``repro.parallel`` makes the repository's dominant compute pattern — a
 grid of independent cells over one immutable trace (Figure 10's
@@ -6,16 +6,14 @@ grid of independent cells over one immutable trace (Figure 10's
 ablations, hierarchy sweeps) — N-core fast through one fan-out:
 
 * :func:`map_trace_cells` — maps a module-level cell function over
-  picklable payloads against one shared trace, chunked and planned by
-  :func:`plan_sweep` (serial below the measured crossover), results in
-  payload order;
+  picklable payloads against one trace that forked workers inherit,
+  chunked and planned by :func:`plan_sweep` (serial below the measured
+  crossover, or without the ``fork`` start method), results in payload
+  order;
 * :func:`parallel_sweep` — ``sweep(jobs=N)``: a (policy, capacity)
   grid as cells of :func:`map_trace_cells`, merged into a
   :class:`~repro.engine.sweep.SweepResult` identical to the serial
   path;
-* :class:`SharedTraceBuffers` / :func:`attach_trace` — pack a trace's
-  numpy columns into one shared-memory segment and rebuild zero-copy
-  views per worker (:mod:`repro.parallel.shm`);
 * :class:`CellError` / :class:`SweepCellError` — failure wrappers
   naming the failing cell.
 
@@ -36,13 +34,6 @@ from repro.parallel.plan import (
     plan_sweep,
 )
 from repro.parallel.runner import SweepCellError, parallel_sweep
-from repro.parallel.shm import (
-    SEGMENT_PREFIX,
-    SharedTraceBuffers,
-    SharedTraceSpec,
-    TRACE_COLUMNS,
-    attach_trace,
-)
 
 __all__ = [
     "CellError",
@@ -53,9 +44,4 @@ __all__ = [
     "SweepPlan",
     "parallel_sweep",
     "plan_sweep",
-    "SEGMENT_PREFIX",
-    "SharedTraceBuffers",
-    "SharedTraceSpec",
-    "TRACE_COLUMNS",
-    "attach_trace",
 ]

@@ -1,8 +1,8 @@
 """Dispatch planning for parallel sweeps: when to fan out, how to chunk.
 
-Process-parallel replay has real fixed costs — forking workers, copying
-the trace into shared memory, round-tripping results through a pickle
-queue — that only amortize when the grid carries enough replay work.
+Process-parallel replay has real fixed costs — forking workers,
+round-tripping tasks and results through pickle queues — that only
+amortize when the grid carries enough replay work.
 The measured crossover sits in the low millions of accesses (see
 ``docs/PERFORMANCE.md``); below it a pool is *slower* than the serial
 loop, which is exactly the trap a small default grid walks into.
@@ -15,12 +15,15 @@ would use, and how cells are batched into worker tasks
 each.  :func:`repro.parallel.cells.map_trace_cells` — the fan-out behind
 ``sweep(jobs=N)`` and hierarchy sweeps — consults the plan to fall back
 to the serial loop (the ``--jobs`` flag is a ceiling, never a demand to
-go slower), and the ``sweep --dry-run`` CLI prints it.
+go slower), and the ``sweep --dry-run`` CLI prints it.  Workers are
+forked, so on a platform without the ``fork`` start method every grid
+runs serially.
 
 One environment knob, read at call time so tests and operators can
 override it without re-importing: ``REPRO_PARALLEL_FORCE`` set to
 ``1``/``true`` forces ``use_parallel`` for any ``jobs > 1`` request,
-bypassing the threshold and the worker-count check.  A testing and
+bypassing the threshold and the worker-count check (but not the
+``fork`` requirement).  A testing and
 benchmarking knob — it is how the equivalence suite exercises the pool
 on small traces and how the crossover itself gets measured.
 """
@@ -29,13 +32,14 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from multiprocessing import get_all_start_methods
 
 from repro.util.host import usable_cpus
 from repro.util.specs import TRUE_SPELLINGS
 
 #: Total grid accesses below which a pool is assumed slower than the
-#: serial loop.  Calibrated against the measured fork+shm+pickle fixed
-#: cost of roughly a second against ~1M accesses/s serial replay speed.
+#: serial loop.  Calibrated against a measured pool fixed cost of
+#: roughly a second against ~1M accesses/s serial replay speed.
 DEFAULT_MIN_ACCESSES = 4_000_000
 
 #: Minimum accesses a single worker task should carry: cells smaller
@@ -106,6 +110,12 @@ def plan_sweep(
     if jobs == 1:
         use_parallel = False
         reason = "jobs=1 requested"
+    elif "fork" not in get_all_start_methods():
+        use_parallel = False
+        reason = (
+            "the 'fork' start method is not available on this platform; "
+            "pool workers must fork"
+        )
     elif parallel_forced():
         use_parallel = True
         reason = "REPRO_PARALLEL_FORCE=1"

@@ -4,18 +4,15 @@ The Figure 10 grid — and every experiment built on
 :func:`repro.engine.sweep` — is embarrassingly parallel: each cell
 replays the identical immutable trace against a fresh policy instance.
 :func:`parallel_sweep` runs that grid through the generic
-:func:`~repro.parallel.cells.map_trace_cells` fan-out, so the trace
-transport, chunking, auto-serial fallback and error wrapping are the
+:func:`~repro.parallel.cells.map_trace_cells` fan-out, so the forked
+workers, chunking, auto-serial fallback and error wrapping are the
 ones every shared-trace grid uses:
 
 * the payload is ``(display name, capacity)``; the resources shared by
   every cell are the policy table, the partition, ``batch`` and an
-  optional progress queue;
+  optional progress queue, all inherited by the forked workers;
 * each cell calls :func:`~repro.engine.simulate`, which accepts a
-  factory or a spec.  Spec entries ship as strings, which pickle under
-  any start method; factory callables reach workers only by ``fork``
-  inheritance through the pool initializer, and requesting another
-  start method for them raises ``ValueError``;
+  factory or a spec, so factory callables and specs run alike;
 * each cell observes its run with a private
   :class:`~repro.obs.instrument.SimStats`, which the parent merges into
   the caller's ``SimStats`` sinks;
@@ -24,16 +21,17 @@ ones every shared-trace grid uses:
   parent replays each cell's stream into its own copy of the reporter,
   so lines, logger and throttle match the serial path;
 * a failing cell raises :class:`SweepCellError` naming the (policy,
-  capacity) cell, and the shared-memory segment is unlinked even then.
+  capacity) cell.
 
 Results are **identical** to the serial path by construction: the same
-:func:`~repro.engine.simulate` code runs over byte-identical columns,
-and the tests assert equality cell by cell.
+:func:`~repro.engine.simulate` code runs over the same columns, and the
+tests assert equality cell by cell.
 """
 
 from __future__ import annotations
 
 import copy
+import multiprocessing
 import os
 import threading
 
@@ -45,7 +43,7 @@ from repro.obs.instrument import (
     ProgressReporter,
     SimStats,
 )
-from repro.parallel.cells import CellError, map_trace_cells, pool_context
+from repro.parallel.cells import CellError, map_trace_cells
 from repro.traces.trace import Trace
 from repro.util.units import format_bytes
 
@@ -139,7 +137,6 @@ def parallel_sweep(
     instrumentation: Instrumentation | None = None,
     partition=None,
     batch: bool | None = None,
-    start_method: str | None = None,
 ) -> SweepResult:
     """``sweep(jobs=N)`` backend: the grid as cells of
     :func:`~repro.parallel.cells.map_trace_cells`.
@@ -148,7 +145,6 @@ def parallel_sweep(
     semantics: grids too small to amortize a pool (or with one usable
     CPU) run the same cells on the serial loop, with identical results
     and observation; ``REPRO_PARALLEL_FORCE=1`` forces the pool.
-    ``start_method`` defaults to ``fork`` where available.
 
     Custom hooks cannot cross process boundaries, so only the two
     shipped observation types (and combinations of them) are supported:
@@ -182,22 +178,12 @@ def parallel_sweep(
     if not caps:
         raise ValueError("need at least one capacity")
     table = resolve_policies(policies)
-    ctx = pool_context(start_method)
-    method = ctx.get_start_method()
-    if method != "fork" and any(callable(p) for p in table.values()):
-        raise ValueError(
-            "policy factory callables cannot cross a "
-            f"{method!r}-context process boundary; pass registry spec "
-            "strings (see repro.registry) for spawn-safe dispatch"
-        )
-    shipped = {name: p if callable(p) else str(p) for name, p in table.items()}
     progress = queue = drain = None
     if reporter is not None:
-        # The queue's lock must come from the pool's own context: a
-        # fork-context lock cannot be shared with spawn workers.  Its
-        # puts are synchronous, so a cell's checkpoints are in the pipe
-        # before the cell's result is.
-        queue = ctx.SimpleQueue()
+        # Workers inherit the queue by fork.  Its puts are synchronous,
+        # so a cell's checkpoints are in the pipe before the cell's
+        # result is.
+        queue = multiprocessing.SimpleQueue()
         progress = (queue, reporter.progress_every)
         drain = threading.Thread(
             target=_replay_progress,
@@ -212,14 +198,14 @@ def parallel_sweep(
             _sweep_cell,
             [(name, cap) for name in table for cap in caps],
             jobs=jobs,
-            resources=(shipped, partition, batch, progress),
-            start_method=method,
+            resources=(table, partition, batch, progress),
         )
     except CellError as err:
         name, capacity = err.payload
         raise SweepCellError(name, capacity, err.__cause__) from err.__cause__
-    # Success only: a pool torn down on failure may have killed a worker
-    # holding the queue's write lock, so the drain is left to the process.
+    # Success only: a worker killed by a signal, or terminated with its
+    # broken pool, may have held the queue's write lock, so on failure
+    # the drain is left to the process.
     if queue is not None:
         queue.put(None)
         drain.join()

@@ -6,8 +6,8 @@ flags (``needs_filecules``, ``needs_trace``, ``is_offline_optimal``) —
 so policy selection is *data*, not code:
 
 * experiment drivers declare policy tables as tuples of spec strings;
-* ``sweep(jobs=N)`` ships spec strings (plain picklable data) to worker
-  processes instead of closures, which makes dispatch spawn-safe;
+* ``sweep(jobs=N)`` and hierarchy sweeps name their cells by the same
+  canonical strings;
 * ``repro-serve --advisor-policy <spec>`` configures the online
   service's per-site cache advisors from the same names;
 * ``repro-experiments list-policies`` prints the whole catalog.

@@ -44,7 +44,7 @@ def _as_array(values, dtype) -> np.ndarray:
 def check_ids(ids: np.ndarray, bound: int, first: int = 0, kind="file") -> None:
     """Raise ``IndexError`` naming the first access (``first + k``) whose
     id ``ids[k]`` is outside ``[0, bound)``: unvalidated traces (the
-    store, shared memory, subsets) may carry any file id."""
+    store, subsets) may carry any file id."""
     if len(ids) and (ids.min() < 0 or ids.max() >= bound):
         p = int(np.argmax((ids < 0) | (ids >= bound)))
         raise IndexError(
@@ -89,8 +89,8 @@ class Trace:
         Promise that ``access_jobs``/``access_files`` are already sorted
         by (job, file) and de-duplicated, skipping canonicalization so
         the columns are adopted as zero-copy views.  Internal fast path
-        for rebuilding a trace from another trace's columns (e.g. the
-        shared-memory reconstruction in :mod:`repro.parallel.shm`).
+        for rebuilding a trace from another trace's columns (the trace
+        store's :func:`~repro.workload.store.load_trace`, subsets).
     """
 
     __slots__ = (

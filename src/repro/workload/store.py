@@ -127,8 +127,7 @@ def load_trace(path: Path) -> Trace:
     :func:`save_trace`.
 
     The columns were canonical and validated when written, so the
-    reconstruction skips both steps (same fast path as the shared-memory
-    rebuild in :mod:`repro.parallel.shm`).
+    reconstruction skips both steps.
     """
     with np.load(path, allow_pickle=False) as data:
         version = int(data["format_version"])

@@ -107,7 +107,7 @@ def make_trace(
 
 def unvalidated_trace(access_jobs, access_files) -> Trace:
     """Three files of sizes 10/20/30 and two jobs, built without
-    validation, as the store, shared memory and subsets build traces."""
+    validation, as the store and subsets build traces."""
     return Trace(
         file_sizes=[10, 20, 30],
         file_tiers=[1, 1, 1],

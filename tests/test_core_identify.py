@@ -288,8 +288,7 @@ def test_constant_job_key_needs_split_rounds(monkeypatch):
 
 
 def test_partition_round_trips_through_pickle(tiny_trace, tiny_partition):
-    """Spawn workers receive the partition pickled, as a
-    ``map_trace_cells`` resource."""
+    """A partition round-trips through pickle, column for column."""
     copy = pickle.loads(pickle.dumps(tiny_partition))
     for column in (
         "labels",

@@ -109,8 +109,8 @@ def test_batch_true_demands_a_kernel(tiny_trace):
 @pytest.mark.parametrize("batch", [True, False], ids=["kernel", "per-access"])
 @pytest.mark.parametrize("spec", ["file-lru", "file-fifo"])
 def test_out_of_range_file_id_fails_on_both_routes(spec, batch, bad):
-    """A trace built without validation (as the store, shared memory and
-    subsets build them) may name a file outside the catalog.  Both
+    """A trace built without validation (as the store and subsets build
+    them) may name a file outside the catalog.  Both
     routes refuse it with an IndexError naming the first bad access,
     instead of charging file 2's size to id -1 or reading past the
     sizes."""

@@ -131,6 +131,31 @@ def test_force_env_overrides_everything(monkeypatch):
     assert not plan_sweep(2, 10, 1, cpus=1).use_parallel
 
 
+def test_no_fork_means_serial_even_when_forced(tiny_trace, monkeypatch):
+    """Pool workers must fork: without the ``fork`` start method the
+    plan is serial whatever ``REPRO_PARALLEL_FORCE`` says, and
+    ``sweep(jobs=2)`` runs the serial loop without starting a process."""
+    import repro.parallel.cells as cells_mod
+    import repro.parallel.plan as plan_mod
+
+    monkeypatch.setattr(plan_mod, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.setenv("REPRO_PARALLEL_FORCE", "1")
+    plan = plan_sweep(14, 10**9, 4, cpus=8)
+    assert not plan.use_parallel
+    assert "'fork' start method" in plan.reason
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool started without the fork start method")
+
+    monkeypatch.setattr(cells_mod, "ProcessPoolExecutor", no_pool)
+    caps = [tiny_trace.total_bytes() // 50, tiny_trace.total_bytes() // 5]
+    factories = {"file-lru": lambda c: FileLRU(c)}
+    serial = sweep(tiny_trace, factories, caps)
+    pooled = sweep(tiny_trace, factories, caps, jobs=2)
+    assert pooled.capacities == serial.capacities
+    assert pooled.metrics == serial.metrics
+
+
 # ----------------------------------------------------------------------
 # auto-serial fallback through sweep(jobs=N)
 # ----------------------------------------------------------------------

@@ -1,20 +1,25 @@
-"""Process-parallel sweep engine: equivalence, failure and leak hygiene.
+"""Process-parallel sweep engine: equivalence and failure handling.
 
 The central contract of :mod:`repro.parallel` is that ``sweep(jobs=N)``
 is *bit-identical* to the serial path — same :class:`CacheMetrics`
 dataclasses, field for field — for every policy in the repository, since
-each worker runs the very same :func:`~repro.cache.simulator.simulate`
-over byte-identical shared-memory columns.
+each forked worker runs the very same
+:func:`~repro.cache.simulator.simulate` over the trace columns it
+inherits from the parent.
 """
 
 from __future__ import annotations
 
 import io
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
-import numpy as np
 import pytest
 
+import repro
 from repro.cache.arc import AdaptiveReplacementCache
 from repro.cache.belady import BeladyMIN, FileculeBeladyMIN
 from repro.cache.bundle import FileBundleCache
@@ -30,14 +35,7 @@ from repro.cache.size import LargestFirst
 from repro.cache.working_set import WorkingSetPrefetchLRU
 from repro.experiments.fig10 import capacities_for
 from repro.obs.instrument import Instrumentation, ProgressReporter, SimStats
-from repro.parallel import (
-    SEGMENT_PREFIX,
-    SharedTraceBuffers,
-    SweepCellError,
-    attach_trace,
-)
-
-SHM_DIR = Path("/dev/shm")
+from repro.parallel import SweepCellError
 
 
 @pytest.fixture(autouse=True)
@@ -50,12 +48,6 @@ def _force_parallel(monkeypatch):
     shape; the auto-serial decision is covered by its own suite.
     """
     monkeypatch.setenv("REPRO_PARALLEL_FORCE", "1")
-
-
-def _leaked_segments() -> list[str]:
-    if not SHM_DIR.is_dir():  # pragma: no cover - non-Linux
-        return []
-    return sorted(p.name for p in SHM_DIR.glob(f"{SEGMENT_PREFIX}*"))
 
 
 def all_policy_factories(trace, partition) -> dict:
@@ -163,56 +155,13 @@ class TestSpecDispatch:
         )
         assert_results_identical(by_factory, by_spec)
 
-    def test_spec_grid_ships_names_not_closures(
-        self, tiny_trace, tiny_partition, monkeypatch
-    ):
-        """A spec grid's cell resources are plain picklable data: the
-        policy table is ``{display name: spec string}``, never factory
-        callables, so it survives any start method."""
-        import pickle
-
-        from repro.parallel import runner as runner_mod
-
-        captured = {}
-        real_map = runner_mod.map_trace_cells
-
-        def spying_map(trace, runner, payloads, **kwargs):
-            captured.update(kwargs)
-            return real_map(trace, runner, payloads, **kwargs)
-
-        monkeypatch.setattr(runner_mod, "map_trace_cells", spying_map)
-        sweep(
-            tiny_trace,
-            ("file-lru", "filecule-lru?intra_job_hits=false"),
-            [tiny_trace.total_bytes() // 100],
-            partition=tiny_partition,
-            jobs=2,
-        )
-        resources = captured["resources"]
-        table, partition, batch, progress = pickle.loads(
-            pickle.dumps(resources)
-        )
-        assert table == resources[0] == {
-            "file-lru": "file-lru",
-            "filecule-lru?intra_job_hits=false": (
-                "filecule-lru?intra_job_hits=false"
-            ),
-        }
-        for value in table.values():
-            assert isinstance(value, str)
-        np.testing.assert_array_equal(partition.labels, tiny_partition.labels)
-        assert batch is None
-        assert progress is None
-
     def test_unknown_spec_rejected_in_parent_before_any_worker(
         self, tiny_trace
     ):
         from repro.registry import UnknownPolicyError
 
-        before = _leaked_segments()
         with pytest.raises(UnknownPolicyError, match="unknown policy"):
             sweep(tiny_trace, ("definitely-not-a-policy",), [100], jobs=2)
-        assert _leaked_segments() == before
 
 
 class TestFailureAndLeaks:
@@ -233,25 +182,9 @@ class TestFailureAndLeaks:
         assert excinfo.value.policy == "boom"
         assert excinfo.value.capacity == capacity
 
-    def test_shm_unlinked_even_on_failure(self, tiny_trace):
-        before = _leaked_segments()
-
-        def exploding(capacity):
-            raise RuntimeError("boom")
-
-        with pytest.raises(SweepCellError):
-            sweep(
-                tiny_trace,
-                {"boom": exploding},
-                [tiny_trace.total_bytes() // 100],
-                jobs=2,
-            )
-        assert _leaked_segments() == before
-
     def test_failure_with_progress_forwarding(self, tiny_trace):
         """A failing cell still raises promptly while the other cells
-        forward progress, and the segment is still unlinked."""
-        before = _leaked_segments()
+        forward progress."""
 
         def exploding(capacity):
             raise RuntimeError("boom")
@@ -267,45 +200,43 @@ class TestFailureAndLeaks:
                 instrumentation=reporter,
                 jobs=2,
             )
-        assert _leaked_segments() == before
 
-    def test_shm_unlinked_on_success(self, tiny_trace):
-        before = _leaked_segments()
-        sweep(
-            tiny_trace,
-            {"file-lru": lambda c: FileLRU(c)},
-            [tiny_trace.total_bytes() // 100],
-            jobs=2,
+    def test_worker_killed_by_a_signal_fails_the_sweep(self):
+        """A worker killed outright (as the OOM killer does) fails the
+        map with the dead chunk's first cell instead of hanging it."""
+        script = textwrap.dedent(
+            """
+            import os
+            import signal
+
+            from repro.parallel import map_trace_cells
+            from repro.workload.calibration import tiny_config
+            from repro.workload.generator import generate_trace
+
+
+            def kill_own_worker(trace, resources, payload):
+                os.kill(os.getpid(), signal.SIGKILL)
+
+
+            trace = generate_trace(tiny_config(), seed=3)
+            map_trace_cells(trace, kill_own_worker, [0, 1, 2, 3], jobs=2)
+            """
         )
-        assert _leaked_segments() == before
-
-
-class TestSharedTrace:
-    def test_roundtrip_is_zero_copy_and_equal(self, tiny_trace):
-        with SharedTraceBuffers(tiny_trace) as buffers:
-            rebuilt, shm = attach_trace(buffers.spec)
-            try:
-                assert rebuilt.n_jobs == tiny_trace.n_jobs
-                assert rebuilt.n_files == tiny_trace.n_files
-                assert rebuilt.n_accesses == tiny_trace.n_accesses
-                np.testing.assert_array_equal(
-                    rebuilt.access_files, tiny_trace.access_files
-                )
-                np.testing.assert_array_equal(
-                    rebuilt.access_jobs, tiny_trace.access_jobs
-                )
-                np.testing.assert_array_equal(
-                    rebuilt.file_sizes, tiny_trace.file_sizes
-                )
-                np.testing.assert_array_equal(
-                    rebuilt.job_access_ptr, tiny_trace.job_access_ptr
-                )
-                assert rebuilt.site_names == tiny_trace.site_names
-                # Views into the segment, not copies.
-                assert not rebuilt.access_files.flags["OWNDATA"]
-                assert not rebuilt.file_sizes.flags["OWNDATA"]
-            finally:
-                shm.close()
+        src = Path(repro.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={
+                **os.environ,
+                "PYTHONPATH": str(src),
+                "REPRO_PARALLEL_FORCE": "1",
+            },
+        )
+        assert proc.returncode != 0
+        assert "BrokenProcessPool" in proc.stderr, proc.stderr
+        assert "CellError: trace cell 0 failed" in proc.stderr, proc.stderr
 
 
 class TestObservability:
@@ -377,44 +308,6 @@ class TestObservability:
         )
         assert log_records(1) == expected
         assert log_records(2) == expected
-
-    def test_progress_forwarded_under_spawn(self, tiny_trace, tiny_partition):
-        """The progress queue comes from the pool's own context, so spawn
-        workers can write to it."""
-        from repro.parallel import parallel_sweep
-
-        specs = ("file-lru", "filecule-lru")
-        caps = [tiny_trace.total_bytes() // 50]
-        serial_stream, spawn_stream = io.StringIO(), io.StringIO()
-        sweep(
-            tiny_trace,
-            specs,
-            caps,
-            instrumentation=ProgressReporter(
-                "ptest",
-                progress_every=1000,
-                min_interval_s=0,
-                stream=serial_stream,
-            ),
-            partition=tiny_partition,
-        )
-        parallel_sweep(
-            tiny_trace,
-            specs,
-            caps,
-            jobs=2,
-            instrumentation=ProgressReporter(
-                "ptest",
-                progress_every=1000,
-                min_interval_s=0,
-                stream=spawn_stream,
-            ),
-            partition=tiny_partition,
-            start_method="spawn",
-        )
-        serial = progress_by_cell(serial_stream)
-        assert len(serial) == len(specs)
-        assert progress_by_cell(spawn_stream) == serial
 
     def test_simstats_merged_across_workers(self, tiny_trace):
         caps = [tiny_trace.total_bytes() // 100, tiny_trace.total_bytes() // 10]

@@ -7,13 +7,12 @@ registry-built policy produces the **same metrics** as the legacy direct
 constructor.  *Canonical strings*: ``parse`` is a canonicalizer —
 aliases resolve, values coerce to the defaults' types, parameters sort —
 so ``parse(str(spec)) == spec`` for every representable spec (property
-tested below), which is what lets spec strings cross process boundaries
-as a parallel sweep's wire format.
+tested below), which is what lets a spec string name a policy in every
+table and wire format (sweep grids, hierarchy tiers, the service).
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import re
 
 import pytest
@@ -323,45 +322,6 @@ class TestSweepBySpec:
             name="filecule-lru",
         )
         assert via_spec == direct
-
-    @pytest.mark.skipif(
-        "spawn" not in multiprocessing.get_all_start_methods(),
-        reason="spawn start method unavailable",
-    )
-    def test_spawn_start_method_with_specs(
-        self, tiny_trace, tiny_partition, monkeypatch
-    ):
-        from repro.parallel import parallel_sweep
-
-        caps = [two_capacities(tiny_trace)[0]]
-        serial = sweep(
-            tiny_trace,
-            ("file-lru", "filecule-lru"),
-            caps,
-            partition=tiny_partition,
-        )
-        monkeypatch.setenv("REPRO_PARALLEL_FORCE", "1")
-        spawned = parallel_sweep(
-            tiny_trace,
-            ("file-lru", "filecule-lru"),
-            caps,
-            jobs=2,
-            partition=tiny_partition,
-            start_method="spawn",
-        )
-        assert spawned.metrics == serial.metrics
-
-    def test_factory_callables_require_fork(self, tiny_trace):
-        from repro.parallel import parallel_sweep
-
-        with pytest.raises(ValueError, match="spec strings"):
-            parallel_sweep(
-                tiny_trace,
-                {"file-lru": lambda c: FileLRU(c)},
-                [1000],
-                jobs=2,
-                start_method="spawn",
-            )
 
 
 class TestWorkerDispatchErrors:
