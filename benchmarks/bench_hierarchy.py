@@ -108,7 +108,6 @@ def _bench_tier(tier: str, lines: list[str]) -> dict:
 
     # --- flat collapse: single tier == simulate, and nearly free -----
     cap = max(total // 10, 1)
-    trace.replay_columns  # warm the shared list cache outside timing
     flat, flat_wall = _timed(
         lambda: simulate(trace, "filecule-lru", cap, partition=partition)
     )
@@ -195,7 +194,6 @@ def _bench_tier(tier: str, lines: list[str]) -> dict:
             f"{cells[-1]['filecule_origin_offload']:.3f} (filecule)"
         )
 
-    trace.release_replay_columns()
     n_replays = len(grid) * 2  # two caching tiers per cell
     return {
         "seed": EXPERIMENT_SEED,

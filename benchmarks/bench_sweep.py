@@ -308,9 +308,6 @@ def _bench_tier(tier: str, lines: list[str]) -> dict:
     serial_cells: dict[str, list] = {}
     batch_cells: dict[str, list] = {}
     serial_wall = batch_wall = 0.0
-    # Warm the per-access path's one-time list conversion outside the
-    # timed region so it isn't booked against the first cell.
-    trace.replay_columns
     gate_floor_cap = trace.total_bytes() // GATE_MIN_CAP_DIVISOR
     for name, factory in factories.items():
         s_wall = b_wall = 0.0
@@ -562,10 +559,6 @@ def _bench_tier(tier: str, lines: list[str]) -> dict:
                 f"{tier}: jobs=4 only {parallel['4']['vs_serial']}x vs "
                 f"serial on a {cpus}-cpu host (gate: >= 2x)"
             )
-
-    # Drop the tier's per-access list cache before the next (possibly
-    # larger) tier replays — at grown scale it holds ~10 GB.
-    trace.release_replay_columns()
 
     def stats(wall: float) -> dict:
         return {

@@ -30,9 +30,9 @@ import numpy as np
 HIT_CODE = -1
 BYPASS_CODE = -2
 
-#: Accesses per replay window: bounds the per-window run arrays and code
-#: lists of the Python loops, while the per-window calls stay a few ns
-#: per access.
+#: Accesses per replay window: bounds the per-window run arrays and the
+#: code, file-id and size lists of the Python loops, while the
+#: per-window calls stay a few ns per access.
 WINDOW = 16384
 
 

@@ -43,10 +43,9 @@ Without a compiler the kernel runs the same window in Python:
 Both loops check every group id in a window before replaying any of it,
 and refuse a bad one with the same error.  There is one path, with no
 switch on capacity or hit rate.  The kernel is bit-identical to
-per-access replay on both loops (the test suite gates all policies) and
-never materializes :attr:`Trace.replay_columns`, so a batch run keeps
-paper-scale memory at the numpy columns plus 17 bytes per catalog
-group: a resident flag and two recency-list links.
+per-access replay on both loops (the test suite gates all policies), and
+a batch run keeps paper-scale memory at the numpy columns plus 17 bytes
+per catalog group: a resident flag and two recency-list links.
 """
 
 from __future__ import annotations

@@ -17,9 +17,10 @@ hierarchy cuts the next tier's demand stream.  Only the loop differs:
 the policy's batch kernel whenever it offers one
 (:meth:`~repro.cache.base.ReplacementPolicy.batch_kernel`), else
 :meth:`~repro.cache.base.ReplacementPolicy.request` per access, every
-access its own run, reading the trace's columns as plain Python lists
-(:attr:`~repro.traces.trace.Trace.replay_columns`, converted once per
-trace, not per run) and folding its codes with
+access its own run, reading each window's file ids and sizes as plain
+Python lists converted when the loop reaches the window (so the route
+holds ``WINDOW``-sized lists whatever the trace length, and nothing
+outlives the replay) and folding its codes with
 :func:`~repro.cache.base.fold_runs`.  Instrumentation observes both
 routes at the same exact progress marks (see :mod:`repro.obs.instrument`)
 without changing either.
@@ -140,31 +141,35 @@ def simulate(
 def _per_access(policy: ReplacementPolicy, trace: Trace, hit_out):
     """The per-access route, callable like a batch kernel.
 
-    Its loop serves every access of a window with ``policy.request`` as
-    a run of its own, announcing each non-empty job's files with
+    Its loop reads a window's file ids, their sizes, and the bounds and
+    start times of the jobs it overlaps from the trace's columns when it
+    reaches the window.  It serves every access with ``policy.request``
+    as a run of its own, announcing each non-empty job's files with
     ``begin_job`` at the job's first access.
     """
     access_files = trace.access_files
-    ptr, files, sizes, starts = trace.replay_columns
+    file_sizes = trace.file_sizes
+    ptr = trace.job_access_ptr
+    starts = trace.job_starts
     request = policy.request
     begin_job = policy.begin_job
-    size_of = sizes.__getitem__
-    job = 0
 
     def loop(i: int, j: int):
-        nonlocal job
+        window = access_files[i:j]
+        files = window.tolist()
+        sizes = file_sizes[window].tolist()
+        # Jobs [first, last) hold the window: first holds access i,
+        # last - 1 holds access j - 1, and empty jobs may lie between.
+        first = ptr.searchsorted(i, "right") - 1
+        last = ptr.searchsorted(j)
+        bounds = ptr[first : last + 1].tolist()
+        nows = starts[first:last].tolist()
         codes: list[int] = []
-        k = i
-        while k < j:
-            while ptr[job + 1] <= k:
-                job += 1
-            lo, hi = ptr[job], ptr[job + 1]
-            now = starts[job]
-            if k == lo:
+        for lo, hi, now in zip(bounds, bounds[1:], nows):
+            if i <= lo < hi:
                 begin_job(access_files[lo:hi], now)
-            run = files[k : min(hi, j)]
-            codes += map(request, run, map(size_of, run), repeat(now))
-            k += len(run)
+            run = slice(max(lo, i) - i, min(hi, j) - i)
+            codes += map(request, files[run], sizes[run], repeat(now))
         totals = fold_runs(trace, i, j, np.arange(j - i), codes, hit_out)
         return (*totals, policy.used_bytes)
 

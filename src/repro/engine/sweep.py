@@ -4,8 +4,8 @@
 (Figure 10 is a two-policy, seven-capacity sweep) over the same trace
 and collects the per-cell :class:`~repro.cache.base.CacheMetrics` into a
 :class:`SweepResult`.  Policies are selected *declaratively*: the
-``policies`` argument accepts registry spec strings (the preferred,
-picklable form used by every experiment driver) as well as legacy
+``policies`` argument accepts registry spec strings (the preferred
+form, used by every experiment) as well as legacy
 ``name -> factory`` mappings, normalized by :func:`resolve_policies`
 into one table that every cell hands to :func:`simulate`.  With
 ``jobs=N`` the grid's cells fan out through
@@ -75,9 +75,8 @@ def resolve_policies(policies) -> dict[str, PolicyFactory | BoundSpec]:
 
     Each value is either the factory callable as given or the entry's
     canonical :class:`~repro.registry.BoundSpec`; :func:`simulate`
-    accepts both.  Spec entries are plain picklable data, so a parallel
-    sweep can ship them under any start method, while factories reach
-    workers only by ``fork`` inheritance.
+    accepts both.  A parallel sweep's workers fork and inherit the
+    table, so specs and factories reach them alike.
     """
     if isinstance(policies, str):
         raise TypeError(

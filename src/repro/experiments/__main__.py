@@ -14,6 +14,7 @@ import time
 
 from repro.experiments.base import (
     EXPERIMENT_SEED,
+    SCALES,
     all_experiment_ids,
     get_context,
     run_experiment,
@@ -61,7 +62,6 @@ def run_sweep_command(args: argparse.Namespace) -> int:
     grown-scale sweep can be sanity-checked in milliseconds before
     committing real hours to it.
     """
-    from repro.experiments.base import _SCALES
     from repro.experiments.fig10 import (
         CAPACITY_FRACTIONS,
         POLICIES,
@@ -71,7 +71,7 @@ def run_sweep_command(args: argparse.Namespace) -> int:
     from repro.util.units import format_bytes
 
     policies = tuple(args.policies.split(",")) if args.policies else POLICIES
-    config = _SCALES[args.scale]()
+    config = SCALES[args.scale]()
     n_cells = len(policies) * len(CAPACITY_FRACTIONS)
     est_accesses = config.estimated_accesses
     est_bytes = config.estimated_total_bytes
@@ -154,7 +154,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--scale",
         default="default",
-        choices=("default", "small", "tiny", "paper", "grown"),
+        choices=tuple(SCALES),
         help=(
             "workload scale preset (default: 'default', 5%% of paper "
             "scale); 'paper' and 'grown' (10x paper) go through the "

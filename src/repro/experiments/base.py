@@ -10,26 +10,16 @@ from repro.core.filecule import FileculePartition
 from repro.core.identify import find_filecules
 from repro.traces.trace import Trace
 from repro.util.tables import render_table
-from repro.workload.calibration import (
-    default_config,
-    grown_config,
-    paper_config,
-    small_config,
-    tiny_config,
-)
+from repro.workload import calibration
 from repro.workload.generator import generate_trace
 from repro.workload.store import cached_trace
 
 #: The fixed seed behind every number in EXPERIMENTS.md.
 EXPERIMENT_SEED: int = 7
 
-_SCALES = {
-    "default": default_config,
-    "small": small_config,
-    "tiny": tiny_config,
-    "paper": paper_config,
-    "grown": grown_config,
-}
+#: The ``--scale`` presets of the experiments: the workload's, and the
+#: paper workload grown 10x.
+SCALES = {**calibration.SCALES, "grown": calibration.grown_config}
 
 #: Scales expensive enough to generate that their traces go through the
 #: on-disk artifact store (:mod:`repro.workload.store`) instead of being
@@ -65,10 +55,10 @@ def get_context(
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     try:
-        config = _SCALES[scale]()
+        config = SCALES[scale]()
     except KeyError:
         raise ValueError(
-            f"unknown scale {scale!r}; choose from {sorted(_SCALES)}"
+            f"unknown scale {scale!r}; choose from {sorted(SCALES)}"
         ) from None
     if scale in _STORE_BACKED:
         trace = cached_trace(config, seed=seed)

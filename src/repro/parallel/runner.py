@@ -16,10 +16,10 @@ ones every shared-trace grid uses:
 * each cell observes its run with a private
   :class:`~repro.obs.instrument.SimStats`, which the parent merges into
   the caller's ``SimStats`` sinks;
-* a caller's :class:`~repro.obs.instrument.ProgressReporter` sees the
-  checkpoints of every cell: cells forward them over a queue, and the
-  parent replays each cell's stream into its own copy of the reporter,
-  so lines, logger and throttle match the serial path;
+* each of a caller's :class:`~repro.obs.instrument.ProgressReporter`
+  hooks sees the checkpoints of every cell: cells forward them over a
+  queue, and the parent replays each cell's stream into its own copy of
+  every reporter, so lines, logger and throttle match the serial path;
 * a failing cell raises :class:`SweepCellError` naming the (policy,
   capacity) cell.
 
@@ -34,6 +34,7 @@ import copy
 import multiprocessing
 import os
 import threading
+from concurrent.futures.process import BrokenProcessPool
 
 from repro.engine.replay import simulate
 from repro.engine.sweep import SweepResult, resolve_policies
@@ -110,18 +111,18 @@ def _sweep_cell(trace: Trace, resources, payload):
     return metrics, stats
 
 
-def _replay_progress(queue, reporter: ProgressReporter) -> None:
-    """Replay forwarded run events into a per-cell copy of ``reporter``.
+def _replay_progress(queue, reporters: list[ProgressReporter]) -> None:
+    """Replay forwarded run events into a per-cell copy of each reporter.
 
-    Reads until the ``None`` sentinel.  If the reporter raises, the rest
+    Reads until the ``None`` sentinel.  If a reporter raises, the rest
     of the stream is still drained so no cell blocks on a full pipe.
     """
-    runs: dict[int, ProgressReporter] = {}
+    runs: dict[int, MultiInstrumentation] = {}
     messages = iter(queue.get, None)
     try:
         for pid, hook, args in messages:
             if hook == "on_run_start":
-                runs[pid] = copy.copy(reporter)
+                runs[pid] = MultiInstrumentation(*map(copy.copy, reporters))
             getattr(runs[pid], hook)(*args)
     finally:
         for _ in messages:
@@ -148,8 +149,10 @@ def parallel_sweep(
 
     Custom hooks cannot cross process boundaries, so only the two
     shipped observation types (and combinations of them) are supported:
-    a :class:`~repro.obs.instrument.ProgressReporter` receives every
-    cell's checkpoints through a per-cell copy of itself, and a
+    each :class:`~repro.obs.instrument.ProgressReporter` receives every
+    cell's checkpoints, forwarded at the smallest ``progress_every``
+    among them (as :class:`~repro.obs.instrument.MultiInstrumentation`
+    does), through a per-cell copy of itself, and a
     :class:`~repro.obs.instrument.SimStats` receives the merged cell
     collectors after the run.  Anything else raises ``ValueError`` —
     run serially for custom instrumentation.
@@ -161,11 +164,11 @@ def parallel_sweep(
         hooks = instrumentation.children
     else:
         hooks = (instrumentation,)
-    reporter: ProgressReporter | None = None
+    reporters: list[ProgressReporter] = []
     sinks: list[SimStats] = []
     for hook in hooks:
         if isinstance(hook, ProgressReporter):
-            reporter = hook
+            reporters.append(hook)
         elif isinstance(hook, SimStats):
             sinks.append(hook)
         else:
@@ -179,19 +182,20 @@ def parallel_sweep(
         raise ValueError("need at least one capacity")
     table = resolve_policies(policies)
     progress = queue = drain = None
-    if reporter is not None:
+    if reporters:
         # Workers inherit the queue by fork.  Its puts are synchronous,
         # so a cell's checkpoints are in the pipe before the cell's
         # result is.
         queue = multiprocessing.SimpleQueue()
-        progress = (queue, reporter.progress_every)
+        progress = (queue, min(r.progress_every for r in reporters))
         drain = threading.Thread(
             target=_replay_progress,
-            args=(queue, reporter),
+            args=(queue, reporters),
             name="sweep-progress",
             daemon=True,
         )
         drain.start()
+    broken = False
     try:
         cells = map_trace_cells(
             trace,
@@ -201,15 +205,17 @@ def parallel_sweep(
             resources=(table, partition, batch, progress),
         )
     except CellError as err:
+        broken = isinstance(err.__cause__, BrokenProcessPool)
         name, capacity = err.payload
         raise SweepCellError(name, capacity, err.__cause__) from err.__cause__
-    # Success only: a worker killed by a signal, or terminated with its
-    # broken pool, may have held the queue's write lock, so on failure
-    # the drain is left to the process.
-    if queue is not None:
-        queue.put(None)
-        drain.join()
-        queue.close()
+    finally:
+        # A worker killed by a signal, or terminated with its broken
+        # pool, may have died holding the queue's write lock, so only
+        # then is the drain left to the process.
+        if queue is not None and not broken:
+            queue.put(None)
+            drain.join()
+            queue.close()
     for _, stats in cells:
         for sink in sinks:
             sink.merge(stats)

@@ -54,20 +54,8 @@ from repro.service.cluster import ClusterConfig, build_server, run_cluster
 from repro.service.loadgen import jobs_from_trace, run_load_procs, run_load_sync
 from repro.service.state import SnapshotError
 from repro.util.units import parse_size
-from repro.workload.calibration import (
-    default_config,
-    paper_config,
-    small_config,
-    tiny_config,
-)
+from repro.workload.calibration import SCALES
 from repro.workload.generator import generate_trace
-
-_SCALES = {
-    "tiny": tiny_config,
-    "small": small_config,
-    "default": default_config,
-    "paper": paper_config,
-}
 
 
 def _add_endpoint_args(parser: argparse.ArgumentParser) -> None:
@@ -124,7 +112,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_loadgen(args: argparse.Namespace) -> int:
-    trace = generate_trace(_SCALES[args.scale](), seed=args.seed)
+    trace = generate_trace(SCALES[args.scale](), seed=args.seed)
     if args.scenario:
         from repro.scenario import scenario_job_stream
 
@@ -351,7 +339,7 @@ def main(argv: list[str] | None = None) -> int:
         "loadgen", help="replay a synthetic workload against a daemon"
     )
     _add_endpoint_args(p_load)
-    p_load.add_argument("--scale", default="tiny", choices=sorted(_SCALES))
+    p_load.add_argument("--scale", default="tiny", choices=sorted(SCALES))
     p_load.add_argument("--seed", type=int, default=42)
     p_load.add_argument(
         "--scenario",

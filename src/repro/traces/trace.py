@@ -346,18 +346,12 @@ class Trace:
     def replay_columns(self) -> tuple[list, list, list, list]:
         """``(job_ptr, access_files, file_sizes, job_starts)`` as plain lists.
 
-        The cache simulator's inner loop reads one job id, one file id,
-        one size and one timestamp per access; indexing numpy arrays
-        there boxes a fresh numpy scalar each time (hundreds of ns per
-        access at ~13M accesses).  Converting the columns to Python
-        lists once per trace — they are immutable, so the conversion is
-        shared by every (policy, capacity) cell of a sweep — makes the
-        replay loop pure list indexing.  Costs roughly 40 bytes per
-        access while cached; at paper scale that rivals the numpy
-        columns themselves, so the copies are *evictable*: call
-        :meth:`release_replay_columns` when a replay consumer is done
-        (the batch kernels never materialize them at all).  Raises
-        ``IndexError`` on a file id outside the catalog.
+        Nothing in the package reads this: the per-access replay route
+        converts one window at a time.  It stays only because
+        ``perfbench/offline.py`` wraps it by name (through
+        ``Trace.__dict__``) for its ``traces.replay_columns_s`` span;
+        delete it together with that wrap.  Raises ``IndexError`` on a
+        file id outside the catalog.
         """
         check_ids(self.access_files, self.n_files)
         return (
@@ -366,15 +360,6 @@ class Trace:
             self.file_sizes.tolist(),
             self.job_starts.tolist(),
         )
-
-    def release_replay_columns(self) -> None:
-        """Drop the cached list copies built by :attr:`replay_columns`.
-
-        The numpy columns are untouched; a later :attr:`replay_columns`
-        access simply rebuilds the lists.  Frees ~40 bytes/access —
-        roughly half the resident footprint of a paper-scale trace.
-        """
-        self.__dict__.pop("replay_columns", None)
 
     @cached_property
     def access_size_cumsum(self) -> np.ndarray:

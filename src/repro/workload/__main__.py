@@ -28,20 +28,8 @@ EXIT_CALIBRATION_FAILED = 3
 
 from repro.traces.io import write_trace_csv, write_trace_jsonl
 from repro.traces.stats import summarize
-from repro.workload.calibration import (
-    default_config,
-    paper_config,
-    small_config,
-    tiny_config,
-)
+from repro.workload.calibration import SCALES
 from repro.workload.generator import generate_trace
-
-_SCALES = {
-    "tiny": tiny_config,
-    "small": small_config,
-    "default": default_config,
-    "paper": paper_config,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -52,7 +40,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--scale",
         default="small",
-        choices=sorted(_SCALES),
+        choices=sorted(SCALES),
         help="population preset (paper = full DZero scale; default: small)",
     )
     parser.add_argument("--seed", type=int, default=42)
@@ -77,7 +65,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    config = _SCALES[args.scale]()
+    config = SCALES[args.scale]()
     t0 = time.perf_counter()
     trace = generate_trace(config, seed=args.seed)
     generated = time.perf_counter() - t0

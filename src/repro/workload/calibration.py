@@ -159,3 +159,13 @@ def small_config() -> WorkloadConfig:
 def tiny_config() -> WorkloadConfig:
     """Unit-test preset: ≈ 120 traced jobs, ≈ 1k files; runs in ~0.1 s."""
     return paper_config().scaled(0.001, name="tiny")
+
+
+#: The ``--scale`` presets every CLI offers, by name.  The experiments
+#: add ``grown`` (:mod:`repro.experiments.base`).
+SCALES = {
+    "default": default_config,
+    "small": small_config,
+    "tiny": tiny_config,
+    "paper": paper_config,
+}

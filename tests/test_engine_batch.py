@@ -258,7 +258,6 @@ def test_batch_true_with_instrumentation_runs_the_kernel(tiny_trace):
     observed totals equal per-access replay's, and a policy without a
     kernel still refuses batch=True loudly."""
     cap = max(1, tiny_trace.total_bytes() // 20)
-    tiny_trace.release_replay_columns()
     stats = SimStats()
     batched = simulate(
         tiny_trace, "file-lru", cap, instrumentation=stats, batch=True
@@ -311,7 +310,6 @@ def test_instrumented_replay_uses_kernel_and_matches(
             policy.batch_kernel = batch_kernel
             return policy
 
-        tiny_trace.release_replay_columns()
         stats = SimStats()
         instrumented = simulate(
             tiny_trace, factory, cap, name=spec, instrumentation=stats
@@ -368,9 +366,9 @@ def test_partition_mismatch_keyerror_parity(tiny_trace, small_trace):
 def test_batch_path_does_not_materialize_replay_columns(
     tiny_trace, tiny_partition
 ):
-    """The memory satellite: batch replay must not build the ~40 B/access
-    list cache, and releasing it is safe and reversible."""
-    tiny_trace.release_replay_columns()
+    """Neither route builds the ~40 B/access whole-trace list columns:
+    the kernel reads numpy windows, the per-access loop converts one
+    window at a time."""
     assert "replay_columns" not in tiny_trace.__dict__
     simulate(tiny_trace, "file-lru", 10**9, batch=True)
     simulate(
@@ -382,10 +380,8 @@ def test_batch_path_does_not_materialize_replay_columns(
     )
     assert "replay_columns" not in tiny_trace.__dict__
 
-    # The per-access path builds it, release drops it, replay recovers.
+    # The per-access route leaves them unbuilt too.
     before = simulate(tiny_trace, "file-lru", 10**9, batch=False)
-    assert "replay_columns" in tiny_trace.__dict__
-    tiny_trace.release_replay_columns()
     assert "replay_columns" not in tiny_trace.__dict__
     after = simulate(tiny_trace, "file-lru", 10**9, batch=False)
     assert before == after

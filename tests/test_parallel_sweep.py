@@ -15,6 +15,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 from pathlib import Path
 
 import pytest
@@ -34,7 +35,12 @@ from repro.cache.simulator import sweep
 from repro.cache.size import LargestFirst
 from repro.cache.working_set import WorkingSetPrefetchLRU
 from repro.experiments.fig10 import capacities_for
-from repro.obs.instrument import Instrumentation, ProgressReporter, SimStats
+from repro.obs.instrument import (
+    Instrumentation,
+    MultiInstrumentation,
+    ProgressReporter,
+    SimStats,
+)
 from repro.parallel import SweepCellError
 
 
@@ -201,6 +207,41 @@ class TestFailureAndLeaks:
                 jobs=2,
             )
 
+    @pytest.mark.parametrize("force", ["1", "0"], ids=["pool", "serial"])
+    def test_failed_sweep_leaves_no_progress_thread(
+        self, tiny_trace, monkeypatch, force
+    ):
+        """A failed sweep stops its progress drain as a finished one
+        does: no ``sweep-progress`` thread outlives it, whether the
+        cells ran in a pool or on the auto-serial loop."""
+        monkeypatch.setenv("REPRO_PARALLEL_FORCE", force)
+
+        def exploding(capacity):
+            raise RuntimeError("boom")
+
+        def drains() -> set:
+            return {
+                thread
+                for thread in threading.enumerate()
+                if thread.name == "sweep-progress"
+            }
+
+        before = drains()
+        stream = io.StringIO()
+        for _ in range(3):
+            reporter = ProgressReporter(
+                "ptest", progress_every=64, min_interval_s=0, stream=stream
+            )
+            with pytest.raises(SweepCellError, match="policy 'boom'"):
+                sweep(
+                    tiny_trace,
+                    {"file-lru": lambda c: FileLRU(c), "boom": exploding},
+                    [tiny_trace.total_bytes() // 100],
+                    instrumentation=reporter,
+                    jobs=2,
+                )
+        assert drains() - before == set()
+
     def test_worker_killed_by_a_signal_fails_the_sweep(self):
         """A worker killed outright (as the OOM killer does) fails the
         map with the dead chunk's first cell instead of hanging it."""
@@ -308,6 +349,38 @@ class TestObservability:
         )
         assert log_records(1) == expected
         assert log_records(2) == expected
+
+    def test_every_reporter_matches_serial(self, tiny_trace):
+        """Each of two reporters writes the serial path's lines from a
+        pool: checkpoints are forwarded at the smaller interval, as
+        ``MultiInstrumentation`` does serially, into a per-cell copy of
+        every reporter."""
+        factories = {
+            "file-lru": lambda c: FileLRU(c),
+            "greedy-dual-size": lambda c: GreedyDualSize(c),
+        }
+        caps = [tiny_trace.total_bytes() // 50]
+
+        def per_reporter_lines(jobs):
+            streams = [io.StringIO(), io.StringIO()]
+            reporters = [
+                ProgressReporter(
+                    label, progress_every=every, min_interval_s=0, stream=out
+                )
+                for label, every, out in zip("ab", (1000, 64), streams)
+            ]
+            sweep(
+                tiny_trace,
+                factories,
+                caps,
+                instrumentation=MultiInstrumentation(*reporters),
+                jobs=jobs,
+            )
+            return [progress_by_cell(stream) for stream in streams]
+
+        serial = per_reporter_lines(1)
+        assert all(len(cells) == len(factories) for cells in serial)
+        assert per_reporter_lines(2) == serial
 
     def test_simstats_merged_across_workers(self, tiny_trace):
         caps = [tiny_trace.total_bytes() // 100, tiny_trace.total_bytes() // 10]

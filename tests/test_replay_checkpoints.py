@@ -14,9 +14,11 @@ with its jobs split and counters reset at the same marks.  Both kernel
 tests draw the kernel's residency loop, the compiled one or the Python
 fallback, and a replay window of 1–5 accesses, so that windows cut runs
 and the loop carries its state across calls.  For the policies no
-kernel serves, the evicted volume each checkpoint reports, derived as
-admitted minus resident bytes, must equal the bytes the policy actually
-released.
+kernel serves, the per-access loop must honour the same marks under
+windows of 1–5 accesses, which cut jobs, and record one uncut replay's
+metrics and hit mask; and the evicted volume each checkpoint reports,
+derived as admitted minus resident bytes, must equal the bytes the
+policy actually released.
 """
 
 from __future__ import annotations
@@ -178,26 +180,54 @@ def test_kernel_hit_mask_matches_per_access(
     assert kernel_metrics == serial_metrics
 
 
-@given(jobs=job_lists, sizes=file_sizes, capacity=capacities, data=st.data())
-@settings(max_examples=100, deadline=None)
-def test_per_access_only_policy_checkpoints(jobs, sizes, capacity, data):
-    """``gds`` has no kernel: both routes are the per-access loop, and it
-    alone must honour the exact marks."""
-    trace = make_trace(jobs, n_files=N_FILES, file_sizes=sizes)
-    n = trace.n_accesses
-    every = data.draw(st.integers(min_value=1, max_value=n + 1), label="every")
-    metrics, calls = _replay(trace, "gds", capacity, every, None)
-    assert [call[0] for call in calls] == expected_marks(n, every)
-    assert all(call[0] == call[1] for call in calls)
-    assert metrics == simulate(trace, "gds", capacity)
-
-
 #: Every registry spec without a kernel, plus filecule-LRU's in-flight
 #: accounting, which declines the kernel.
 PER_ACCESS_SPECS = [
     *(spec.name for spec in registry.list_specs() if not spec.supports_batch),
     "filecule-lru?intra_job_hits=false",
 ]
+
+
+@given(
+    jobs=job_lists,
+    sizes=file_sizes,
+    capacity=capacities,
+    spec=st.sampled_from(PER_ACCESS_SPECS),
+    window=windows,
+    data=st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_per_access_only_policy_checkpoints(
+    jobs, sizes, capacity, spec, window, data
+):
+    """A policy without a kernel runs the per-access loop on both routes:
+    with windows of 1–5 accesses cutting jobs (``begin_job`` must still
+    see each job's full file list once) and marks cutting windows, it
+    alone must honour the exact marks and record the metrics and hit
+    mask of one uncut replay."""
+    trace = make_trace(jobs, n_files=N_FILES, file_sizes=sizes)
+    n = trace.n_accesses
+    every = data.draw(st.integers(min_value=1, max_value=n + 1), label="every")
+    partition = find_filecules(trace)
+    recorder = Recorder(every)
+    cut_mask = np.zeros(n, dtype=bool)
+    with window_of(window):
+        metrics = simulate(
+            trace,
+            spec,
+            capacity,
+            partition=partition,
+            instrumentation=recorder,
+            hit_out=cut_mask,
+        )
+    assert [call[0] for call in recorder.calls] == expected_marks(n, every)
+    assert all(call[0] == call[1] for call in recorder.calls)
+    uncut_mask = np.zeros(n, dtype=bool)
+    uncut = simulate(
+        trace, spec, capacity, partition=partition, hit_out=uncut_mask
+    )
+    assert metrics == uncut
+    assert cut_mask.tolist() == uncut_mask.tolist()
 
 
 class ReleaseRecorder(Instrumentation):
