@@ -29,6 +29,12 @@ grid four ways, and the three batch-capable policies a fifth:
   and the median ratio is reported against the 3% observability
   target (no gate).
 
+Each tier also gets a ``generate`` block: the seconds
+``generate_trace`` takes for the tier's trace, and the peak RSS
+(``VmHWM``) of a fresh interpreter that only imports the generator and
+generates it (reported, no gate; the child's trace must have the
+benchmarked trace's access count).
+
 Every variant must produce bit-identical :class:`CacheMetrics` — the
 benchmark *fails* on any divergence; so do the paper-tier performance
 gates (batch >= 2x the per-access path per policy on the gated
@@ -62,6 +68,8 @@ from __future__ import annotations
 import json
 import os
 import statistics
+import subprocess
+import sys
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -132,6 +140,49 @@ INSTRUMENTED_TARGET = 1.03
 #: total/10 cell compares equal rather than a float-rounding hair
 #: below the threshold.
 GATE_MIN_CAP_DIVISOR = 10
+
+
+#: Run by a fresh interpreter: generate one tier's trace (argv: tier,
+#: seed) and print its seconds, the process's RSS before and its peak
+#: RSS after, and the trace's access count, as one JSON line.
+GENERATE_CHILD = """
+import json, resource, sys, time
+from repro.workload.calibration import SCALES, grown_config
+from repro.workload.generator import generate_trace
+
+def rss_mb(field):
+    with open("/proc/self/status") as fh:
+        for line in fh:
+            if line.startswith(field + ":"):
+                return int(line.split()[1]) / 1024
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+config = {**SCALES, "grown": grown_config}[sys.argv[1]]()
+before = rss_mb("VmRSS")
+t0 = time.perf_counter()
+trace = generate_trace(config, seed=int(sys.argv[2]))
+seconds = time.perf_counter() - t0
+print(json.dumps({
+    "seconds": round(seconds, 4),
+    "rss_before_mb": round(before, 1),
+    "vmhwm_mb": round(rss_mb("VmHWM"), 1),
+    "accesses": trace.n_accesses,
+}))
+"""
+
+
+def generate_in_child(tier: str, seed: int) -> dict:
+    """Seconds and peak RSS of generating ``tier``'s trace in a fresh
+    process (the store is not involved)."""
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", GENERATE_CHILD, tier, str(seed)],
+        env=env,
+        check=True,
+        capture_output=True,
+        text=True,
+    ).stdout
+    return json.loads(out.strip().splitlines()[-1])
 
 
 def bench_tiers() -> tuple[str, ...]:
@@ -567,8 +618,20 @@ def _bench_tier(tier: str, lines: list[str]) -> dict:
             "ns_per_access": round(wall / total_accesses * 1e9, 1),
         }
 
+    generate = generate_in_child(tier, EXPERIMENT_SEED)
+    assert generate["accesses"] == trace.n_accesses, (
+        f"{tier}: the generator child made {generate['accesses']:,} "
+        f"accesses, the benchmarked trace has {trace.n_accesses:,}"
+    )
+    lines.append(
+        f"[{tier}] generate: {generate['seconds']:.3f}s, peak RSS "
+        f"{generate['vmhwm_mb']:.0f} MB (fresh process, "
+        f"{generate['rss_before_mb']:.0f} MB before)"
+    )
+
     payload = {
         "seed": EXPERIMENT_SEED,
+        "generate": generate,
         "grid": {
             "policies": sorted(factories),
             "capacities": list(caps),

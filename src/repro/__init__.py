@@ -44,7 +44,7 @@ from repro.core import (
     find_filecules,
 )
 
-__version__ = "1.26.0"
+__version__ = "1.27.0"
 
 __all__ = [
     "Trace",

@@ -64,20 +64,16 @@ def jobs_from_trace(trace: Trace) -> list[dict]:
 
     Each event carries the job's input file ids, their byte sizes (so
     the service's size catalog matches the trace), and the submitting
-    site (so per-site advisors see the trace's geography).
+    site (so per-site advisors see the trace's geography).  Each column
+    is converted to Python ints once and sliced per job.
     """
-    sites = trace.job_sites
-    events = []
-    for job_id, files in trace.iter_jobs():
-        file_list = files.tolist()
-        events.append(
-            {
-                "files": file_list,
-                "sizes": [int(trace.file_sizes[f]) for f in file_list],
-                "site": int(sites[job_id]),
-            }
-        )
-    return events
+    ptr = trace.job_access_ptr.tolist()
+    files = trace.access_files.tolist()
+    sizes = trace.file_sizes[trace.access_files].tolist()
+    return [
+        {"files": files[a:b], "sizes": sizes[a:b], "site": site}
+        for a, b, site in zip(ptr[:-1], ptr[1:], trace.job_sites.tolist())
+    ]
 
 
 @dataclass

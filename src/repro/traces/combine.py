@@ -63,6 +63,7 @@ def shift_time(trace: Trace, offset_seconds: float) -> Trace:
         domain_names=trace.domain_names,
         job_labels=trace.job_labels,
         validate=False,
+        canonical=True,
     )
 
 
@@ -87,7 +88,10 @@ def concat_traces(traces: list[Trace]) -> Trace:
     Jobs are renumbered in concatenation order and re-sorted by start
     time by the caller if needed (job ids follow input order here, so
     chronological inputs stay chronological).  ``job_labels`` are kept,
-    so provenance back to the source traces survives.
+    so provenance back to the source traces survives.  Each input's
+    accesses are canonical and its job ids are shifted past the
+    previous inputs', so the concatenated accesses are adopted without
+    sorting.
     """
     if not traces:
         raise ValueError("need at least one trace")
@@ -117,6 +121,7 @@ def concat_traces(traces: list[Trace]) -> Trace:
         site_names=first.site_names,
         domain_names=first.domain_names,
         job_labels=np.concatenate([t.job_labels for t in traces]),
+        canonical=True,
     )
 
 

@@ -34,6 +34,10 @@ class TraceValidationError(ValueError):
     """Raised when trace columns are mutually inconsistent."""
 
 
+#: Accesses compared per step when validating a canonical promise.
+CANONICAL_CHECK_CHUNK = 1 << 20
+
+
 def _as_array(values, dtype) -> np.ndarray:
     arr = np.asarray(values, dtype=dtype)
     if arr.ndim != 1:
@@ -89,8 +93,12 @@ class Trace:
         Promise that ``access_jobs``/``access_files`` are already sorted
         by (job, file) and de-duplicated, skipping canonicalization so
         the columns are adopted as zero-copy views.  Internal fast path
-        for rebuilding a trace from another trace's columns (the trace
-        store's :func:`~repro.workload.store.load_trace`, subsets).
+        for columns that are canonical by construction: the generator's,
+        the trace store's :func:`~repro.workload.store.load_trace`, and
+        a trace rebuilt from another trace's columns (subsets, time
+        shifts, concatenation).  With ``validate`` the promise is
+        checked, and the first access out of order raises
+        :class:`TraceValidationError`.
     """
 
     __slots__ = (
@@ -192,6 +200,8 @@ class Trace:
 
         if validate:
             self._validate()
+            if canonical:
+                self._check_canonical()
 
     # ------------------------------------------------------------------
     # basic shape
@@ -264,6 +274,27 @@ class Trace:
             if self.access_files.min() < 0 or self.access_files.max() >= nf:
                 raise TraceValidationError("access file id out of range")
 
+    def _check_canonical(self) -> None:
+        """Raise unless job ids never decrease and file ids strictly
+        increase within a job, naming the first access that breaks it.
+
+        Compares in chunks of ``CANONICAL_CHECK_CHUNK`` accesses, so no
+        temporary grows with the trace.
+        """
+        aj, af = self.access_jobs, self.access_files
+        for a in range(0, self.n_accesses - 1, CANONICAL_CHECK_CHUNK):
+            b = min(a + CANONICAL_CHECK_CHUNK, self.n_accesses - 1)
+            dj = np.diff(aj[a : b + 1])
+            bad = (dj < 0) | ((dj == 0) & (np.diff(af[a : b + 1]) <= 0))
+            if bad.any():
+                k = a + 1 + int(np.argmax(bad))
+                raise TraceValidationError(
+                    f"access {k} (job {int(aj[k])}, file {int(af[k])}) "
+                    f"follows (job {int(aj[k - 1])}, file {int(af[k - 1])}): "
+                    f"accesses promised canonical are not sorted by "
+                    f"(job, file) without duplicates"
+                )
+
     # ------------------------------------------------------------------
     # derived structure (lazy, cached, all read-only views)
     # ------------------------------------------------------------------
@@ -271,12 +302,14 @@ class Trace:
     def job_access_ptr(self) -> np.ndarray:
         """CSR pointer: accesses of job ``j`` live at ``[ptr[j], ptr[j+1])``.
 
-        Raises ``IndexError`` on a job id outside ``[0, n_jobs)``.
+        Raises ``IndexError`` on a job id outside ``[0, n_jobs)``.  The
+        job column is sorted, so the bounds are binary searches (a
+        ``bincount`` would first copy the read-only column whole).
         """
         check_ids(self.access_jobs, self.n_jobs, kind="job")
-        counts = np.bincount(self.access_jobs, minlength=self.n_jobs)
-        ptr = np.zeros(self.n_jobs + 1, dtype=np.int64)
-        np.cumsum(counts, out=ptr[1:])
+        ptr = np.searchsorted(
+            self.access_jobs, np.arange(self.n_jobs + 1, dtype=np.int64)
+        ).astype(np.int64, copy=False)
         ptr.setflags(write=False)
         return ptr
 
@@ -456,7 +489,9 @@ class Trace:
         The file/user/node catalogs are preserved unchanged (global file
         ids stay comparable across sub-traces — required by the §6
         partial-knowledge experiments); job rows are renumbered densely
-        and their original ids retained in ``job_labels``.
+        and their original ids retained in ``job_labels``.  The dense
+        renumbering keeps the kept accesses in canonical order, so the
+        result adopts them without sorting.
         """
         mask = np.asarray(mask, dtype=bool)
         if len(mask) != self.n_jobs:
@@ -485,6 +520,7 @@ class Trace:
             domain_names=self.domain_names,
             job_labels=self.job_labels[kept],
             validate=False,
+            canonical=True,
         )
 
     def subset_accesses(self, mask: np.ndarray) -> "Trace":

@@ -13,9 +13,12 @@ from Table 1 as (input per job) / (files per job per tier), with the
 files-per-job split chosen so the overall mean lands near the reported
 108.  These derived constants are documented inline.
 
-Running paper scale end-to-end (≈ 114k traced jobs, ≈ 1M files, ≈ 13M
-accesses) takes minutes and a few GB of RAM; the scaled presets below are
-what the tests and benchmarks use by default.
+At seed 7 the paper tier has ≈ 114k traced jobs, ≈ 1M files and 11.3M
+accesses.  On one vCPU of a 2-vCPU Xeon host it generates in 0.45–0.52 s
+at a 289 MB peak RSS, and a Figure-10 run on it
+(``repro-experiments fig10 --scale paper``, trace from the store) takes
+5.9 s at a 671 MB peak; the scaled presets below are what the tests and
+benchmarks use by default.
 """
 
 from __future__ import annotations
@@ -128,12 +131,13 @@ def paper_config() -> WorkloadConfig:
 def grown_config() -> WorkloadConfig:
     """Stress preset: the paper workload grown 10x.
 
-    ≈ 1.1M traced jobs over ≈ 10M files, ≈ 130M accesses — the
-    forward-looking tier for scheduler-scale stress runs (the paper's
-    DZero numbers kept growing after the trace window closed).  Only the
-    benchmark harness and the trace store touch this; always go through
-    :func:`repro.workload.store.cached_trace` so the generation cost is
-    paid once per machine.
+    ≈ 1.1M traced jobs over ≈ 10M files, 119.7M accesses at seed 7 —
+    the forward-looking tier for scheduler-scale stress runs (the
+    paper's DZero numbers kept growing after the trace window closed).
+    Only the benchmark harness and the trace store touch this; go
+    through :func:`repro.workload.store.cached_trace` so the generation
+    cost (8.0 s at a 2.65 GB peak RSS on one vCPU) is paid once per
+    machine.
     """
     return paper_config().scaled(10, name="grown")
 

@@ -83,27 +83,44 @@ def flattened_zipf_weights(
     return w / w.sum()
 
 
-def sample_categorical(
-    rng: np.random.Generator | int | None,
-    weights: np.ndarray,
-    size: int,
-) -> np.ndarray:
-    """Draw ``size`` indices with the given (unnormalized) weights.
+def categorical_cdf(weights: np.ndarray) -> np.ndarray:
+    """Normalized cumulative weights, the table :func:`draw_categorical`
+    inverts.
 
-    Implemented by inverse-CDF over the cumulative weights — one
-    ``searchsorted`` per call rather than ``rng.choice``'s per-draw setup,
-    which matters when the generator draws millions of dataset picks.
+    Build it once per weight vector and draw from it as often as needed:
+    the generator draws many groups of jobs against the same dataset
+    weights.
     """
     weights = np.asarray(weights, dtype=np.float64)
     if weights.ndim != 1 or len(weights) == 0:
         raise ValueError("weights must be a non-empty 1-D array")
     if np.any(weights < 0) or weights.sum() <= 0:
         raise ValueError("weights must be non-negative and not all zero")
-    rng = as_generator(rng)
     cdf = np.cumsum(weights)
     cdf /= cdf[-1]
-    u = rng.random(size)
+    return cdf
+
+
+def draw_categorical(
+    rng: np.random.Generator | int | None, cdf: np.ndarray, size: int
+) -> np.ndarray:
+    """Draw ``size`` indices by inverse CDF from a :func:`categorical_cdf`.
+
+    One ``searchsorted`` per call rather than ``rng.choice``'s per-draw
+    setup, which matters when the generator draws millions of dataset
+    picks.
+    """
+    u = as_generator(rng).random(size)
     return np.searchsorted(cdf, u, side="right").astype(np.int64)
+
+
+def sample_categorical(
+    rng: np.random.Generator | int | None,
+    weights: np.ndarray,
+    size: int,
+) -> np.ndarray:
+    """Draw ``size`` indices with the given (unnormalized) weights."""
+    return draw_categorical(rng, categorical_cdf(weights), size)
 
 
 def daily_rate_profile(

@@ -16,11 +16,14 @@ plus a seed into a complete :class:`~repro.traces.Trace`:
 4. place jobs in time (ramped/bursty daily profile × uniform within day)
    and at submission nodes (home-domain nodes with probability
    ``home_bias``, else hub nodes);
-5. expand dataset intervals into (job, file) access pairs with one
-   vectorized arange-concatenation.
+5. expand each job's dataset intervals, merged where they overlap, into
+   (job, file) access pairs already in the trace's canonical (job, file)
+   order, so :class:`~repro.traces.Trace` adopts them without sorting.
 
 Jobs are sorted by start time before trace construction, so job ids are
-chronological — the replay order the cache simulator uses.
+chronological — the replay order the cache simulator uses.  Draws are
+made per group (per user, per (user, tier)), with the groups cut from
+one stable sort and visited in ascending key order.
 """
 
 from __future__ import annotations
@@ -32,11 +35,13 @@ from repro.traces.trace import Trace
 from repro.util.rng import SeedLike, as_generator, spawn_children
 from repro.util.timeutil import SECONDS_PER_DAY, SECONDS_PER_HOUR
 from repro.workload.config import WorkloadConfig
-from repro.workload.datasets import DatasetCatalog, build_population
+from repro.workload.datasets import build_population
 from repro.workload.distributions import (
     bounded_lognormal,
     bounded_pareto,
+    categorical_cdf,
     daily_rate_profile,
+    draw_categorical,
     sample_categorical,
 )
 
@@ -108,25 +113,63 @@ def _build_nodes(
     )
 
 
-def _expand_accesses(
-    job_ids: np.ndarray, dataset_ids: np.ndarray, catalog: DatasetCatalog
-) -> tuple[np.ndarray, np.ndarray]:
-    """Expand (job, dataset) request pairs into (job, file) access pairs.
+def _groups(keys: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """``(key, indices)`` of each distinct key, keys ascending.
 
-    Fully vectorized: each dataset is a contiguous file interval, so the
-    expansion is a repeat of interval starts plus a global ramp with
-    per-pair resets.
+    Cut from one stable sort, so each group's indices ascend: the same
+    groups, in the same order, as one ``flatnonzero(keys == k)`` per
+    key of ``np.unique(keys)``.
     """
-    if len(job_ids) == 0:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty
-    lens = catalog.lengths[dataset_ids]
-    total = int(lens.sum())
-    access_jobs = np.repeat(job_ids, lens)
-    reset = np.repeat(np.cumsum(lens) - lens, lens)
-    within = np.arange(total, dtype=np.int64) - reset
-    access_files = np.repeat(catalog.starts[dataset_ids], lens) + within
-    return access_jobs, access_files
+    if len(keys) == 0:
+        return []
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    cuts = [0, *(np.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist(), len(keys)]
+    return [(int(ordered[a]), order[a:b]) for a, b in zip(cuts[:-1], cuts[1:])]
+
+
+def _expand_intervals(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Expand each job's file intervals into canonical (job, file) pairs.
+
+    ``starts`` and ``lengths`` are ``(n_jobs, 2)``: row ``j`` holds job
+    ``j``'s two intervals ``[start, start + length)``, a zero length
+    marking an absent one.  Returns one ``(2, N)`` int64 block, job ids
+    in row 0 and file ids in row 1, sorted by (job, file) with no
+    duplicates: each job's files are the union of its intervals.
+    Datasets overlap by design, so two intervals of a job that overlap
+    or touch are merged into one first.
+
+    Both rows are filled in place, as running sums of their steps, so no
+    other array as long as the output is allocated.
+    """
+    s = np.array(starts, dtype=np.int64)
+    n = np.array(lengths, dtype=np.int64)
+    # the earlier non-empty interval first
+    swap = (n[:, 1] > 0) & ((n[:, 0] == 0) | (s[:, 1] < s[:, 0]))
+    s[swap] = s[swap, ::-1]
+    n[swap] = n[swap, ::-1]
+    end = s[:, 0] + n[:, 0]
+    merge = (n[:, 1] > 0) & (s[:, 1] <= end)
+    n[merge, 0] = np.maximum(end[merge], s[merge, 1] + n[merge, 1]) - s[merge, 0]
+    n[merge, 1] = 0
+
+    pieces = np.flatnonzero(n.ravel())  # (job, interval) order
+    piece_jobs = pieces // 2
+    piece_starts = s.ravel()[pieces]
+    piece_lens = n.ravel()[pieces]
+    firsts = np.cumsum(piece_lens) - piece_lens
+    block = np.empty((2, int(piece_lens.sum())), dtype=np.int64)
+    if block.shape[1] == 0:
+        return block
+    jobs, files = block
+    jobs.fill(0)
+    jobs[firsts] = np.diff(piece_jobs, prepend=0)
+    np.cumsum(jobs, out=jobs)
+    files.fill(1)
+    last = piece_starts + piece_lens - 1
+    files[firsts] = piece_starts - np.concatenate(([0], last[:-1]))
+    np.cumsum(files, out=files)
+    return block
 
 
 def generate_trace(config: WorkloadConfig, seed: SeedLike = 0) -> Trace:
@@ -180,8 +223,7 @@ def generate_trace(config: WorkloadConfig, seed: SeedLike = 0) -> Trace:
     n_traced = config.n_traced_jobs
     job_users = sample_categorical(rng_jobs, activity, n_traced).astype(np.int32)
     job_tier_idx = np.zeros(n_traced, dtype=np.int64)
-    for u in np.unique(job_users):
-        idx = np.flatnonzero(job_users == u)
+    for u, idx in _groups(job_users):
         job_tier_idx[idx] = sample_categorical(
             rng_jobs, user_tier_pref[u], len(idx)
         )
@@ -189,43 +231,34 @@ def generate_trace(config: WorkloadConfig, seed: SeedLike = 0) -> Trace:
     tier_codes = np.array([t.code for t in config.tiers], dtype=np.int16)
     job_tiers = tier_codes[job_tier_idx]
 
-    # dataset choice per (user, tier) group with geographic locality boost
-    job_dataset = np.full(n_traced, -1, dtype=np.int64)
-    per_tier_ds: dict[int, np.ndarray] = {
-        int(t.code): catalog.datasets_of_tier(t.code) for t in config.tiers
-    }
-    for u in np.unique(job_users):
-        u_mask = job_users == u
-        u_dom = int(user_domains[u])
-        for t_idx, tier_cfg in enumerate(config.tiers):
-            idx = np.flatnonzero(u_mask & (job_tier_idx == t_idx))
-            if len(idx) == 0:
-                continue
-            ds_ids = per_tier_ds[int(tier_cfg.code)]
-            if len(ds_ids) == 0:
-                continue
-            w = catalog.base_weights[ds_ids].copy()
-            w[catalog.home_domains[ds_ids] == u_dom] *= config.locality_boost
-            picks = sample_categorical(rng_datasets, w, len(idx))
-            job_dataset[idx] = ds_ids[picks]
+    # Dataset choice per (user, tier) group with a geographic locality
+    # boost.  The weights depend only on the tier and the user's home
+    # domain, so each (domain, tier) CDF is built once.
+    n_tiers = len(config.tiers)
+    tier_ds = [catalog.datasets_of_tier(t.code) for t in config.tiers]
+    cdfs: dict[tuple[int, int], np.ndarray] = {}
 
+    def pick_datasets(groups, out: np.ndarray) -> None:
+        for key, idx in groups:
+            u, t_idx = divmod(key, n_tiers)
+            ds_ids = tier_ds[t_idx]
+            if len(idx) == 0 or len(ds_ids) == 0:
+                continue
+            dom = int(user_domains[u])
+            cdf = cdfs.get((dom, t_idx))
+            if cdf is None:
+                w = catalog.base_weights[ds_ids].copy()
+                w[catalog.home_domains[ds_ids] == dom] *= config.locality_boost
+                cdf = cdfs[dom, t_idx] = categorical_cdf(w)
+            out[idx] = ds_ids[draw_categorical(rng_datasets, cdf, len(idx))]
+
+    groups = _groups(job_users.astype(np.int64) * n_tiers + job_tier_idx)
+    job_dataset = np.full(n_traced, -1, dtype=np.int64)
+    pick_datasets(groups, job_dataset)
     # optional second dataset (same user, same tier)
     multi = rng_datasets.random(n_traced) < config.multi_dataset_prob
     job_dataset2 = np.full(n_traced, -1, dtype=np.int64)
-    for u in np.unique(job_users[multi]):
-        u_mask = multi & (job_users == u)
-        u_dom = int(user_domains[u])
-        for t_idx, tier_cfg in enumerate(config.tiers):
-            idx = np.flatnonzero(u_mask & (job_tier_idx == t_idx))
-            if len(idx) == 0:
-                continue
-            ds_ids = per_tier_ds[int(tier_cfg.code)]
-            if len(ds_ids) == 0:
-                continue
-            w = catalog.base_weights[ds_ids].copy()
-            w[catalog.home_domains[ds_ids] == u_dom] *= config.locality_boost
-            picks = sample_categorical(rng_datasets, w, len(idx))
-            job_dataset2[idx] = ds_ids[picks]
+    pick_datasets(((key, idx[multi[idx]]) for key, idx in groups), job_dataset2)
 
     # ------------------------------------------------------------------
     # untraced ("other") jobs
@@ -246,9 +279,8 @@ def generate_trace(config: WorkloadConfig, seed: SeedLike = 0) -> Trace:
     go_home = rng_nodes.random(n_jobs) < config.home_bias
     job_domain = np.where(go_home, home, HUB_DOMAIN)
     all_nodes = np.zeros(n_jobs, dtype=np.int32)
-    for d in np.unique(job_domain):
-        idx = np.flatnonzero(job_domain == d)
-        pool = nodes_by_domain[int(d)]
+    for d, idx in _groups(job_domain):
+        pool = nodes_by_domain[d]
         all_nodes[idx] = pool[rng_nodes.integers(0, len(pool), size=len(idx))]
 
     # ------------------------------------------------------------------
@@ -290,15 +322,15 @@ def generate_trace(config: WorkloadConfig, seed: SeedLike = 0) -> Trace:
     rank = np.empty(n_jobs, dtype=np.int64)
     rank[order] = np.arange(n_jobs)
 
-    traced_ids = rank[:n_traced]  # new ids of the traced jobs
-    have_ds = job_dataset >= 0
-    aj1, af1 = _expand_accesses(
-        traced_ids[have_ds], job_dataset[have_ds], catalog
-    )
-    have_ds2 = job_dataset2 >= 0
-    aj2, af2 = _expand_accesses(
-        traced_ids[have_ds2], job_dataset2[have_ds2], catalog
-    )
+    # each traced job's (up to) two dataset intervals, by new job id
+    interval_starts = np.zeros((n_jobs, 2), dtype=np.int64)
+    interval_lens = np.zeros((n_jobs, 2), dtype=np.int64)
+    for col, ds in enumerate((job_dataset, job_dataset2)):
+        have = ds >= 0
+        ids = rank[:n_traced][have]
+        interval_starts[ids, col] = catalog.starts[ds[have]]
+        interval_lens[ids, col] = catalog.lengths[ds[have]]
+    access_jobs, access_files = _expand_intervals(interval_starts, interval_lens)
 
     return Trace(
         file_sizes=population.sizes,
@@ -309,11 +341,12 @@ def generate_trace(config: WorkloadConfig, seed: SeedLike = 0) -> Trace:
         job_tiers=all_tiers[order],
         job_starts=starts[order],
         job_ends=ends[order],
-        access_jobs=np.concatenate([aj1, aj2]),
-        access_files=np.concatenate([af1, af2]),
+        access_jobs=access_jobs,
+        access_files=access_files,
         user_domains=user_domains,
         node_sites=node_sites,
         node_domains=node_domains,
         site_names=site_names,
         domain_names=domain_names,
+        canonical=True,
     )

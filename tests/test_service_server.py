@@ -161,6 +161,24 @@ class TestProtocolOverTheWire:
         run(scenario())
 
 
+class TestJobsFromTrace:
+    def test_one_event_per_job(self, tiny_trace):
+        """Each job's event carries its files, their sizes and its site,
+        as plain ints."""
+        events = jobs_from_trace(tiny_trace)
+        assert len(events) == tiny_trace.n_jobs
+        sizes = tiny_trace.file_sizes
+        for job_id, files in tiny_trace.iter_jobs():
+            event = events[job_id]
+            assert event["files"] == files.tolist()
+            assert event["sizes"] == [int(sizes[f]) for f in files]
+            assert event["site"] == int(tiny_trace.job_sites[job_id])
+            assert all(
+                type(v) is int
+                for v in (*event["files"], *event["sizes"], event["site"])
+            )
+
+
 class TestLoadGeneratorEndToEnd:
     def test_replay_matches_offline_partition(self, tiny_trace):
         """Acceptance demo: replay the synthetic stream through loadgen;

@@ -142,3 +142,55 @@ class TestShuffledNull:
         a = shuffled_null(tiny_trace, seed=4)
         b = shuffled_null(tiny_trace, seed=4)
         np.testing.assert_array_equal(a.access_files, b.access_files)
+
+
+def sorted_rebuild(trace: Trace) -> Trace:
+    """``trace`` rebuilt from its own columns by the sorting constructor."""
+    return Trace(
+        file_sizes=trace.file_sizes,
+        file_tiers=trace.file_tiers,
+        file_datasets=trace.file_datasets,
+        job_users=trace.job_users,
+        job_nodes=trace.job_nodes,
+        job_tiers=trace.job_tiers,
+        job_starts=trace.job_starts,
+        job_ends=trace.job_ends,
+        access_jobs=trace.access_jobs,
+        access_files=trace.access_files,
+        user_domains=trace.user_domains,
+        node_sites=trace.node_sites,
+        node_domains=trace.node_domains,
+        site_names=trace.site_names,
+        domain_names=trace.domain_names,
+        job_labels=trace.job_labels,
+    )
+
+
+class TestCanonicalAdoption:
+    """Traces rebuilt from canonical columns adopt them unsorted, and
+    equal what the sorting constructor makes of the same columns."""
+
+    @staticmethod
+    def assert_sorted_equal(trace: Trace) -> None:
+        ref = sorted_rebuild(trace)
+        np.testing.assert_array_equal(trace.access_jobs, ref.access_jobs)
+        np.testing.assert_array_equal(trace.access_files, ref.access_files)
+
+    def test_subset_jobs(self, tiny_trace):
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            mask = rng.random(tiny_trace.n_jobs) < 0.4
+            self.assert_sorted_equal(tiny_trace.subset_jobs(mask))
+        self.assert_sorted_equal(
+            tiny_trace.subset_jobs(np.ones(tiny_trace.n_jobs, dtype=bool))
+        )
+
+    def test_shift_time(self, tiny_trace):
+        shifted = shift_time(tiny_trace, 3600.0)
+        self.assert_sorted_equal(shifted)
+        assert shifted.access_files is tiny_trace.access_files
+
+    def test_concat_traces(self, tiny_trace):
+        halves = split_epochs(tiny_trace, 2)
+        self.assert_sorted_equal(concat_traces(halves))
+        self.assert_sorted_equal(concat_traces([tiny_trace, tiny_trace]))

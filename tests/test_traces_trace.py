@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.traces import trace as trace_module
 from repro.traces.trace import Trace, TraceValidationError
 from tests.conftest import make_trace, unvalidated_trace
 
@@ -75,6 +76,61 @@ class TestValidation:
     def test_2d_column_rejected(self):
         with pytest.raises(TraceValidationError, match="1-D"):
             make_trace([[0]], file_sizes=[[1]])
+
+
+def promised_canonical(access_jobs, access_files) -> Trace:
+    """Five files and three jobs whose accesses are promised canonical,
+    built with validation on."""
+    return Trace(
+        file_sizes=[10] * 5,
+        file_tiers=[1] * 5,
+        file_datasets=[0] * 5,
+        job_users=[0] * 3,
+        job_nodes=[0] * 3,
+        job_tiers=[1] * 3,
+        job_starts=[0.0, 1.0, 2.0],
+        job_ends=[1.0, 2.0, 3.0],
+        access_jobs=access_jobs,
+        access_files=access_files,
+        user_domains=[0],
+        node_sites=[0],
+        node_domains=[0],
+        site_names=["site0"],
+        domain_names=[".d0"],
+        canonical=True,
+    )
+
+
+class TestCanonicalPromise:
+    """``canonical=True`` with ``validate=True`` checks the promise."""
+
+    def test_canonical_columns_adopted(self):
+        t = promised_canonical([0, 0, 1, 2, 2], [1, 3, 0, 2, 4])
+        assert t.job_files(0).tolist() == [1, 3]
+        assert t.job_files(2).tolist() == [2, 4]
+
+    def test_job_out_of_order(self):
+        with pytest.raises(TraceValidationError, match=r"access 2 \(job 0, file 4\)"):
+            promised_canonical([0, 1, 0], [1, 2, 4])
+
+    def test_file_out_of_order(self):
+        with pytest.raises(TraceValidationError, match=r"access 2 \(job 1, file 1\)"):
+            promised_canonical([0, 1, 1], [1, 2, 1])
+
+    def test_duplicate_pair(self):
+        with pytest.raises(TraceValidationError, match=r"access 1 \(job 0, file 3\)"):
+            promised_canonical([0, 0, 1], [3, 3, 0])
+
+    def test_first_offence_named_across_chunks(self, monkeypatch):
+        monkeypatch.setattr(trace_module, "CANONICAL_CHECK_CHUNK", 2)
+        jobs = [0, 0, 0, 1, 1, 2, 2, 1]
+        files = [0, 1, 2, 0, 3, 1, 4, 4]
+        with pytest.raises(TraceValidationError, match=r"^access 7 \(job 1, file 4\)"):
+            promised_canonical(jobs, files)
+
+    def test_unvalidated_promise_is_trusted(self):
+        t = unvalidated_trace([1, 0], [0, 0])
+        assert t.access_jobs.tolist() == [1, 0]
 
 
 class TestDerived:

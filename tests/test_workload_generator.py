@@ -2,13 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.traces.records import TIER_OTHER
 from repro.traces.stats import summarize, tier_table
 from repro.util.timeutil import SECONDS_PER_DAY
 from repro.workload.calibration import small_config, tiny_config
 from repro.workload.datasets import build_population
-from repro.workload.generator import _apportion, generate_trace
+from repro.traces.trace import Trace
+from repro.workload.generator import _apportion, _expand_intervals, generate_trace
 
 
 class TestApportion:
@@ -153,3 +155,87 @@ class TestCalibrationShape:
 
     def test_multiple_domains_active(self, small_trace):
         assert len(np.unique(small_trace.job_domains)) >= 3
+
+
+#: How a job's second interval relates to its first.
+RELATIONS = ("identical", "nested", "overlapping", "adjacent", "disjoint")
+
+
+@st.composite
+def job_intervals(draw) -> list[tuple[int, int]]:
+    """Zero, one or two ``(start, length)`` intervals of one job, the
+    second identical to, nested in, overlapping, adjacent to or disjoint
+    from the first, in either order."""
+    n = draw(st.integers(0, 2))
+    start, length = draw(st.integers(0, 40)), draw(st.integers(1, 12))
+    if n == 0:
+        return []
+    if n == 1:
+        return [(start, length)]
+    relation = draw(st.sampled_from(RELATIONS))
+    if relation == "identical":
+        other = (start, length)
+    elif relation == "nested":
+        off = draw(st.integers(0, length - 1))
+        other = (start + off, draw(st.integers(1, length - off)))
+    elif relation == "overlapping":
+        length = max(length, 2)
+        off = draw(st.integers(1, length - 1))
+        other = (start + off, length - off + draw(st.integers(1, 6)))
+    elif relation == "adjacent":
+        other = (start + length, draw(st.integers(1, 6)))
+    else:
+        other = (start + length + draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+    pair = [(start, length), other]
+    return pair[::-1] if draw(st.booleans()) else pair
+
+
+class TestExpandIntervals:
+    @settings(max_examples=300, deadline=None)
+    @given(jobs=st.lists(job_intervals(), max_size=10), slot=st.booleans())
+    def test_matches_per_job_union(self, jobs, slot):
+        starts = np.zeros((len(jobs), 2), dtype=np.int64)
+        lengths = np.zeros((len(jobs), 2), dtype=np.int64)
+        for j, intervals in enumerate(jobs):
+            # a lone interval may sit in either slot
+            cols = [int(slot)] if len(intervals) == 1 else [0, 1]
+            for col, (a, n) in zip(cols, intervals):
+                starts[j, col], lengths[j, col] = a, n
+        want_jobs, want_files = [], []
+        for j, intervals in enumerate(jobs):
+            files = sorted(set().union(*(range(a, a + n) for a, n in intervals)))
+            want_jobs += [j] * len(files)
+            want_files += files
+        block = _expand_intervals(starts, lengths)
+        assert block.shape == (2, len(want_files))
+        assert block.dtype == np.int64
+        assert block[0].tolist() == want_jobs
+        assert block[1].tolist() == want_files
+
+
+class TestCanonicalAccesses:
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_shuffled_rows_sort_back(self, seed):
+        """The sorting constructor, given the generated access rows in a
+        random order, rebuilds exactly the generated columns."""
+        trace = generate_trace(small_config(), seed=seed)
+        perm = np.random.default_rng(seed).permutation(trace.n_accesses)
+        rebuilt = Trace(
+            file_sizes=trace.file_sizes,
+            file_tiers=trace.file_tiers,
+            file_datasets=trace.file_datasets,
+            job_users=trace.job_users,
+            job_nodes=trace.job_nodes,
+            job_tiers=trace.job_tiers,
+            job_starts=trace.job_starts,
+            job_ends=trace.job_ends,
+            access_jobs=trace.access_jobs[perm],
+            access_files=trace.access_files[perm],
+            user_domains=trace.user_domains,
+            node_sites=trace.node_sites,
+            node_domains=trace.node_domains,
+            site_names=trace.site_names,
+            domain_names=trace.domain_names,
+        )
+        np.testing.assert_array_equal(rebuilt.access_jobs, trace.access_jobs)
+        np.testing.assert_array_equal(rebuilt.access_files, trace.access_files)

@@ -7,8 +7,8 @@ paper-scale workload — without paying for the full service benchmark.
 It:
 
 1. obtains the ``paper``-tier trace through the on-disk trace store
-   (warm CI runs restore the artifact from the actions cache and skip
-   generation entirely);
+   (CI keeps no trace cache, so there it generates the trace, in about
+   a second);
 2. replays the first ``SLICE_JOBS`` jobs as an ingest-only stream over
    one pipelined connection against a live single-worker
    :class:`~repro.service.server.FileculeServer` (the default stack:
